@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -19,25 +20,23 @@ from typing import Optional
 
 import numpy as np
 
-from cxrlabel.errors import CxrLabelError, DegenerateLabels
+from cxrlabel.errors import CxrLabelError, DegenerateLabels, MalformedRecord
 from cxrlabel.labeling import (
     LabelConfig,
     get_config,
-    label_corpus,
+    label_all,
     read_labels_wide_csv,
     write_labels_tsv,
     write_labels_wide_csv,
 )
 from cxrlabel.lexicon import (
     Lexicon,
-    attach_mentions,
     default_lexicon,
     load_external_mentions,
     load_lexicon,
-    match_concepts,
-    merge_mention_sets,
 )
 from cxrlabel.localization import (
+    DEFAULT_THRESHOLDS,
     BBox,
     Heatmap,
     boxes_from_heatmap,
@@ -64,6 +63,7 @@ from cxrlabel.negation import (
     propagate_conjuncts,
 )
 from cxrlabel.pooling import (
+    LOSSES,
     avg_pool,
     cel,
     compose_heatmaps,
@@ -85,7 +85,7 @@ from cxrlabel.stats import (
 ENV_CONFIG = "CXRLABEL_CONFIG"
 
 _CONFIG_KEYS = ("label_set", "lexicon", "rules", "thresholds", "r", "loss", "seed")
-_LOSS_NAMES = ("cel", "wcel", "el", "hl")
+_LOSS_NAMES = tuple(LOSSES)
 
 
 class MissingInput(Exception):
@@ -107,7 +107,7 @@ class RunConfig:
     label_set: str = "x8"
     lexicon: Optional[str] = None  # None = packaged default
     rules: Optional[str] = None
-    thresholds: tuple[int, ...] = (60, 180)
+    thresholds: tuple[int, ...] = DEFAULT_THRESHOLDS
     r: float = 10.0
     loss: str = "wcel"
     seed: int = 0
@@ -152,7 +152,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     kwargs: dict = {}
     if "label_set" in values:
         kwargs["label_set"] = values["label_set"].lower()
-    for key in ("lexicon", "rules"):
+    for key in ("lexicon", "rules", "loss"):
         if key in values:
             kwargs[key] = values[key]
     if "thresholds" in values:
@@ -170,8 +170,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 kwargs[key] = cast(values[key])
             except ValueError:
                 raise CxrLabelError(f"bad {key} {values[key]!r}") from None
-    if "loss" in values:
-        kwargs["loss"] = values["loss"]
     return RunConfig(**kwargs)
 
 
@@ -220,19 +218,11 @@ def cmd_label(args, config: RunConfig) -> int:
             file=sys.stderr,
         )
 
-    internal = []
-    for sentence in corpus.sentences():
-        internal.extend(match_concepts(sentence, lexicon))
     external = []
     if args.external_mentions:
-        external = attach_mentions(
-            corpus,
-            load_external_mentions(
-                _require(args.external_mentions, "external-mentions")
-            ),
-        )
-    mentions = merge_mention_sets(internal, external)
-    labels = label_corpus(corpus, mentions, ruleset, label_config)
+        path = _require(args.external_mentions, "external-mentions")
+        external = load_external_mentions(path)
+    labels = label_all(corpus, lexicon, ruleset, label_config, external)
     labels = sorted(labels, key=lambda record: record.report_id)
     with open(args.out_tsv, "w", encoding="utf-8") as handle:
         write_labels_tsv(labels, label_config, handle)
@@ -269,12 +259,16 @@ def _read_scores_csv(path: str) -> tuple[list[str], dict[str, dict[str, float]]]
             raise CxrLabelError("scores CSV needs a report_id header column")
         classes = header[1:]
         scores: dict[str, dict[str, float]] = {}
-        for row in reader:
+        for line_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise CxrLabelError(f"bad scores row for {row[:1]}")
-            scores[row[0]] = {
-                cls: float(v) for cls, v in zip(classes, row[1:])
-            }
+            try:
+                values = [float(v) for v in row[1:]]
+            except ValueError as err:
+                raise MalformedRecord(str(err), line_no) from None
+            if not all(map(math.isfinite, values)):
+                raise MalformedRecord(f"non-finite score in row {row!r}", line_no)
+            scores[row[0]] = dict(zip(classes, values))
     return classes, scores
 
 
@@ -328,14 +322,8 @@ def cmd_localize(args, config: RunConfig) -> int:
 def cmd_eval_loc(args, config: RunConfig) -> int:
     detections = load_boxes(_require(args.dets, "dets"), with_threshold=True)
     gts = load_boxes(_require(args.gt, "gt"))
-    if args.t is not None:
-        results = [
-            localization_eval(detections, gts, args.t, args.mode, args.n_images)
-        ]
-    else:
-        results = localization_sweep(
-            detections, gts, args.mode, n_images=args.n_images
-        )
+    grid = None if args.t is None else (args.t,)
+    results = localization_sweep(detections, gts, args.mode, grid, args.n_images)
     classes = sorted({b.label for b in detections} | {b.label for b in gts})
     with open(args.out, "w", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -569,12 +557,13 @@ def _selftest_checks():
 
 
 def cmd_selftest(args, config: RunConfig) -> int:
+    checks = _selftest_checks()
     failures = 0
-    for name, check in _selftest_checks():
+    for name, check in checks:
         ok = bool(check())
         print(f"{'PASS' if ok else 'FAIL'} {name}")
         failures += 0 if ok else 1
-    print(f"{len(_selftest_checks()) - failures} passed, {failures} failed")
+    print(f"{len(checks) - failures} passed, {failures} failed")
     return 0 if failures == 0 else 1
 
 

@@ -158,9 +158,11 @@ def label_corpus(
     config: LabelConfig,
 ) -> list[ReportLabels]:
     """One ReportLabels per report, in corpus order."""
-    polarized = polarize_corpus(corpus, mentions, ruleset)
+    mine: dict[str, list[PolarizedMention]] = {r.report_id: [] for r in corpus.reports}
+    for pm in polarize_corpus(corpus, mentions, ruleset):
+        mine[pm.mention.sentence_ref.report_id].append(pm)
     return [
-        label_report(report, corpus.graphs, polarized, config)
+        label_report(report, corpus.graphs, mine[report.report_id], config)
         for report in corpus.reports
     ]
 
@@ -175,9 +177,7 @@ def label_all(
     """Full pipeline: match concepts, merge external mentions, label."""
     from cxrlabel.lexicon import attach_mentions, match_concepts, merge_mention_sets
 
-    internal: list[ConceptMention] = []
-    for sentence in corpus.sentences():
-        internal.extend(match_concepts(sentence, lexicon))
+    internal = [m for s in corpus.sentences() for m in match_concepts(s, lexicon)]
     merged = merge_mention_sets(internal, attach_mentions(corpus, extra_mentions))
     return label_corpus(corpus, merged, ruleset, config)
 
@@ -215,6 +215,10 @@ def read_labels_wide_csv(path, config: Optional[LabelConfig] = None):
         for row_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise MalformedRecord("wrong column count", row_no)
-            y = tuple(int(v) for v in row[1:-1])
-            labels.append(ReportLabels(row[0], y, Status(row[-1])))
+            try:
+                y = tuple(int(v) for v in row[1:-1])
+                status = Status(row[-1])
+            except ValueError as err:
+                raise MalformedRecord(str(err), row_no) from None
+            labels.append(ReportLabels(row[0], y, status))
     return labels, config

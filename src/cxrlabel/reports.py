@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 from cxrlabel.errors import (
@@ -72,6 +73,11 @@ class RadiologyReport:
         for tag in self.sections:
             if tag not in SECTION_TAGS:
                 raise MalformedRecord(f"unknown section tag {tag!r}")
+
+    @cached_property
+    def sentences(self) -> tuple["Sentence", ...]:
+        """The report split once; every corpus holding it shares the split."""
+        return tuple(split_sentences(self))
 
 
 @dataclass(frozen=True)
@@ -159,7 +165,7 @@ class Corpus:
             if report.report_id in seen:
                 raise DuplicateReportId(report.report_id)
             seen.add(report.report_id)
-        sentences = {s.ref: s for r in self.reports for s in split_sentences(r)}
+        sentences = {s.ref: s for s in self.sentences()} if self.graphs else {}
         for ref, graph in self.graphs.items():
             if ref not in sentences:
                 raise TokenCountMismatch("graph for unknown sentence", ref)
@@ -176,7 +182,7 @@ class Corpus:
         raise KeyError(report_id)
 
     def sentences(self) -> list[Sentence]:
-        return [s for r in self.reports for s in split_sentences(r)]
+        return [s for r in self.reports for s in r.sentences]
 
     def with_graphs(self, graphs: dict[SentenceRef, DependencyGraph]) -> "Corpus":
         merged = dict(self.graphs)

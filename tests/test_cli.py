@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from cxrlabel import reports
 from cxrlabel.cli import main
 from cxrlabel.labeling import get_config, read_labels_wide_csv
 from cxrlabel.metrics import T_GRID_IOBB, T_GRID_IOU
@@ -63,6 +64,36 @@ class TestExitCodes:
         ])
         assert code == 2
         assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell, status", [
+        ("x", "NORMAL"),  # non-integer label cell
+        ("0", "HEALTHY"),  # unknown status
+    ])
+    def test_bad_label_csv_cell_exits_two(self, tmp_path, capsys, cell, status):
+        pred = tmp_path / "pred.csv"
+        lines = Path(GOLD).read_text().splitlines()
+        lines[2] = f"r02,{cell},0,0,0,0,0,0,0,{status}"
+        pred.write_text("\n".join(lines) + "\n")
+        code = main([
+            "eval-nlp", "--pred", str(pred), "--gold", GOLD,
+            "--out", str(tmp_path / "out.csv"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: line 3: ")
+
+    @pytest.mark.parametrize("score", ["high", "nan", "inf"])
+    def test_bad_score_cell_exits_two(self, tmp_path, capsys, score):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("report_id,A,status\ni1,1,TARGET_FINDINGS\ni2,0,NORMAL\n")
+        scores = tmp_path / "scores.csv"
+        scores.write_text(f"report_id,A\ni1,0.9\ni2,{score}\n")
+        code = main([
+            "auc", "--scores", str(scores), "--labels", str(labels),
+            "--out", str(tmp_path / "auc.csv"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: line 3: ")
+        assert not (tmp_path / "auc.csv").exists()
 
 
 class TestConfigResolution:
@@ -201,6 +232,45 @@ class TestLabelCommand:
         warning = next(l for l in err.splitlines() if l.startswith("warning"))
         assert "Atelectasis" in warning
         assert "Pneumonia" not in warning
+
+    def test_external_mention_changes_its_report_row(self, tmp_path):
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        code, plain_tsv, _ = run_label(plain)
+        assert code == 0
+        mentions = tmp_path / "mentions.tsv"
+        # r02 findings sentence 0 is "Heart size is normal ."
+        mentions.write_text("r02\tfindings\t0\t1\t1\tC0032285\tPneumonia\n")
+        code, out_tsv, _ = run_label(tmp_path, "--external-mentions", str(mentions))
+        assert code == 0
+        before = plain_tsv.read_text().splitlines()
+        after = out_tsv.read_text().splitlines()
+        assert before[1] == "r02\tNORMAL\t"
+        assert after[1] == "r02\tTARGET_FINDINGS\tPneumonia"
+        assert before[:1] + before[2:] == after[:1] + after[2:]
+
+    def test_external_mention_past_sentence_end_exits_two(self, tmp_path, capsys):
+        mentions = tmp_path / "mentions.tsv"
+        mentions.write_text("r02\tfindings\t0\t4\t6\tC0032285\tPneumonia\n")
+        code, _, _ = run_label(tmp_path, "--external-mentions", str(mentions))
+        assert code == 2
+        assert "error: mention " in capsys.readouterr().err
+
+    def test_each_report_is_split_once(self, tmp_path, monkeypatch):
+        calls = []
+        split = reports.split_sentences
+
+        def counting(report):
+            calls.append(report.report_id)
+            return split(report)
+
+        monkeypatch.setattr(reports, "split_sentences", counting)
+        code, _, _ = run_label(tmp_path, "--propagate")
+        assert code == 0
+        assert sorted(calls) == [f"r{i:02d}" for i in range(1, 21)]
+        calls.clear()
+        assert main(["split", "--corpus", CORPUS, "--out", str(tmp_path / "s")]) == 0
+        assert calls == []  # a corpus without graphs is never split
 
 
 class TestEvalNlpCommand:

@@ -176,20 +176,31 @@ class TestDependencyGraph:
             DependencyGraph(SentenceRef("r", "findings", 0), 3, ("a", "b"), ())
 
 
+# Graphs reach a corpus through its constructor or through with_graphs.
+GRAPH_ROUTES = [
+    pytest.param(lambda reports, graphs: Corpus(reports, graphs), id="constructor"),
+    pytest.param(
+        lambda reports, graphs: Corpus(reports).with_graphs(graphs), id="with_graphs"
+    ),
+]
+
+
 class TestCorpusValidation:
-    def test_graph_token_count_checked_against_sentence(self):
+    @pytest.mark.parametrize("build", GRAPH_ROUTES)
+    def test_graph_token_count_checked_against_sentence(self, build):
         report = RadiologyReport("r1", "p1", {"findings": "no acute disease"})
         ref = SentenceRef("r1", "findings", 0)
         bad = DependencyGraph(ref, 2, ("no", "acute"), ())
         with pytest.raises(TokenCountMismatch):
-            Corpus((report,), {ref: bad})
+            build((report,), {ref: bad})
 
-    def test_graph_for_unknown_sentence_rejected(self):
+    @pytest.mark.parametrize("build", GRAPH_ROUTES)
+    def test_graph_for_unknown_sentence_rejected(self, build):
         report = RadiologyReport("r1", "p1", {"findings": "no acute disease"})
         ref = SentenceRef("r1", "findings", 7)
         graph = DependencyGraph(ref, 1, ("x",), ())
         with pytest.raises(TokenCountMismatch):
-            Corpus((report,), {ref: graph})
+            build((report,), {ref: graph})
 
 
 class TestDependencyFile:
