@@ -261,7 +261,7 @@ def _read_scores_csv(path: str) -> tuple[list[str], dict[str, dict[str, float]]]
         scores: dict[str, dict[str, float]] = {}
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
-                raise CxrLabelError(f"bad scores row for {row[:1]}")
+                raise MalformedRecord("wrong column count", line_no)
             try:
                 values = [float(v) for v in row[1:]]
             except ValueError as err:
@@ -658,6 +658,9 @@ def main(argv=None) -> int:
         return args.func(args, config)
     except MissingInput as err:
         print(f"error: {err.name}: not found", file=sys.stderr)
+        return 2
+    except OSError as err:
+        print(f"error: {err.filename}: {err.strerror}", file=sys.stderr)
         return 2
     except CxrLabelError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -207,7 +207,10 @@ def load_heatmaps(path) -> list[Heatmap]:
                 raise MalformedRow(
                     f"expected {size} scores per row", i + 2 + k
                 )
-            rows.append([float(v) for v in values])
+            try:
+                rows.append([float(v) for v in values])
+            except ValueError:
+                raise MalformedRow("non-numeric score", i + 2 + k) from None
         heatmaps.append(Heatmap(image_id, label, np.array(rows), image_dim))
         i += 1 + size
     return heatmaps

@@ -1,9 +1,10 @@
 """Scoring: P/R/F1 for labeling, ROC AUC, localization Acc/AFP.
 
-AUC uses the rank-statistic form with midrank tie handling. Localization
-matches detections to ground-truth boxes greedily, one-to-one, by
-descending overlap; accuracy is per-ground-truth-box recall and AFP
-normalizes unmatched detections by the evaluation image count.
+AUC is the area under the ROC curve, and both come from one descending
+sort of the scores. Localization matches detections to ground-truth boxes
+greedily, one-to-one, by descending overlap; accuracy is
+per-ground-truth-box recall and AFP normalizes unmatched detections by the
+evaluation image count.
 """
 
 from __future__ import annotations
@@ -104,56 +105,43 @@ def prf1(
     return PRF1Result(scores, total)
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values), dtype=float)
-    sorted_values = values[order]
-    i = 0
-    n = len(values)
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_values[j + 1] == sorted_values[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
-
-
-def roc_auc(scores, labels) -> float:
-    """Probability a random positive outscores a random negative,
-    counting ties as one half; computed from midranks."""
+def _roc_counts(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative (true positive, false positive) counts at each distinct
+    score, highest score first, from one descending sort. The last entries
+    are the positive and negative totals."""
     score_arr = np.asarray(scores, dtype=float).ravel()
     label_arr = np.asarray(labels).ravel()
     if score_arr.shape != label_arr.shape:
         raise MalformedRow("scores and labels differ in length")
+    if not np.all(np.isfinite(score_arr)):
+        raise MalformedRow("scores must be finite")
     if not np.all((label_arr == 0) | (label_arr == 1)):
         raise MalformedRow("labels must be 0/1")
     n_pos = int(np.sum(label_arr == 1))
-    n_neg = int(np.sum(label_arr == 0))
+    n_neg = len(label_arr) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabels(f"need both labels, got {n_pos} pos / {n_neg} neg")
-    ranks = _midranks(score_arr)
-    pos_rank_sum = float(np.sum(ranks[label_arr == 1]))
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    order = np.argsort(-score_arr)
+    ranked = score_arr[order]
+    tp = np.cumsum(label_arr[order] == 1)
+    fp = np.arange(1, len(ranked) + 1) - tp
+    tie_ends = np.append(np.flatnonzero(ranked[1:] != ranked[:-1]), len(ranked) - 1)
+    return tp[tie_ends], fp[tie_ends]
+
+
+def roc_auc(scores, labels) -> float:
+    """Probability a random positive outscores a random negative,
+    counting ties as one half: the trapezoid area under the ROC counts,
+    summed exactly as twice the Mann-Whitney U."""
+    tp, fp = _roc_counts(scores, labels)
+    twice_u = int(np.sum(np.diff(fp, prepend=0) * (tp + np.append(0, tp[:-1]))))
+    return twice_u / (2 * int(tp[-1]) * int(fp[-1]))
 
 
 def roc_points(scores, labels) -> list[tuple[float, float]]:
     """(FPR, TPR) points at every distinct score threshold, descending."""
-    score_arr = np.asarray(scores, dtype=float).ravel()
-    label_arr = np.asarray(labels).ravel()
-    n_pos = int(np.sum(label_arr == 1))
-    n_neg = int(np.sum(label_arr == 0))
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateLabels(f"need both labels, got {n_pos} pos / {n_neg} neg")
-    points = [(0.0, 0.0)]
-    for threshold in sorted(set(score_arr), reverse=True):
-        hit = score_arr >= threshold
-        tpr = float(np.sum(hit & (label_arr == 1))) / n_pos
-        fpr = float(np.sum(hit & (label_arr == 0))) / n_neg
-        points.append((fpr, tpr))
-    if points[-1] != (1.0, 1.0):
-        points.append((1.0, 1.0))
-    return points
+    tp, fp = _roc_counts(scores, labels)
+    return [(0.0, 0.0)] + list(zip((fp / fp[-1]).tolist(), (tp / tp[-1]).tolist()))
 
 
 @dataclass(frozen=True)
@@ -207,7 +195,7 @@ def localization_eval(
 
     Acc_class = matched GT / total GT; AFP_class = unmatched detections
     divided by the evaluation image count (the distinct image ids across
-    both inputs unless given explicitly).
+    both inputs unless given explicitly; an explicit count must be >= 1).
     """
     if mode not in OVERLAP_MEASURES:
         raise MalformedRow(f"unknown overlap mode {mode!r}")
@@ -216,31 +204,31 @@ def localization_eval(
     measure = OVERLAP_MEASURES[mode]
     detections = list(detections)
     gts = list(gts)
-    images = {b.image_id for b in detections} | {b.image_id for b in gts}
     if n_images is None:
-        n_images = len(images)
+        n_images = len({b.image_id for b in detections} | {b.image_id for b in gts})
+    elif n_images < 1:
+        raise MalformedRow(f"image count {n_images} below 1")
     classes = sorted({b.label for b in detections} | {b.label for b in gts})
+
+    # (class, image) -> (gts, detections), each in input order
+    groups: dict[tuple[str, str], tuple[list[BBox], list[BBox]]] = {}
+    for side, boxes in enumerate((gts, detections)):
+        for box in boxes:
+            groups.setdefault((box.label, box.image_id), ([], []))[side].append(box)
 
     matched: dict[str, int] = {c: 0 for c in classes}
     total_gt: dict[str, int] = {c: 0 for c in classes}
     unmatched_det: dict[str, int] = {c: 0 for c in classes}
-    for cls in classes:
-        for image in sorted(images):
-            image_gts = [b for b in gts if b.label == cls and b.image_id == image]
-            image_dets = [
-                b for b in detections if b.label == cls and b.image_id == image
-            ]
-            hit, miss = _greedy_match(image_gts, image_dets, threshold, measure)
-            matched[cls] += hit
-            total_gt[cls] += len(image_gts)
-            unmatched_det[cls] += miss
+    for (cls, _), (image_gts, image_dets) in groups.items():
+        hit, miss = _greedy_match(image_gts, image_dets, threshold, measure)
+        matched[cls] += hit
+        total_gt[cls] += len(image_gts)
+        unmatched_det[cls] += miss
 
     acc = {
         c: matched[c] / total_gt[c] for c in classes if total_gt[c] > 0
     }
-    afp = {
-        c: (unmatched_det[c] / n_images if n_images else 0.0) for c in classes
-    }
+    afp = {c: unmatched_det[c] / n_images for c in classes}
     return LocEvalResult(
         mode, threshold, acc, afp, matched, total_gt, unmatched_det, n_images
     )

@@ -81,7 +81,10 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith("error: line 3: ")
 
-    @pytest.mark.parametrize("score", ["high", "nan", "inf"])
+    @pytest.mark.parametrize("score", [
+        "high", "nan", "inf",
+        "0.5,0.7",  # three cells under a two-column header
+    ])
     def test_bad_score_cell_exits_two(self, tmp_path, capsys, score):
         labels = tmp_path / "labels.csv"
         labels.write_text("report_id,A,status\ni1,1,TARGET_FINDINGS\ni2,0,NORMAL\n")
@@ -94,6 +97,13 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith("error: line 3: ")
         assert not (tmp_path / "auc.csv").exists()
+
+    def test_unwritable_output_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "s.tsv"
+        code = main(["split", "--corpus", CORPUS, "--out", str(out)])
+        assert code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == f"error: {out}: No such file or directory"
 
 
 class TestConfigResolution:
@@ -400,6 +410,15 @@ class TestLocalizeCommand:
             "img1\tMass\t16\t16\t32\t32\t128",
         ]
 
+    def test_non_numeric_cell_exits_two_with_its_line(self, tmp_path, capsys):
+        maps = tmp_path / "maps.tsv"
+        maps.write_text("img1\tMass\t2\t64\n1 2\nx 3\n")
+        code = main([
+            "localize", "--heatmaps", str(maps), "--out", str(tmp_path / "b.tsv"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: row 3: ")
+
 
 class TestEvalLocCommand:
     def write_inputs(self, tmp_path):
@@ -453,6 +472,15 @@ class TestEvalLocCommand:
         ])
         assert code == 0
         assert len(out.read_text().splitlines()) == 1 + 2 * len(T_GRID_IOU)
+
+    def test_zero_image_count_exits_two(self, tmp_path, capsys):
+        dets, gt = self.write_inputs(tmp_path)
+        code = main([
+            "eval-loc", "--dets", str(dets), "--gt", str(gt), "--mode", "iobb",
+            "--n-images", "0", "--out", str(tmp_path / "loc.csv"),
+        ])
+        assert code == 2
+        assert "image count 0" in capsys.readouterr().err
 
     def test_class_without_gt_reports_na_acc(self, tmp_path):
         dets, gt = self.write_inputs(tmp_path)

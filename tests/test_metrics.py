@@ -39,6 +39,21 @@ def auc_by_pairs(scores, gold):
     return wins / (len(pos) * len(neg))
 
 
+def roc_points_by_thresholds(scores, gold):
+    """Slow reference: rescan every score at each distinct threshold."""
+    scores = np.asarray(scores, dtype=float)
+    gold = np.asarray(gold)
+    n_pos = int(np.sum(gold == 1))
+    n_neg = int(np.sum(gold == 0))
+    points = [(0.0, 0.0)]
+    for threshold in sorted(set(scores), reverse=True):
+        hit = scores >= threshold
+        tpr = float(np.sum(hit & (gold == 1))) / n_pos
+        fpr = float(np.sum(hit & (gold == 0))) / n_neg
+        points.append((fpr, tpr))
+    return points
+
+
 def optimal_match_count(gts, dets, threshold, measure):
     """Exhaustive maximum one-to-one matching with overlap > threshold."""
     edge = [[measure(g, d) > threshold for g in gts] for d in dets]
@@ -136,11 +151,19 @@ class TestRocAuc:
             gold = rng.integers(0, 2, size=n)
             if gold.all() or not gold.any():
                 gold[0] = 1 - gold[0]
-            # quantized scores force ties through the midrank path
+            # quantized scores force ties
             scores = rng.integers(0, 10, size=n) / 10.0
-            assert roc_auc(scores, gold) == pytest.approx(
-                auc_by_pairs(scores, gold), abs=1e-12
-            )
+            assert roc_auc(scores, gold) == auc_by_pairs(scores, gold)
+
+    def test_roc_points_match_threshold_scan_oracle(self):
+        rng = np.random.default_rng(17)
+        for _ in range(150):
+            n = int(rng.integers(2, 60))
+            gold = rng.integers(0, 2, size=n)
+            if gold.all() or not gold.any():
+                gold[0] = 1 - gold[0]
+            scores = rng.integers(0, 8, size=n) / 8.0
+            assert roc_points(scores, gold) == roc_points_by_thresholds(scores, gold)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(14)
@@ -157,11 +180,15 @@ class TestRocAuc:
         with pytest.raises(DegenerateLabels):
             roc_auc([0.1, 0.9], [0, 0])
 
-    def test_shape_and_label_validation(self):
-        with pytest.raises(MalformedRow):
-            roc_auc([0.1, 0.2], [1])
-        with pytest.raises(MalformedRow):
-            roc_auc([0.1, 0.2], [1, 2])
+    @pytest.mark.parametrize("bad_score", [float("nan"), float("inf")])
+    def test_shape_and_label_validation(self, bad_score):
+        for scored in (roc_auc, roc_points):
+            with pytest.raises(MalformedRow):
+                scored([0.1, 0.2], [1])
+            with pytest.raises(MalformedRow):
+                scored([0.1, 0.2, 0.3], [1, 0, 2])
+            with pytest.raises(MalformedRow):
+                scored([bad_score, 0.2, 0.5], [1, 0, 1])
 
     def test_roc_points_anchor_and_monotone(self):
         rng = np.random.default_rng(15)
