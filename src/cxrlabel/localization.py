@@ -7,6 +7,7 @@ IoU and IoBB score detections against ground truth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -211,7 +212,12 @@ def load_heatmaps(path) -> list[Heatmap]:
                 rows.append([float(v) for v in values])
             except ValueError:
                 raise MalformedRow("non-numeric score", i + 2 + k) from None
-        heatmaps.append(Heatmap(image_id, label, np.array(rows), image_dim))
+        grid = np.array(rows)
+        finite_rows = np.isfinite(grid).all(axis=-1)  # per row; S < 1 gives no rows
+        if not finite_rows.all():
+            first = int(np.argmin(finite_rows))
+            raise MalformedRow("non-finite score", i + 2 + first)
+        heatmaps.append(Heatmap(image_id, label, grid, image_dim))
         i += 1 + size
     return heatmaps
 
@@ -244,6 +250,8 @@ def load_boxes(path, with_threshold: bool = False) -> list[BBox]:
                 threshold = int(fields[6]) if with_threshold else None
             except ValueError:
                 raise MalformedRow("non-numeric box geometry", row_no) from None
+            if not all(map(math.isfinite, (x, y, w, h))):
+                raise MalformedRow("non-finite box geometry", row_no)
             boxes.append(BBox(fields[0], fields[1], x, y, w, h, threshold))
     return boxes
 

@@ -115,6 +115,15 @@ class RuleSet:
         self.uncertainty_rules = tuple(
             r for r in self.rules if r.polarity is RulePolarity.UNCERTAINTY
         )
+        # Each rule in precedence order with its triggers as key sets: a
+        # token matches trigger word w when its lemma is w or lemma(w).
+        self.ranked = tuple(
+            (rule, tuple(
+                tuple(frozenset((word, lemma(word))) for word in phrase)
+                for phrase in rule.triggers
+            ))
+            for rule in self.negation_rules + self.uncertainty_rules
+        )
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -230,71 +239,58 @@ def mention_head(graph: DependencyGraph, mention: ConceptMention) -> int:
     return span[-1]
 
 
-def _word_matches(lowered: str, trigger_word: str) -> bool:
-    return (
-        lowered == trigger_word
-        or lemma(lowered) == trigger_word
-        or lemma(lowered) == lemma(trigger_word)
-    )
-
-
-def _trigger_positions(graph: DependencyGraph, rule: Rule) -> list[int]:
-    lowered = [s.lower() for s in graph.surfaces]
-    if not rule.triggers:
-        return list(range(1, graph.n_tokens + 1))
-    positions: list[int] = []
-    for start in range(len(lowered)):
-        for phrase in rule.triggers:
-            if start + len(phrase) > len(lowered):
-                continue
-            if all(
-                _word_matches(lowered[start + k], phrase[k])
-                for k in range(len(phrase))
-            ):
-                positions.append(start + 1)
-                break
+def _trigger_positions(
+    lemmas: list[str],
+    index: dict[str, list[int]],
+    phrases: tuple[tuple[frozenset[str], ...], ...],
+) -> set[int]:
+    """Positions where a phrase starts: its first word is looked up in
+    the lemma index and only the words after it are checked."""
+    positions: set[int] = set()
+    for first, *rest in phrases:
+        for key in first:
+            for start in index.get(key, ()):
+                if start + len(rest) <= len(lemmas) and all(
+                    lemmas[start + k] in keys for k, keys in enumerate(rest)
+                ):
+                    positions.add(start)
     return positions
 
 
-def _walk(graph: DependencyGraph, start: int, path: tuple[EdgeStep, ...]) -> set[int]:
-    """Token positions reachable from `start` by following the path steps."""
-    frontier = {start}
+def _walk(
+    graph: DependencyGraph,
+    lemmas: list[str],
+    frontier: Optional[Iterable[int]],
+    path: tuple[EdgeStep, ...],
+) -> set[int]:
+    """Token positions reachable from the `frontier` tokens along the path.
+
+    A frontier of None is every token, so the first step is one pass over
+    the edges. No step leaves or lands on the virtual root.
+    """
     for step in path:
-        landed: set[int] = set()
-        for node in frontier:
-            if step.direction is Direction.DOWN:
-                for edge in graph.out_edges(node):
-                    if step.label_matches(edge.label):
-                        landed.add(edge.dependent)
-            else:
-                for edge in graph.in_edges(node):
-                    if step.label_matches(edge.label) and edge.head != 0:
-                        landed.add(edge.head)
+        labels, down = step.labels, step.direction is Direction.DOWN
+        if frontier is None:
+            edges = graph.edges
+        else:
+            adjacency = graph.out_adjacency if down else graph.in_adjacency
+            edges = [edge for node in frontier for edge in adjacency.get(node, ())]
+        landed = {
+            edge.dependent if down else edge.head
+            for edge in edges
+            if edge.head != 0 and (labels is None or edge.label in labels)
+        }
         if step.node_lemmas is not None:
             landed = {
                 node
                 for node in landed
-                if lemma(graph.surfaces[node - 1].lower()) in step.node_lemmas
-                or graph.surfaces[node - 1].lower() in step.node_lemmas
+                if lemmas[node - 1] in step.node_lemmas
+                or graph.lowered[node - 1] in step.node_lemmas
             }
         frontier = landed
         if not frontier:
             break
     return frontier
-
-
-def _rule_fires(
-    graph: DependencyGraph, rule: Rule, head: int, landings: set[int]
-) -> bool:
-    if rule.scope is Scope.SENTENCE:
-        return True
-    if rule.scope is Scope.ENDPOINT:
-        return head in landings
-    # Subtree scope covers the landing token itself and its descendants.
-    for landing in landings:
-        if head == landing or head in graph.descendants(landing):
-            return True
-    return False
 
 
 def apply_rules(
@@ -308,29 +304,38 @@ def apply_rules(
         if mention.sentence_ref != graph.sentence_ref:
             raise MissingGraph(mention.sentence_ref)
 
-    # Landing sets per rule are mention-independent, so compute them once.
-    landings: dict[str, set[int]] = {}
-    fired_sentence: dict[str, bool] = {}
-    for rule in ruleset.rules:
-        positions = _trigger_positions(graph, rule)
-        fired_sentence[rule.rule_id] = bool(positions)
-        landed: set[int] = set()
-        if rule.path:
-            for position in positions:
-                landed |= _walk(graph, position, rule.path)
-        landings[rule.rule_id] = landed
+    # Lemmatize the graph once and index its positions by lemma.
+    lemmas = [lemma(word) for word in graph.lowered]
+    index: dict[str, list[int]] = {}
+    for position, word in enumerate(lemmas, start=1):
+        index.setdefault(word, []).append(position)
+
+    # What a rule covers is mention-independent, so compute it once. Keep
+    # the rules that can fire here, in precedence order, with the heads
+    # they cover; None covers every head (a triggered sentence rule).
+    live: list[tuple[Rule, Optional[set[int]]]] = []
+    for rule, phrases in ruleset.ranked:
+        starts = _trigger_positions(lemmas, index, phrases) if phrases else None
+        if phrases and not starts:
+            continue
+        if rule.scope is Scope.SENTENCE:
+            live.append((rule, None))
+            continue
+        covered = _walk(graph, lemmas, starts, rule.path) if rule.path else set()
+        if rule.scope is Scope.SUBTREE:
+            # Subtree scope covers each landing token and its descendants.
+            for landing in list(covered):
+                covered |= graph.descendants(landing)
+        if covered:
+            live.append((rule, covered))
 
     result: list[PolarizedMention] = []
     for mention in mentions:
         head = mention_head(graph, mention)
         polarity = Polarity.POSITIVE
         matched: Optional[str] = None
-        for rule in ruleset.negation_rules + ruleset.uncertainty_rules:
-            if rule.scope is Scope.SENTENCE:
-                fired = fired_sentence[rule.rule_id]
-            else:
-                fired = _rule_fires(graph, rule, head, landings[rule.rule_id])
-            if fired:
+        for rule, covered in live:
+            if covered is None or head in covered:
                 matched = rule.rule_id
                 polarity = (
                     Polarity.NEGATED

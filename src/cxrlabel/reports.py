@@ -120,22 +120,42 @@ class DependencyGraph:
             if edge.head == edge.dependent:
                 raise BadHeadIndex(f"self-loop at token {edge.head}")
 
+    @cached_property
+    def lowered(self) -> tuple[str, ...]:
+        return tuple(s.lower() for s in self.surfaces)
+
+    @cached_property
+    def out_adjacency(self) -> dict[int, list[Edge]]:
+        """Edges by head position, each list in `edges` order."""
+        adjacency: dict[int, list[Edge]] = {}
+        for edge in self.edges:
+            adjacency.setdefault(edge.head, []).append(edge)
+        return adjacency
+
+    @cached_property
+    def in_adjacency(self) -> dict[int, list[Edge]]:
+        """Edges by dependent position, each list in `edges` order."""
+        adjacency: dict[int, list[Edge]] = {}
+        for edge in self.edges:
+            adjacency.setdefault(edge.dependent, []).append(edge)
+        return adjacency
+
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
 
     def out_edges(self, position: int) -> list[Edge]:
-        return [e for e in self.edges if e.head == position]
+        return list(self.out_adjacency.get(position, ()))
 
     def in_edges(self, position: int) -> list[Edge]:
-        return [e for e in self.edges if e.dependent == position]
+        return list(self.in_adjacency.get(position, ()))
 
     def descendants(self, position: int) -> set[int]:
         """Token positions reachable from `position` via head->dependent edges."""
+        adjacency = self.out_adjacency
         seen: set[int] = set()
         frontier = [position]
         while frontier:
-            here = frontier.pop()
-            for edge in self.out_edges(here):
+            for edge in adjacency.get(frontier.pop(), ()):
                 if edge.dependent not in seen:
                     seen.add(edge.dependent)
                     frontier.append(edge.dependent)

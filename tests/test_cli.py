@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from cxrlabel import reports
+from cxrlabel import negation, reports
 from cxrlabel.cli import main
 from cxrlabel.labeling import get_config, read_labels_wide_csv
 from cxrlabel.metrics import T_GRID_IOBB, T_GRID_IOU
@@ -97,6 +97,24 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith("error: line 3: ")
         assert not (tmp_path / "auc.csv").exists()
+
+    @pytest.mark.parametrize(
+        "geometry", ["nan\t0\t10\t10", "0\t0\t10\t-inf"], ids=["x-nan", "h-inf"]
+    )
+    def test_non_finite_box_geometry_exits_two(self, tmp_path, capsys, geometry):
+        gt = tmp_path / "gt.tsv"
+        gt.write_text(f"i1\tc\t0\t0\t10\t10\ni1\tc\t{geometry}\n")
+        dets = tmp_path / "dets.tsv"
+        dets.write_text("i1\tc\t0\t0\t10\t10\t60\n")
+        out = tmp_path / "loc.csv"
+        code = main([
+            "eval-loc", "--dets", str(dets), "--gt", str(gt), "--mode", "iou",
+            "--t", "0.3", "--out", str(out),
+        ])
+        assert code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == "error: row 2: non-finite box geometry"
+        assert not out.exists()
 
     def test_unwritable_output_exits_two(self, tmp_path, capsys):
         out = tmp_path / "missing" / "s.tsv"
@@ -282,6 +300,21 @@ class TestLabelCommand:
         assert main(["split", "--corpus", CORPUS, "--out", str(tmp_path / "s")]) == 0
         assert calls == []  # a corpus without graphs is never split
 
+    def test_rule_engine_lemmatizes_each_token_once(self, tmp_path, monkeypatch):
+        tokens = sum(g.n_tokens for g in reports.load_dependency_file(DEPS).values())
+        words = sum(len(p) for r in negation.default_rules().rules for p in r.triggers)
+        calls = []
+        lemma = negation.lemma
+
+        def counting(word):
+            calls.append(word)
+            return lemma(word)
+
+        monkeypatch.setattr(negation, "lemma", counting)
+        code, _, _ = run_label(tmp_path, "--propagate")
+        assert code == 0
+        assert 0 < len(calls) <= tokens + words
+
 
 class TestEvalNlpCommand:
     def test_scores_against_gold(self, tmp_path):
@@ -410,14 +443,30 @@ class TestLocalizeCommand:
             "img1\tMass\t16\t16\t32\t32\t128",
         ]
 
-    def test_non_numeric_cell_exits_two_with_its_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("cell, reason", [
+        ("x", "non-numeric score"),
+        ("nan", "non-finite score"),
+        ("inf", "non-finite score"),
+    ], ids=["x", "nan", "inf"])
+    def test_non_numeric_cell_exits_two_with_its_line(
+        self, tmp_path, capsys, cell, reason
+    ):
         maps = tmp_path / "maps.tsv"
-        maps.write_text("img1\tMass\t2\t64\n1 2\nx 3\n")
+        maps.write_text(f"img1\tMass\t2\t64\n1 2\n{cell} 3\n")
         code = main([
             "localize", "--heatmaps", str(maps), "--out", str(tmp_path / "b.tsv"),
         ])
         assert code == 2
-        assert capsys.readouterr().err.splitlines()[-1].startswith("error: row 3: ")
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: row 3: {reason}"
+
+    def test_empty_grid_exits_two(self, tmp_path, capsys):
+        maps = tmp_path / "maps.tsv"
+        maps.write_text("img1\tMass\t0\t64\n")
+        code = main([
+            "localize", "--heatmaps", str(maps), "--out", str(tmp_path / "b.tsv"),
+        ])
+        assert code == 2
+        assert "must be square" in capsys.readouterr().err.splitlines()[-1]
 
 
 class TestEvalLocCommand:
