@@ -8,6 +8,7 @@ IoU and IoBB score detections against ground truth.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -86,28 +87,26 @@ def connected_regions(intgrid, t: int) -> list[frozenset[tuple[int, int]]]:
     top-left extreme (min row, then min col)."""
     if not 0 <= t <= 255:
         raise MalformedRow(f"threshold {t} outside 0..255")
-    grid = np.asarray(intgrid)
-    mask = grid > t
-    seen = np.zeros(grid.shape, dtype=bool)
+    rows, cols = np.nonzero(np.asarray(intgrid) > t)
+    mask_cells = list(zip(rows.tolist(), cols.tolist()))
+    # Mask cells not yet in a region; a neighbour off the grid is never here.
+    unvisited = set(mask_cells)
     regions: list[frozenset[tuple[int, int]]] = []
-    rows, cols = grid.shape
-    for row in range(rows):
-        for col in range(cols):
-            if not mask[row, col] or seen[row, col]:
-                continue
-            cells = []
-            stack = [(row, col)]
-            seen[row, col] = True
-            while stack:
-                r, c = stack.pop()
-                cells.append((r, c))
-                for dr, dc in _NEIGHBORS:
-                    nr, nc = r + dr, c + dc
-                    if 0 <= nr < rows and 0 <= nc < cols:
-                        if mask[nr, nc] and not seen[nr, nc]:
-                            seen[nr, nc] = True
-                            stack.append((nr, nc))
-            regions.append(frozenset(cells))
+    for seed in mask_cells:  # row-major, as the sort below expects for ties
+        if seed not in unvisited:
+            continue
+        unvisited.remove(seed)
+        region = [seed]
+        stack = [seed]
+        while stack:
+            r, c = stack.pop()
+            for dr, dc in _NEIGHBORS:
+                cell = (r + dr, c + dc)
+                if cell in unvisited:
+                    unvisited.remove(cell)
+                    region.append(cell)
+                    stack.append(cell)
+        regions.append(frozenset(region))
     regions.sort(key=lambda cells: (min(r for r, _ in cells),
                                     min(c for _, c in cells)))
     return regions
@@ -199,27 +198,43 @@ def load_heatmaps(path) -> list[Heatmap]:
             image_dim = float(dim_s)
         except ValueError:
             raise MalformedRow("non-numeric size/dim", i + 1) from None
+        if size < 1:
+            raise MalformedRow(f"heatmap size must be >= 1, got {size}", i + 1)
         if i + 1 + size > len(lines):
             raise MalformedRow(f"expected {size} grid rows", i + 1)
-        rows = []
-        for k in range(size):
-            values = lines[i + 1 + k].split()
-            if len(values) != size:
-                raise MalformedRow(
-                    f"expected {size} scores per row", i + 2 + k
-                )
-            try:
-                rows.append([float(v) for v in values])
-            except ValueError:
-                raise MalformedRow("non-numeric score", i + 2 + k) from None
-        grid = np.array(rows)
-        finite_rows = np.isfinite(grid).all(axis=-1)  # per row; S < 1 gives no rows
+        block = lines[i + 1:i + 1 + size]
+        try:
+            # loadtxt reads a subset of the tokens float() reads, to the same
+            # values; it skips blank rows, and warns when every row is blank.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                grid = np.loadtxt(block, ndmin=2, comments=None)
+        except ValueError:
+            grid = None
+        if grid is None or grid.shape != (size, size):
+            grid = _parse_grid_rows(block, size, i + 2)
+        finite_rows = np.isfinite(grid).all(axis=-1)
         if not finite_rows.all():
             first = int(np.argmin(finite_rows))
             raise MalformedRow("non-finite score", i + 2 + first)
         heatmaps.append(Heatmap(image_id, label, grid, image_dim))
         i += 1 + size
     return heatmaps
+
+
+def _parse_grid_rows(block: list[str], size: int, row_no: int) -> np.ndarray:
+    """Parse S rows of S scores token by token with float(), naming the
+    first bad row (numbered from row_no) in the error."""
+    rows = []
+    for k, line in enumerate(block):
+        values = line.split()
+        if len(values) != size:
+            raise MalformedRow(f"expected {size} scores per row", row_no + k)
+        try:
+            rows.append([float(v) for v in values])
+        except ValueError:
+            raise MalformedRow("non-numeric score", row_no + k) from None
+    return np.array(rows)
 
 
 def write_heatmaps(heatmaps: Iterable[Heatmap], handle):
@@ -252,6 +267,8 @@ def load_boxes(path, with_threshold: bool = False) -> list[BBox]:
                 raise MalformedRow("non-numeric box geometry", row_no) from None
             if not all(map(math.isfinite, (x, y, w, h))):
                 raise MalformedRow("non-finite box geometry", row_no)
+            if with_threshold and not (w > 0 and h > 0):
+                raise MalformedRow("detection box needs positive w and h", row_no)
             boxes.append(BBox(fields[0], fields[1], x, y, w, h, threshold))
     return boxes
 

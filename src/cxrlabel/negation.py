@@ -154,6 +154,7 @@ def load_rules(path) -> RuleSet:
     (space-joined "dir:label[@lemma]" steps, "-" = none), endpoint, scope.
     """
     rules: list[Rule] = []
+    seen_ids: set[str] = set()
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
@@ -163,6 +164,9 @@ def load_rules(path) -> RuleSet:
             if len(fields) != 6:
                 raise RuleParseError("rule needs 6 fields", line_no)
             rule_id, polarity, triggers, path, endpoint, scope = fields
+            if rule_id in seen_ids:
+                raise RuleParseError(f"duplicate rule id {rule_id!r}", line_no)
+            seen_ids.add(rule_id)
             try:
                 rule_polarity = RulePolarity(polarity)
             except ValueError:

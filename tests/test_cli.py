@@ -116,6 +116,24 @@ class TestExitCodes:
         assert last == "error: row 2: non-finite box geometry"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extent", ["0\t10", "10\t0"], ids=["zero-width", "zero-height"]
+    )
+    def test_zero_area_detection_exits_two(self, tmp_path, capsys, extent):
+        gt = tmp_path / "gt.tsv"
+        gt.write_text("i1\tc\t0\t0\t10\t10\n")
+        dets = tmp_path / "dets.tsv"
+        dets.write_text(f"i1\tc\t0\t0\t10\t10\t60\ni1\tc\t0\t0\t{extent}\t60\n")
+        out = tmp_path / "loc.csv"
+        code = main([
+            "eval-loc", "--dets", str(dets), "--gt", str(gt), "--mode", "iobb",
+            "--t", "0.3", "--out", str(out),
+        ])
+        assert code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == "error: row 2: detection box needs positive w and h"
+        assert not out.exists()
+
     def test_unwritable_output_exits_two(self, tmp_path, capsys):
         out = tmp_path / "missing" / "s.tsv"
         code = main(["split", "--corpus", CORPUS, "--out", str(out)])
@@ -459,14 +477,23 @@ class TestLocalizeCommand:
         assert code == 2
         assert capsys.readouterr().err.splitlines()[-1] == f"error: row 3: {reason}"
 
-    def test_empty_grid_exits_two(self, tmp_path, capsys):
+    def last_error_line(self, tmp_path, capsys, text):
         maps = tmp_path / "maps.tsv"
-        maps.write_text("img1\tMass\t0\t64\n")
+        maps.write_text(text)
         code = main([
             "localize", "--heatmaps", str(maps), "--out", str(tmp_path / "b.tsv"),
         ])
         assert code == 2
-        assert "must be square" in capsys.readouterr().err.splitlines()[-1]
+        return capsys.readouterr().err.splitlines()[-1]
+
+    def test_empty_grid_exits_two(self, tmp_path, capsys):
+        last = self.last_error_line(tmp_path, capsys, "img1\tMass\t0\t64\n")
+        assert last == "error: row 1: heatmap size must be >= 1, got 0"
+
+    def test_negative_grid_size_exits_two(self, tmp_path, capsys):
+        text = "img1\tMass\t2\t64\n1 2\n3 4\nimg2\tMass\t-1\t64\n"
+        last = self.last_error_line(tmp_path, capsys, text)
+        assert last == "error: row 4: heatmap size must be >= 1, got -1"
 
 
 class TestEvalLocCommand:

@@ -1,12 +1,16 @@
 """Heatmap thresholding, connected regions, box generation, overlap scores."""
 
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
-from cxrlabel.errors import MalformedRow, ZeroAreaDetection
+from cxrlabel.errors import CxrLabelError, MalformedRow, ZeroAreaDetection
 from cxrlabel.localization import (
     DEFAULT_THRESHOLDS,
     BBox,
@@ -32,6 +36,93 @@ def scipy_regions(intgrid, t):
     return {
         frozenset(zip(*np.nonzero(labeled == k))) for k in range(1, count + 1)
     }
+
+
+_NEIGHBORS = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if dr or dc]
+
+
+def connected_regions_by_scan(intgrid, t):
+    """Reference: visit every cell in row-major order and flood-fill each
+    unseen mask cell, bounds-checking every neighbour; regions are then
+    stably sorted by (min row, min col)."""
+    grid = np.asarray(intgrid)
+    mask = grid > t
+    seen = np.zeros(grid.shape, dtype=bool)
+    regions = []
+    rows, cols = grid.shape
+    for row in range(rows):
+        for col in range(cols):
+            if not mask[row, col] or seen[row, col]:
+                continue
+            cells = []
+            stack = [(row, col)]
+            seen[row, col] = True
+            while stack:
+                r, c = stack.pop()
+                cells.append((r, c))
+                for dr, dc in _NEIGHBORS:
+                    nr, nc = r + dr, c + dc
+                    if 0 <= nr < rows and 0 <= nc < cols:
+                        if mask[nr, nc] and not seen[nr, nc]:
+                            seen[nr, nc] = True
+                            stack.append((nr, nc))
+            regions.append(frozenset(cells))
+    regions.sort(key=lambda cells: (min(r for r, _ in cells),
+                                    min(c for _, c in cells)))
+    return regions
+
+
+@st.composite
+def int_grids(draw):
+    size = draw(st.integers(1, 16))
+    grid = draw(arrays(np.int64, (size, size), elements=st.integers(0, 255)))
+    if draw(st.booleans()):
+        # Zero one colour of a checkerboard: the cells left above any
+        # threshold touch only at their corners.
+        grid[np.add.outer(np.arange(size), np.arange(size)) % 2 == 1] = 0
+    return grid
+
+
+# Tokens float() and loadtxt may disagree on, and whitespace str.split()
+# splits on; "\r" ends the line when the file is read back.
+ODD_TOKENS = ["1_0", "\u0661\u0662", "nan", "nan(1)", "-inf", "1e999", "#",
+              "x", "+.5", "-0", "0x10", "1,5", "\x00", "infinity", '"1"']
+SEPARATORS = [" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0",
+              "\u2003", "\r"]
+
+
+@st.composite
+def grid_rows(draw, size):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["", " ", "\t", "\x0b"]))  # blank row
+    count = size + draw(st.sampled_from([0] * 8 + [-1, 1]))  # short or long
+    token = st.one_of(
+        st.floats(0, 1).map(lambda v: f"{v:.4f}"),
+        st.floats().map(repr),
+        st.sampled_from(ODD_TOKENS),
+    )
+    tokens = draw(st.lists(token, min_size=count, max_size=count))
+    separator = draw(st.sampled_from([" "] * 6 + SEPARATORS))
+    edge = st.sampled_from(["", "", " ", "\t", "\x0b", "\xa0", " #1"])
+    return draw(edge) + separator.join(tokens) + draw(edge)
+
+
+@st.composite
+def heatmap_texts(draw):
+    size = draw(st.integers(1, 4))
+    rows = [draw(grid_rows(size)) for _ in range(size)]
+    # A second, clean block shows that rows are numbered across blocks.
+    return "\n".join([f"i1\tMass\t{size}\t64", *rows, "i2\tMass\t1\t8", "5"])
+
+
+def loaded_or_error(path):
+    try:
+        return [
+            (h.image_id, h.label, h.image_dim, h.grid.shape, h.grid.tobytes())
+            for h in load_heatmaps(path)
+        ]
+    except CxrLabelError as err:
+        return str(err)
 
 
 def pixel_cells(box: BBox):
@@ -105,6 +196,17 @@ class TestConnectedRegions:
             t = int(rng.choice([0, 30, 60, 128, 180, 254]))
             ours = set(connected_regions(grid, t))
             assert ours == scipy_regions(grid, t)
+
+    @settings(max_examples=400, deadline=None)
+    @given(grid=int_grids(), t=st.integers(0, 255))
+    @example(  # two regions whose (min row, min col) are both (0, 0)
+        grid=np.array([[9, 9, 9, 9, 9, 0, 9],
+                       [0, 0, 0, 0, 0, 0, 9],
+                       [9, 9, 9, 9, 9, 9, 9]]),
+        t=0,
+    )
+    def test_equals_scan_reference(self, grid, t):
+        assert connected_regions(grid, t) == connected_regions_by_scan(grid, t)
 
     def test_regions_partition_the_mask(self):
         rng = np.random.default_rng(43)
@@ -306,6 +408,23 @@ class TestFileFormats:
         path.write_text("i1\tMass\t2\t1024\n0 0\n0 0 0\n", encoding="utf-8")
         with pytest.raises(MalformedRow):
             load_heatmaps(path)
+
+    def test_heatmap_reads_what_float_reads(self, tmp_path):
+        path = tmp_path / "heatmaps.tsv"
+        path.write_text("i1\tMass\t2\t64\n1_0 \u0661\u0662\n0 1\n", encoding="utf-8")
+        (heatmap,) = load_heatmaps(path)
+        assert heatmap.grid.tolist() == [[10.0, 12.0], [0.0, 1.0]]
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=heatmap_texts())
+    def test_heatmap_loader_equals_per_row_parser(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "mutated_heatmaps.tsv"
+        path.write_text(text, encoding="utf-8")
+        fast = loaded_or_error(path)
+        # With loadtxt failing, every block goes through the per-row parser.
+        with mock.patch("numpy.loadtxt", side_effect=ValueError):
+            by_rows = loaded_or_error(path)
+        assert fast == by_rows
 
     def test_box_round_trip(self, tmp_path):
         boxes = [

@@ -74,6 +74,16 @@ class TestRuleDsl:
         with pytest.raises(RuleParseError):
             load_rules(path)
 
+    def test_duplicate_rule_id_rejected(self, tmp_path):
+        path = tmp_path / "rules.tsv"
+        path.write_text(
+            "n1\tnegation\tno\tup:*\tANY\tsubtree\n"
+            "n1\tnegation\tclear\tdown:prep_of\tANY\tsubtree\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(RuleParseError, match="^line 2: duplicate rule id 'n1'$"):
+            load_rules(path)
+
     def test_disease_endpoint_requires_endpoint_scope(self):
         with pytest.raises(RuleParseError):
             Rule(
