@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import math
 import os
@@ -25,6 +26,7 @@ from cxrlabel.labeling import (
     LabelConfig,
     get_config,
     label_all,
+    plain_csv_lines,
     read_labels_wide_csv,
     write_labels_tsv,
     write_labels_wide_csv,
@@ -54,6 +56,7 @@ from cxrlabel.metrics import (
     localization_sweep,
     prf1,
     roc_auc,
+    roc_counts,
     roc_points,
 )
 from cxrlabel.negation import (
@@ -251,58 +254,113 @@ def cmd_eval_nlp(args, config: RunConfig) -> int:
     return 0
 
 
-def _read_scores_csv(path: str) -> tuple[list[str], dict[str, dict[str, float]]]:
+def _read_scores_csv(path: str) -> tuple[list[str], list[str], np.ndarray]:
+    """Classes, report ids and the (N, K) score matrix of a scores CSV.
+
+    A file of plain cells is read with one `np.loadtxt`; any other goes
+    through the per-row csv parser, which names the bad line.
+    """
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if not header or header[0] != "report_id":
-            raise CxrLabelError("scores CSV needs a report_id header column")
-        classes = header[1:]
-        scores: dict[str, dict[str, float]] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise MalformedRecord("wrong column count", line_no)
-            try:
-                values = [float(v) for v in row[1:]]
-            except ValueError as err:
-                raise MalformedRecord(str(err), line_no) from None
-            if not all(map(math.isfinite, values)):
-                raise MalformedRecord(f"non-finite score in row {row!r}", line_no)
-            scores[row[0]] = dict(zip(classes, values))
-    return classes, scores
+        text = handle.read()
+    return _read_scores_plain(text) or _read_scores_by_row(text)
+
+
+def _read_scores_plain(text: str):
+    """The scores of `text` when it has plain lines, a valid header, at
+    least one row, the header's column count on every row, unique ids and
+    finite numbers; None otherwise."""
+    lines = plain_csv_lines(text)
+    if lines is None:
+        return None
+    header = lines[0].split(",")
+    body = lines[1:]
+    if len(header) < 2 or header[0] != "report_id" or not body:
+        return None
+    if any(line.count(",") != len(header) - 1 for line in body):
+        return None
+    ids = [line.partition(",")[0] for line in body]
+    if len(set(ids)) != len(ids):
+        return None
+    try:
+        # loadtxt reads a subset of the tokens float() reads, to the same values.
+        values = np.loadtxt(body, delimiter=",", usecols=range(1, len(header)),
+                            comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (len(body), len(header) - 1) or not np.isfinite(values).all():
+        return None
+    return header[1:], ids, values
+
+
+def _read_scores_by_row(text: str):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if not header or header[0] != "report_id":
+        raise CxrLabelError("scores CSV needs a report_id header column")
+    ids: list[str] = []
+    rows: list[list[float]] = []
+    seen: set[str] = set()
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise MalformedRecord("wrong column count", line_no)
+        try:
+            values = [float(v) for v in row[1:]]
+        except ValueError as err:
+            raise MalformedRecord(str(err), line_no) from None
+        if not all(map(math.isfinite, values)):
+            raise MalformedRecord(f"non-finite score in row {row!r}", line_no)
+        if row[0] in seen:
+            raise MalformedRecord(f"duplicate report id {row[0]!r}", line_no)
+        seen.add(row[0])
+        ids.append(row[0])
+        rows.append(values)
+    values = np.array(rows, dtype=float).reshape(len(rows), len(header) - 1)
+    return header[1:], ids, values
+
+
+def _csv_cell(value: str) -> str:
+    """`value` as csv.writer writes it in a row of several cells."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([value, ""])
+    return buffer.getvalue()[:-2]
 
 
 def cmd_auc(args, config: RunConfig) -> int:
-    classes, scores = _read_scores_csv(_require(args.scores, "scores"))
+    classes, report_ids, scores = _read_scores_csv(_require(args.scores, "scores"))
     gold, label_config = read_labels_wide_csv(_require(args.labels, "labels"))
-    gold_by_id = {record.report_id: record for record in gold}
-    if set(scores) != set(gold_by_id):
+    rows = gold.rows_of(report_ids)
+    if rows is None:
         raise CxrLabelError("scores and labels cover different report ids")
+    column = {cls: k for k, cls in enumerate(classes)}  # a repeated name: its last
     for cls in label_config.classes:
-        if cls not in classes:
+        if cls not in column:
             raise CxrLabelError(f"scores CSV lacks class {cls!r}")
-    report_ids = sorted(scores)
+    labels = gold.y[rows]
     cells: list[str] = []
-    curves: dict[str, list[tuple[float, float]]] = {}
+    curves: dict[str, str] = {}  # class -> its --roc-out lines
     for index, cls in enumerate(label_config.classes):
-        score_vec = [scores[rid][cls] for rid in report_ids]
-        label_vec = [gold_by_id[rid].y[index] for rid in report_ids]
+        score_vec = scores[:, column[cls]]
+        label_vec = labels[:, index]
         try:
-            cells.append(f"{roc_auc(score_vec, label_vec):.6f}")
-            curves[cls] = roc_points(score_vec, label_vec)
+            counts = roc_counts(score_vec, label_vec)
         except DegenerateLabels:
             cells.append("NA")
+            continue
+        cells.append(f"{roc_auc(score_vec, label_vec, counts):.6f}")
+        if args.roc_out:
+            name = _csv_cell(cls)
+            curves[cls] = "".join(
+                f"{name},{fpr:.6f},{tpr:.6f}\n"
+                for fpr, tpr in roc_points(score_vec, label_vec, counts)
+            )
     with open(args.out, "w", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["metric", *label_config.classes])
         writer.writerow(["AUC", *cells])
     if args.roc_out:
         with open(args.roc_out, "w", encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["class", "fpr", "tpr"])
-            for cls in label_config.classes:
-                for fpr, tpr in curves.get(cls, []):
-                    writer.writerow([cls, f"{fpr:.6f}", f"{tpr:.6f}"])
+            handle.write("class,fpr,tpr\n")
+            handle.write("".join(curves.get(cls, "") for cls in label_config.classes))
     return 0
 
 

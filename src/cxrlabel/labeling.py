@@ -10,9 +10,12 @@ in scope).
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
+
+import numpy as np
 
 from cxrlabel.errors import MalformedRecord, MissingGraph
 from cxrlabel.lexicon import NORMAL_CONCEPT, ConceptMention
@@ -44,6 +47,11 @@ class Status(Enum):
     TARGET_FINDINGS = "TARGET_FINDINGS"
     OTHER_FINDINGS_ONLY = "OTHER_FINDINGS_ONLY"
     NORMAL = "NORMAL"
+
+
+# A label table stores each status as its index here.
+STATUSES = tuple(Status)
+_STATUS_CODE = {status.value: code for code, status in enumerate(STATUSES)}
 
 
 @dataclass(frozen=True)
@@ -87,6 +95,58 @@ class ReportLabels:
 
     def positive_classes(self, config: LabelConfig) -> tuple[str, ...]:
         return tuple(c for c, v in zip(config.classes, self.y) if v)
+
+
+@dataclass(frozen=True, eq=False)
+class LabelTable:
+    """Label rows as arrays: the report ids (unique), an (N, C) int8 matrix
+    of 0/1 labels and an (N,) int8 array of indexes into STATUSES."""
+
+    ids: list[str]
+    y: np.ndarray
+    status: np.ndarray
+
+    @classmethod
+    def from_records(
+        cls, records: Iterable[ReportLabels], config: LabelConfig
+    ) -> "LabelTable":
+        records = list(records)
+        ids = [record.report_id for record in records]
+        seen: set[str] = set()
+        for record in records:
+            if record.report_id in seen:
+                raise MalformedRecord(f"duplicate report id {record.report_id!r}")
+            seen.add(record.report_id)
+        y = np.array([record.y for record in records], dtype=np.int8)
+        status = [_STATUS_CODE[record.status.value] for record in records]
+        return cls(ids, y.reshape(len(ids), config.C), np.array(status, dtype=np.int8))
+
+    def has_status(self, status: Status) -> np.ndarray:
+        return self.status == STATUSES.index(status)
+
+    def records(self) -> list[ReportLabels]:
+        return [
+            ReportLabels(rid, tuple(row), STATUSES[code])
+            for rid, row, code in zip(self.ids, self.y.tolist(), self.status.tolist())
+        ]
+
+    def rows_of(self, ids: list[str]) -> Optional[np.ndarray]:
+        """The row of each of `ids` (no id twice) in this table, or None
+        when the two id sets differ."""
+        if len(ids) != len(self.ids):
+            return None
+        row = dict(zip(self.ids, range(len(self.ids))))
+        try:
+            return np.array([row[rid] for rid in ids], dtype=np.intp)
+        except KeyError:
+            return None
+
+
+def label_table(labels, config: LabelConfig) -> LabelTable:
+    """`labels` if it is a LabelTable, else the table of its records."""
+    if isinstance(labels, LabelTable):
+        return labels
+    return LabelTable.from_records(labels, config)
 
 
 def _scoped_sections(report: RadiologyReport) -> set[str]:
@@ -197,28 +257,95 @@ def write_labels_wide_csv(labels: Iterable[ReportLabels], config: LabelConfig, h
         writer.writerow([record.report_id, *record.y, record.status.value])
 
 
-def read_labels_wide_csv(path, config: Optional[LabelConfig] = None):
-    """Read the wide CSV back; infers the label config when not given."""
+def read_labels_wide_csv(
+    path, config: Optional[LabelConfig] = None
+) -> tuple[LabelTable, LabelConfig]:
+    """Read the wide CSV back; infers the label config when not given.
+
+    A file of plain cells is read in one pass over its lines; any other
+    goes through the per-row csv parser, which names the bad line.
+    """
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if not header or header[0] != "report_id" or header[-1] != "status":
-            raise MalformedRecord("wide label CSV needs report_id ... status header")
-        classes = tuple(header[1:-1])
-        if config is None:
-            config = LabelConfig("custom", classes)
-        elif config.classes != classes:
-            raise MalformedRecord(
-                f"CSV classes {classes} do not match config {config.classes}"
-            )
-        labels: list[ReportLabels] = []
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise MalformedRecord("wrong column count", row_no)
-            try:
-                y = tuple(int(v) for v in row[1:-1])
-                status = Status(row[-1])
-            except ValueError as err:
-                raise MalformedRecord(str(err), row_no) from None
-            labels.append(ReportLabels(row[0], y, status))
-    return labels, config
+        text = handle.read()
+    return _read_labels_plain(text, config) or _read_labels_by_row(text, config)
+
+
+def plain_csv_lines(text: str) -> Optional[list[str]]:
+    """The lines of `text` when it is not empty and has no quote and no
+    carriage return, so that `csv.reader` reads each line as its
+    comma-separated cells; None otherwise."""
+    if not text or '"' in text or "\r" in text:
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def _read_labels_plain(text: str, config: Optional[LabelConfig]):
+    """The table and config of `text` when it has plain lines, a valid
+    header, unique ids, known statuses and rows of 0/1 cells that agree
+    with their status; None otherwise."""
+    lines = plain_csv_lines(text)
+    if lines is None:
+        return None
+    header = lines[0].split(",")
+    if len(header) < 3 or header[0] != "report_id" or header[-1] != "status":
+        return None
+    classes = tuple(header[1:-1])
+    if config is not None and config.classes != classes:
+        return None
+    ids, cells, statuses = [], [], []
+    for line in lines[1:]:
+        report_id, _, rest = line.partition(",")
+        middle, _, status = rest.rpartition(",")
+        ids.append(report_id)
+        cells.append(middle)
+        statuses.append(status)
+    codes = [_STATUS_CODE.get(status) for status in statuses]
+    # Each row's label cells read "d,d,...,d": 2C - 1 characters.
+    joined = ",".join(cells + [""])
+    if (
+        None in codes
+        or set(map(len, cells)) - {2 * len(classes) - 1}
+        or not joined.isascii()
+        or len(set(ids)) != len(ids)
+    ):
+        return None
+    pairs = np.frombuffer(joined.encode(), dtype=np.uint8)
+    pairs = pairs.reshape(len(ids), len(classes), 2)
+    y = pairs[..., 0] - ord("0")  # any byte other than 0 or 1 wraps above 1
+    if (pairs[..., 1] != ord(",")).any() or (y > 1).any():
+        return None
+    table = LabelTable(ids, y.astype(np.int8), np.array(codes, dtype=np.int8))
+    if (table.y.any(axis=1) != table.has_status(Status.TARGET_FINDINGS)).any():
+        return None
+    return table, config or LabelConfig("custom", classes)
+
+
+def _read_labels_by_row(text: str, config: Optional[LabelConfig]):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if not header or header[0] != "report_id" or header[-1] != "status":
+        raise MalformedRecord("wide label CSV needs report_id ... status header")
+    classes = tuple(header[1:-1])
+    if config is None:
+        config = LabelConfig("custom", classes)
+    elif config.classes != classes:
+        raise MalformedRecord(
+            f"CSV classes {classes} do not match config {config.classes}"
+        )
+    labels: list[ReportLabels] = []
+    seen: set[str] = set()
+    for row_no, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise MalformedRecord("wrong column count", row_no)
+        try:
+            y = tuple(int(v) for v in row[1:-1])
+            labels.append(ReportLabels(row[0], y, Status(row[-1])))
+        except (ValueError, MalformedRecord) as err:
+            raise MalformedRecord(str(err), row_no) from None
+        if row[0] in seen:
+            raise MalformedRecord(f"duplicate report id {row[0]!r}", row_no)
+        seen.add(row[0])
+    return LabelTable.from_records(labels, config), config

@@ -200,6 +200,10 @@ def load_heatmaps(path) -> list[Heatmap]:
             raise MalformedRow("non-numeric size/dim", i + 1) from None
         if size < 1:
             raise MalformedRow(f"heatmap size must be >= 1, got {size}", i + 1)
+        if not (math.isfinite(image_dim) and image_dim > 0):
+            raise MalformedRow(
+                f"image_dim must be finite and > 0, got {dim_s}", i + 1
+            )
         if i + 1 + size > len(lines):
             raise MalformedRow(f"expected {size} grid rows", i + 1)
         block = lines[i + 1:i + 1 + size]
@@ -269,6 +273,8 @@ def load_boxes(path, with_threshold: bool = False) -> list[BBox]:
                 raise MalformedRow("non-finite box geometry", row_no)
             if with_threshold and not (w > 0 and h > 0):
                 raise MalformedRow("detection box needs positive w and h", row_no)
+            if w < 0 or h < 0:
+                raise MalformedRow("box needs non-negative w and h", row_no)
             boxes.append(BBox(fields[0], fields[1], x, y, w, h, threshold))
     return boxes
 

@@ -19,7 +19,13 @@ from cxrlabel.errors import (
     IdSetMismatch,
     MalformedRow,
 )
-from cxrlabel.labeling import LabelConfig, ReportLabels, Status
+from cxrlabel.labeling import (
+    LabelConfig,
+    LabelTable,
+    ReportLabels,
+    Status,
+    label_table,
+)
 from cxrlabel.localization import BBox, OVERLAP_MEASURES
 
 # Threshold grids swept by the localization evaluation.
@@ -64,8 +70,8 @@ class PRF1Result:
 
 
 def prf1(
-    predicted: Iterable[ReportLabels],
-    gold: Iterable[ReportLabels],
+    predicted: LabelTable | Iterable[ReportLabels],
+    gold: LabelTable | Iterable[ReportLabels],
     config: LabelConfig,
 ) -> PRF1Result:
     """Per-class precision/recall/F1 against gold labels.
@@ -73,39 +79,27 @@ def prf1(
     The report status contributes a Normal pseudo-class; the Total row
     micro-averages all rows by summing their counts.
     """
-    pred_by_id = {r.report_id: r for r in predicted}
-    gold_by_id = {r.report_id: r for r in gold}
-    if set(pred_by_id) != set(gold_by_id):
-        missing = set(gold_by_id) ^ set(pred_by_id)
+    predicted = label_table(predicted, config)
+    gold = label_table(gold, config)
+    rows = gold.rows_of(predicted.ids)
+    if rows is None:
+        missing = set(gold.ids) ^ set(predicted.ids)
         raise IdSetMismatch(f"report id sets differ on {sorted(missing)[:5]}")
 
-    scores: dict[str, ClassScore] = {}
-    for index, cls in enumerate(config.classes):
-        tp = fp = fn = 0
-        for report_id, pred in pred_by_id.items():
-            p = pred.y[index]
-            g = gold_by_id[report_id].y[index]
-            tp += p and g
-            fp += p and not g
-            fn += g and not p
-        scores[cls] = ClassScore(tp, fp, fn)
-
-    tp = fp = fn = 0
-    for report_id, pred in pred_by_id.items():
-        p = pred.status is Status.NORMAL
-        g = gold_by_id[report_id].status is Status.NORMAL
-        tp += p and g
-        fp += p and not g
-        fn += g and not p
-    scores[NORMAL_ROW] = ClassScore(tp, fp, fn)
-
-    total = ClassScore(0, 0, 0)
-    for score in scores.values():
-        total = total + score
-    return PRF1Result(scores, total)
+    # One column per class, then the Normal pseudo-class; gold rows in
+    # the order of the predicted ones.
+    p = np.column_stack([predicted.y, predicted.has_status(Status.NORMAL)])
+    g = np.column_stack([gold.y, gold.has_status(Status.NORMAL)])[rows]
+    p, g = p.astype(bool), g.astype(bool)
+    tp = (p & g).sum(axis=0).tolist()
+    fp = (p & ~g).sum(axis=0).tolist()
+    fn = (g & ~p).sum(axis=0).tolist()
+    names = [*config.classes, NORMAL_ROW]
+    scores = {name: ClassScore(*counts) for name, *counts in zip(names, tp, fp, fn)}
+    return PRF1Result(scores, sum(scores.values(), ClassScore(0, 0, 0)))
 
 
-def _roc_counts(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+def roc_counts(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative (true positive, false positive) counts at each distinct
     score, highest score first, from one descending sort. The last entries
     are the positive and negative totals."""
@@ -129,18 +123,20 @@ def _roc_counts(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     return tp[tie_ends], fp[tie_ends]
 
 
-def roc_auc(scores, labels) -> float:
+def roc_auc(scores, labels, counts=None) -> float:
     """Probability a random positive outscores a random negative,
     counting ties as one half: the trapezoid area under the ROC counts,
-    summed exactly as twice the Mann-Whitney U."""
-    tp, fp = _roc_counts(scores, labels)
+    summed exactly as twice the Mann-Whitney U. `counts` is
+    `roc_counts(scores, labels)` when the caller has it already."""
+    tp, fp = roc_counts(scores, labels) if counts is None else counts
     twice_u = int(np.sum(np.diff(fp, prepend=0) * (tp + np.append(0, tp[:-1]))))
     return twice_u / (2 * int(tp[-1]) * int(fp[-1]))
 
 
-def roc_points(scores, labels) -> list[tuple[float, float]]:
-    """(FPR, TPR) points at every distinct score threshold, descending."""
-    tp, fp = _roc_counts(scores, labels)
+def roc_points(scores, labels, counts=None) -> list[tuple[float, float]]:
+    """(FPR, TPR) points at every distinct score threshold, descending.
+    `counts` is `roc_counts(scores, labels)` when the caller has it."""
+    tp, fp = roc_counts(scores, labels) if counts is None else counts
     return [(0.0, 0.0)] + list(zip((fp / fp[-1]).tolist(), (tp / tp[-1]).tolist()))
 
 

@@ -13,7 +13,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from cxrlabel.errors import EmptyCorpus, MalformedRecord
-from cxrlabel.labeling import LabelConfig, ReportLabels, Status
+from cxrlabel.labeling import (
+    LabelConfig,
+    LabelTable,
+    ReportLabels,
+    Status,
+    label_table,
+)
 
 PARTITIONS = ("train", "val", "test")
 DEFAULT_FRACTIONS = (0.7, 0.1, 0.2)
@@ -26,33 +32,30 @@ class LabelCounts:
     normal: int  # reports with NORMAL status
 
 
-def label_counts(labels: Iterable[ReportLabels], config: LabelConfig) -> LabelCounts:
-    totals = {c: 0 for c in config.classes}
-    overlaps = {c: 0 for c in config.classes}
-    normal = 0
-    for record in labels:
-        set_count = sum(record.y)
-        for cls, value in zip(config.classes, record.y):
-            if value:
-                totals[cls] += 1
-                if set_count >= 2:
-                    overlaps[cls] += 1
-        if record.status is Status.NORMAL:
-            normal += 1
-    return LabelCounts(totals, overlaps, normal)
+def label_counts(
+    labels: LabelTable | Iterable[ReportLabels], config: LabelConfig
+) -> LabelCounts:
+    table = label_table(labels, config)
+    overlapping = table.y.sum(axis=1) >= 2
+    # Summed by name: a class named twice counts both of its columns.
+    totals = dict.fromkeys(config.classes, 0)
+    overlaps = dict.fromkeys(config.classes, 0)
+    for cls, total, overlap in zip(
+        config.classes,
+        table.y.sum(axis=0).tolist(),
+        table.y[overlapping].sum(axis=0).tolist(),
+    ):
+        totals[cls] += total
+        overlaps[cls] += overlap
+    return LabelCounts(totals, overlaps, int(table.has_status(Status.NORMAL).sum()))
 
 
 def cooccurrence_matrix(
-    labels: Iterable[ReportLabels], config: LabelConfig
+    labels: LabelTable | Iterable[ReportLabels], config: LabelConfig
 ) -> np.ndarray:
     """Symmetric C x C counts; diagonal holds per-class totals."""
-    matrix = np.zeros((config.C, config.C), dtype=int)
-    for record in labels:
-        set_indices = [i for i, v in enumerate(record.y) if v]
-        for a in set_indices:
-            for b in set_indices:
-                matrix[a, b] += 1
-    return matrix
+    y = label_table(labels, config).y.astype(int)
+    return y.T @ y
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
-"""Shared fixture helpers: sentences, graphs, rule example sentences."""
+"""Shared fixture helpers: sentences, graphs, rule example sentences,
+mutated CSV tables."""
 
 from __future__ import annotations
+
+from hypothesis import strategies as st
 
 from cxrlabel.reports import (
     DependencyGraph,
@@ -152,3 +155,38 @@ def mention_phrase(sentence: Sentence, mention) -> str:
     return " ".join(
         sentence.tokens[i - 1].lowered for i in range(mention.start, mention.end + 1)
     )
+
+
+@st.composite
+def mutated_csv(draw, rows: list[list[str]], tokens: list[str]) -> str:
+    """CSV text of `rows` (header first) after up to four random edits:
+    a cell replaced by one of `tokens`, a quoted cell, a repeated row or
+    report id, a cell dropped or added, a blank line; then `\\r\\n` line
+    ends or no final newline."""
+    rows = [list(row) for row in rows]
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(0, len(rows) - 1))
+        row = rows[k]
+        edit = draw(st.sampled_from(
+            ["token", "token", "token", "quote", "repeat_row", "repeat_id",
+             "drop", "add", "blank"]
+        ))
+        if edit == "token" and k > 0 and len(row) > 1:
+            row[draw(st.integers(1, len(row) - 1))] = draw(st.sampled_from(tokens))
+        elif edit == "quote" and row:
+            j = draw(st.integers(0, len(row) - 1))
+            row[j] = f'"{row[j]}"'
+        elif edit == "repeat_row" and k > 0:
+            rows.insert(draw(st.integers(1, len(rows))), list(row))
+        elif edit == "repeat_id" and k > 0 and row:
+            other = rows[draw(st.integers(1, len(rows) - 1))]
+            row[0] = other[0] if other else ""
+        elif edit == "drop" and row:
+            del row[draw(st.integers(0, len(row) - 1))]
+        elif edit == "add":
+            row.append(draw(st.sampled_from(tokens)))
+        elif edit == "blank":
+            rows.insert(draw(st.integers(1, len(rows))), [])
+    end = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    text = end.join(",".join(row) for row in rows)
+    return text + end if draw(st.booleans()) else text

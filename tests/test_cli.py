@@ -1,13 +1,21 @@
 """End-to-end tests for the command line interface."""
 
+import csv
+import io
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cxrlabel import negation, reports
-from cxrlabel.cli import main
+from cxrlabel.cli import _read_scores_by_row, _read_scores_csv, main
+from cxrlabel.errors import CxrLabelError
 from cxrlabel.labeling import get_config, read_labels_wide_csv
 from cxrlabel.metrics import T_GRID_IOBB, T_GRID_IOU
+
+from conftest import mutated_csv
 
 DATA = Path(__file__).parent / "data"
 CORPUS = str(DATA / "labeled_corpus.tsv")
@@ -23,6 +31,38 @@ def run_label(tmp_path, *extra):
         "--out-tsv", str(out_tsv), "--out-csv", str(out_csv), *extra,
     ])
     return code, out_tsv, out_csv
+
+
+SCORE_TOKENS = [
+    "1_0", "nan", "inf", "-inf", "1e3", "0x1", "", " 0.5", "1.", "+2", "-0",
+    "\u0661", "abc", "1e400", "0.1", "r0",
+]
+
+
+@st.composite
+def scores_csv_texts(draw):
+    classes = draw(st.sampled_from([("A",), ("A", "B", "C")]))
+    rows = [["report_id", *classes]]
+    for i in range(draw(st.integers(0, 6))):
+        values = draw(st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False), min_size=len(classes),
+            max_size=len(classes),
+        ))
+        rows.append([f"r{i}", *map(repr, values)])
+    return draw(mutated_csv(rows, SCORE_TOKENS))
+
+
+def scores_or_error(read, source):
+    try:
+        classes, ids, values = read(source)
+    except CxrLabelError as err:
+        return str(err)
+    return classes, ids, values.dtype, values.shape, values.tobytes()
+
+
+def last_error_line(capsys, argv):
+    assert main(argv) == 2
+    return capsys.readouterr().err.splitlines()[-1]
 
 
 class TestExitCodes:
@@ -134,6 +174,49 @@ class TestExitCodes:
         assert last == "error: row 2: detection box needs positive w and h"
         assert not out.exists()
 
+    @pytest.mark.parametrize("row, reason", [
+        ("r1,0,0,2,0,0,0,0,0,TARGET_FINDINGS", "non-binary label vector for r1"),
+        ("r1,0,0,0,0,0,0,0,0,TARGET_FINDINGS",
+         "status TARGET_FINDINGS inconsistent with vector for r1"),
+    ], ids=["non-binary", "all-zero-target"])
+    def test_label_row_contradiction_exits_two_with_its_line(
+        self, tmp_path, capsys, row, reason
+    ):
+        labels = tmp_path / "labels.csv"
+        labels.write_text(Path(GOLD).read_text().splitlines()[0] + f"\n{row}\n")
+        last = last_error_line(capsys, [
+            "stats", "--labels", str(labels),
+            "--out-counts", str(tmp_path / "c.csv"),
+            "--out-matrix", str(tmp_path / "m.csv"),
+        ])
+        assert last == f"error: line 2: {reason}"
+
+    @pytest.mark.parametrize("command", ["stats", "eval-nlp", "auc"])
+    def test_duplicate_report_id_exits_two(self, tmp_path, capsys, command):
+        lines = Path(GOLD).read_text().splitlines()
+        repeated = tmp_path / "repeated.csv"
+        repeated.write_text("\n".join(lines[:3] + lines[2:3]) + "\n")
+        out = tmp_path / "out.csv"
+        if command == "stats":
+            argv = ["stats", "--labels", str(repeated), "--out-counts", str(out),
+                    "--out-matrix", str(tmp_path / "m.csv")]
+        elif command == "eval-nlp":
+            argv = ["eval-nlp", "--pred", str(repeated), "--gold", GOLD,
+                    "--out", str(out)]
+        else:
+            scores = tmp_path / "scores.csv"
+            scores.write_text("report_id,A\nr1,0.1\nr2,0.9\nr1,0.4\n")
+            labels = tmp_path / "labels.csv"
+            labels.write_text(
+                "report_id,A,status\nr1,0,NORMAL\nr2,1,TARGET_FINDINGS\n"
+            )
+            argv = ["auc", "--scores", str(scores), "--labels", str(labels),
+                    "--out", str(out)]
+        last = last_error_line(capsys, argv)
+        rid = "r1" if command == "auc" else lines[2].split(",")[0]
+        assert last == f"error: line 4: duplicate report id '{rid}'"
+        assert not out.exists()
+
     def test_unwritable_output_exits_two(self, tmp_path, capsys):
         out = tmp_path / "missing" / "s.tsv"
         code = main(["split", "--corpus", CORPUS, "--out", str(out)])
@@ -211,7 +294,7 @@ class TestLabelCommand:
         code, _, out_csv = run_label(tmp_path)
         assert code == 0
         labels, config = read_labels_wide_csv(out_csv, get_config("x8"))
-        by_id = {record.report_id: record for record in labels}
+        by_id = {record.report_id: record for record in labels.records()}
         assert tuple(by_id["r17"].positive_classes(config)) == (
             "Atelectasis", "Effusion",
         )
@@ -257,7 +340,8 @@ class TestLabelCommand:
             ])
             assert code == 0
             labels, config = read_labels_wide_csv(out_csv, get_config("x8"))
-            return tuple(labels[0].positive_classes(config)), labels[0].status
+            record = labels.records()[0]
+            return tuple(record.positive_classes(config)), record.status
 
         classes, _ = label_with()
         assert classes == ("Effusion",)  # conjunct not reached without closure
@@ -424,6 +508,45 @@ class TestAucCommand:
         assert code == 2
         assert "different report ids" in capsys.readouterr().err
 
+    def test_roc_class_cell_written_as_csv_writes_it(self, tmp_path):
+        labels = tmp_path / "labels.csv"
+        labels.write_text(
+            'report_id,"A,B",status\ni1,1,TARGET_FINDINGS\ni2,0,NORMAL\n'
+        )
+        scores = tmp_path / "scores.csv"
+        scores.write_text('report_id,"A,B"\ni1,0.9\ni2,0.1\n')
+        roc = tmp_path / "roc.csv"
+        code = main([
+            "auc", "--scores", str(scores), "--labels", str(labels),
+            "--out", str(tmp_path / "auc.csv"), "--roc-out", str(roc),
+        ])
+        assert code == 0
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["class", "fpr", "tpr"])
+        for point in ("0.000000", "0.000000"), ("0.000000", "1.000000"), (
+            "1.000000", "1.000000"
+        ):
+            writer.writerow(["A,B", *point])
+        assert roc.read_text() == expected.getvalue()
+
+    def test_plain_scores_skip_the_row_parser(self, tmp_path):
+        scores, _ = self.write_inputs(tmp_path)
+        with mock.patch("cxrlabel.cli._read_scores_by_row",
+                        side_effect=AssertionError):
+            classes, ids, values = _read_scores_csv(scores)
+        assert (classes, ids) == (["A", "B"], ["i1", "i2", "i3", "i4"])
+        assert values.tolist() == [[0.9, 0.4], [0.1, 0.3], [0.8, 0.2], [0.2, 0.1]]
+
+    @settings(max_examples=600, deadline=None)
+    @given(text=scores_csv_texts())
+    def test_scores_reader_equals_per_row_parser(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "mutated_scores.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert scores_or_error(_read_scores_csv, path) == scores_or_error(
+            _read_scores_by_row, text
+        )
+
 
 class TestLocalizeCommand:
     def write_heatmap(self, tmp_path):
@@ -495,6 +618,13 @@ class TestLocalizeCommand:
         last = self.last_error_line(tmp_path, capsys, text)
         assert last == "error: row 4: heatmap size must be >= 1, got -1"
 
+    @pytest.mark.parametrize("dim", ["inf", "0", "-8", "nan"])
+    def test_bad_image_dim_exits_two_with_its_row(self, tmp_path, capsys, dim):
+        text = f"img1\tMass\t1\t64\n5\nimg2\tMass\t2\t{dim}\n1 2\n3 4\n"
+        last = self.last_error_line(tmp_path, capsys, text)
+        assert last == f"error: row 3: image_dim must be finite and > 0, got {dim}"
+        assert not (tmp_path / "b.tsv").exists()
+
 
 class TestEvalLocCommand:
     def write_inputs(self, tmp_path):
@@ -548,6 +678,23 @@ class TestEvalLocCommand:
         ])
         assert code == 0
         assert len(out.read_text().splitlines()) == 1 + 2 * len(T_GRID_IOU)
+
+    @pytest.mark.parametrize("extent", ["-10\t10", "10\t-10"],
+                             ids=["negative-width", "negative-height"])
+    def test_negative_gt_extent_exits_two_with_its_row(
+        self, tmp_path, capsys, extent
+    ):
+        gt = tmp_path / "gt.tsv"
+        gt.write_text(f"i1\tc\t0\t0\t10\t10\ni1\tc\t0\t0\t{extent}\n")
+        dets = tmp_path / "dets.tsv"
+        dets.write_text("i1\tc\t0\t0\t10\t10\t60\n")
+        out = tmp_path / "loc.csv"
+        last = last_error_line(capsys, [
+            "eval-loc", "--dets", str(dets), "--gt", str(gt), "--mode", "iou",
+            "--t", "0.3", "--out", str(out),
+        ])
+        assert last == "error: row 2: box needs non-negative w and h"
+        assert not out.exists()
 
     def test_zero_image_count_exits_two(self, tmp_path, capsys):
         dets, gt = self.write_inputs(tmp_path)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cxrlabel.errors import DegenerateLabels, IdSetMismatch, MalformedRow
-from cxrlabel.labeling import LabelConfig, ReportLabels, Status
+from cxrlabel.labeling import LabelConfig, LabelTable, ReportLabels, Status
 from cxrlabel.localization import BBox, iobb, iou
 from cxrlabel.metrics import (
     NORMAL_ROW,
@@ -19,6 +19,7 @@ from cxrlabel.metrics import (
     localization_sweep,
     prf1,
     roc_auc,
+    roc_counts,
     roc_points,
 )
 
@@ -27,6 +28,19 @@ TWO = LabelConfig("two", ("A", "B"))
 
 def labels(report_id, y, status):
     return ReportLabels(report_id, tuple(y), Status(status))
+
+
+def random_labels(report_id, rng, n_classes):
+    y = tuple(int(v) for v in rng.uniform(size=n_classes) < 0.3)
+    if any(y):
+        return ReportLabels(report_id, y, Status.TARGET_FINDINGS)
+    return ReportLabels(report_id, y, rng.choice([Status.NORMAL,
+                                                  Status.OTHER_FINDINGS_ONLY]))
+
+
+def flags(record):
+    """Per class whether it is set, then whether the status is NORMAL."""
+    return [*(v == 1 for v in record.y), record.status is Status.NORMAL]
 
 
 def auc_by_pairs(scores, gold):
@@ -129,6 +143,26 @@ class TestPrf1:
                 self.PRED[:4] + [labels("r9", (0, 0), "NORMAL")], self.GOLD, TWO
             )
 
+    def test_matches_per_record_counting(self):
+        rng = np.random.default_rng(43)
+        config = LabelConfig("four", tuple("ABCD"))
+        for _ in range(60):
+            n = int(rng.integers(1, 30))
+            gold = [random_labels(f"r{i}", rng, 4) for i in range(n)]
+            pred = [random_labels(f"r{i}", rng, 4) for i in rng.permutation(n)]
+            gold_by_id = {record.report_id: record for record in gold}
+            pairs = [(flags(p), flags(gold_by_id[p.report_id])) for p in pred]
+            result = prf1(pred, gold, config)
+            for k, name in enumerate([*config.classes, NORMAL_ROW]):
+                assert result.scores[name] == ClassScore(
+                    sum(p[k] and g[k] for p, g in pairs),
+                    sum(p[k] and not g[k] for p, g in pairs),
+                    sum(g[k] and not p[k] for p, g in pairs),
+                )
+            assert result.total == sum(result.scores.values(), ClassScore(0, 0, 0))
+            tables = [LabelTable.from_records(r, config) for r in (pred, gold)]
+            assert prf1(*tables, config) == result
+
     def test_perfect_agreement(self):
         result = prf1(self.GOLD, self.GOLD, TWO)
         for _, score in result.rows():
@@ -164,6 +198,15 @@ class TestRocAuc:
                 gold[0] = 1 - gold[0]
             scores = rng.integers(0, 8, size=n) / 8.0
             assert roc_points(scores, gold) == roc_points_by_thresholds(scores, gold)
+
+    def test_precomputed_counts_give_the_same_results(self):
+        rng = np.random.default_rng(19)
+        scores = rng.integers(0, 6, size=40) / 6.0
+        gold = rng.integers(0, 2, size=40)
+        gold[0], gold[1] = 0, 1
+        counts = roc_counts(scores, gold)
+        assert roc_auc(scores, gold, counts) == roc_auc(scores, gold)
+        assert roc_points(scores, gold, counts) == roc_points(scores, gold)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(14)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cxrlabel.errors import EmptyCorpus, MalformedRecord
-from cxrlabel.labeling import LabelConfig, ReportLabels, Status
+from cxrlabel.labeling import LabelConfig, LabelTable, ReportLabels, Status
 from cxrlabel.stats import (
     DEFAULT_FRACTIONS,
     PARTITIONS,
@@ -47,6 +47,25 @@ class TestLabelCounts:
     def test_single_label_reports_do_not_overlap(self):
         counts = label_counts([rl("r1", (1, 0, 0))], THREE)
         assert counts.overlaps == {"A": 0, "B": 0, "C": 0}
+
+    def test_matches_per_record_counting(self):
+        rng = np.random.default_rng(7)
+        config = LabelConfig("five", tuple("ABCDE"))
+        records = [rl(f"r{i}", rng.integers(0, 2, size=5).tolist()) for i in range(60)]
+        counts = label_counts(records, config)
+        for index, cls in enumerate(config.classes):
+            assert counts.totals[cls] == sum(r.y[index] for r in records)
+            assert counts.overlaps[cls] == sum(
+                r.y[index] for r in records if sum(r.y) >= 2
+            )
+        assert counts.normal == sum(r.status is Status.NORMAL for r in records)
+        assert label_counts(LabelTable.from_records(records, config), config) == counts
+
+    def test_repeated_class_name_sums_its_columns(self):
+        config = LabelConfig("twice", ("A", "A", "B"))
+        counts = label_counts([rl("r1", (1, 1, 0)), rl("r2", (0, 1, 0))], config)
+        assert counts.totals == {"A": 3, "B": 0}
+        assert counts.overlaps == {"A": 2, "B": 0}
 
 
 class TestCooccurrence:
