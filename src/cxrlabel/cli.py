@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import math
 import os
 import sys
@@ -23,7 +22,7 @@ import numpy as np
 
 from cxrlabel.errors import CxrLabelError, DegenerateLabels, MalformedRecord
 from cxrlabel.labeling import (
-    LabelConfig,
+    check_class_names,
     get_config,
     label_all,
     plain_csv_lines,
@@ -52,7 +51,6 @@ from cxrlabel.localization import (
 from cxrlabel.metrics import (
     T_GRID_IOBB,
     T_GRID_IOU,
-    localization_eval,
     localization_sweep,
     prf1,
     roc_auc,
@@ -276,6 +274,8 @@ def _read_scores_plain(text: str):
     body = lines[1:]
     if len(header) < 2 or header[0] != "report_id" or not body:
         return None
+    if len(set(header[1:])) != len(header) - 1:
+        return None
     if any(line.count(",") != len(header) - 1 for line in body):
         return None
     ids = [line.partition(",")[0] for line in body]
@@ -297,6 +297,7 @@ def _read_scores_by_row(text: str):
     header = next(reader, None)
     if not header or header[0] != "report_id":
         raise CxrLabelError("scores CSV needs a report_id header column")
+    check_class_names(header[1:], 1)
     ids: list[str] = []
     rows: list[list[float]] = []
     seen: set[str] = set()
@@ -331,7 +332,7 @@ def cmd_auc(args, config: RunConfig) -> int:
     rows = gold.rows_of(report_ids)
     if rows is None:
         raise CxrLabelError("scores and labels cover different report ids")
-    column = {cls: k for k, cls in enumerate(classes)}  # a repeated name: its last
+    column = {cls: k for k, cls in enumerate(classes)}
     for cls in label_config.classes:
         if cls not in column:
             raise CxrLabelError(f"scores CSV lacks class {cls!r}")
@@ -426,36 +427,6 @@ def cmd_split(args, config: RunConfig) -> int:
 
 # --- selftest ---
 
-def _naive_lse(values, r: float) -> float:
-    region = np.asarray(values, dtype=float).ravel()
-    return float(np.log(np.mean(np.exp(r * region))) / r)
-
-
-def _auc_by_pairs(scores, labels) -> float:
-    wins = 0.0
-    pos = [s for s, l in zip(scores, labels) if l == 1]
-    neg = [s for s, l in zip(scores, labels) if l == 0]
-    for p in pos:
-        for n in neg:
-            if p > n:
-                wins += 1.0
-            elif p == n:
-                wins += 0.5
-    return wins / (len(pos) * len(neg))
-
-
-def _optimal_match_count(gts, dets, threshold, measure) -> int:
-    for size in range(min(len(gts), len(dets)), 0, -1):
-        for det_subset in itertools.permutations(range(len(dets)), size):
-            for gt_subset in itertools.combinations(range(len(gts)), size):
-                if all(
-                    measure(gts[g], dets[d]) > threshold
-                    for g, d in zip(gt_subset, det_subset)
-                ):
-                    return size
-    return 0
-
-
 def _selftest_checks():
     rng = np.random.default_rng(20260815)
 
@@ -475,16 +446,6 @@ def _selftest_checks():
                 if previous is not None and value < previous - 1e-9:
                     return False
                 previous = value
-        return True
-
-    def lse_stable_vs_naive():
-        for _ in range(50):
-            region = rng.uniform(-2, 2, size=16)
-            for r in (0.1, 0.5, 1, 5, 8, 10, 12):
-                naive = _naive_lse(region, r)
-                stable = lse_pool(region, r)
-                if abs(stable - naive) > 1e-9 * max(1.0, abs(naive)):
-                    return False
         return True
 
     def wcel_hand_value():
@@ -554,38 +515,11 @@ def _selftest_checks():
         return True
 
     def auc_cases():
-        if roc_auc([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]) != 1.0:
-            return False
-        if roc_auc([0.5, 0.5, 0.5], [1, 0, 1]) != 0.5:
-            return False
-        if roc_auc([0.1, 0.9], [1, 0]) != 0.0:
-            return False
-        for _ in range(20):
-            n = int(rng.integers(4, 20))
-            scores = np.round(rng.uniform(size=n), 1)
-            labels = rng.integers(0, 2, size=n)
-            if labels.min() == labels.max():
-                continue
-            if abs(roc_auc(scores, labels) - _auc_by_pairs(scores, labels)) > 1e-12:
-                return False
-        return True
-
-    def greedy_matches_bruteforce():
-        for _ in range(30):
-            gts = [
-                BBox("i", "c", *rng.uniform(0, 60, size=2), *rng.uniform(10, 40, 2))
-                for _ in range(int(rng.integers(1, 4)))
-            ]
-            dets = [
-                BBox("i", "c", *rng.uniform(0, 60, size=2), *rng.uniform(10, 40, 2))
-                for _ in range(int(rng.integers(0, 4)))
-            ]
-            result = localization_eval(dets, gts, 0.25, "iobb")
-            greedy = result.matched.get("c", 0)
-            optimal = _optimal_match_count(gts, dets, 0.25, iobb)
-            if greedy != optimal:
-                return False
-        return True
+        return (
+            roc_auc([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]) == 1.0
+            and roc_auc([0.5, 0.5, 0.5], [1, 0, 1]) == 0.5
+            and roc_auc([0.1, 0.9], [1, 0]) == 0.0
+        )
 
     def split_roundtrip():
         patients = [(f"p{i:03d}", [f"im{i}"]) for i in range(10)]
@@ -600,7 +534,6 @@ def _selftest_checks():
     return [
         ("lse constant region", lse_constant),
         ("lse bounded and monotone in r", lse_bounds_monotone),
-        ("lse stable equals naive", lse_stable_vs_naive),
         ("balanced loss hand value 4*ln(2)", wcel_hand_value),
         ("balanced loss = 2x plain on even batches", wcel_twice_cel),
         ("analytic gradient matches finite differences", gradient_matches_fd),
@@ -608,8 +541,7 @@ def _selftest_checks():
         ("iou 1/3 and iobb 0.5 derived boxes", overlap_derived_values),
         ("normalization rounds half-up", normalize_rounding),
         ("high-threshold boxes nest in low-threshold boxes", threshold_nesting),
-        ("auc canonical and pair-enumeration", auc_cases),
-        ("greedy matching equals brute force", greedy_matches_bruteforce),
+        ("auc canonical values", auc_cases),
         ("patient split deterministic 7/1/2", split_roundtrip),
     ]
 

@@ -30,9 +30,11 @@ class MalformedRecord(CxrLabelError):
 
 
 class DuplicateReportId(CxrLabelError):
-    def __init__(self, report_id: str):
-        super().__init__(f"duplicate report id {report_id!r}")
+    def __init__(self, report_id: str, line_no=None):
+        reason = f"duplicate report id {report_id!r}"
+        super().__init__(_located(reason, "line", line_no))
         self.report_id = report_id
+        self.line_no = line_no
 
 
 class BadHeadIndex(CxrLabelError):

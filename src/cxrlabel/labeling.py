@@ -13,12 +13,18 @@ import csv
 import io
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from cxrlabel.errors import MalformedRecord, MissingGraph
-from cxrlabel.lexicon import NORMAL_CONCEPT, ConceptMention
+from cxrlabel.lexicon import (
+    NORMAL_CONCEPT,
+    ConceptMention,
+    attach_mentions,
+    match_concepts,
+    merge_mention_sets,
+)
 from cxrlabel.negation import Polarity, PolarizedMention, RuleSet, apply_rules
 from cxrlabel.reports import Corpus, DependencyGraph, RadiologyReport, SentenceRef
 
@@ -59,9 +65,19 @@ class LabelConfig:
     name: str
     classes: tuple[str, ...]
 
+    def __post_init__(self):
+        check_class_names(self.classes)
+
     @property
     def C(self) -> int:
         return len(self.classes)
+
+
+def check_class_names(classes: Sequence[str], line_no=None):
+    """Reject a class named twice: its columns could not be told apart."""
+    if len(set(classes)) != len(classes):
+        repeated = next(c for k, c in enumerate(classes) if c in classes[:k])
+        raise MalformedRecord(f"repeated class name {repeated!r}", line_no)
 
 
 CONFIG_X8 = LabelConfig("x8", X8_CLASSES)
@@ -235,8 +251,6 @@ def label_all(
     extra_mentions: Iterable[ConceptMention] = (),
 ) -> list[ReportLabels]:
     """Full pipeline: match concepts, merge external mentions, label."""
-    from cxrlabel.lexicon import attach_mentions, match_concepts, merge_mention_sets
-
     internal = [m for s in corpus.sentences() for m in match_concepts(s, lexicon)]
     merged = merge_mention_sets(internal, attach_mentions(corpus, extra_mentions))
     return label_corpus(corpus, merged, ruleset, config)
@@ -293,6 +307,8 @@ def _read_labels_plain(text: str, config: Optional[LabelConfig]):
     if len(header) < 3 or header[0] != "report_id" or header[-1] != "status":
         return None
     classes = tuple(header[1:-1])
+    if len(set(classes)) != len(classes):
+        return None
     if config is not None and config.classes != classes:
         return None
     ids, cells, statuses = [], [], []
@@ -329,6 +345,7 @@ def _read_labels_by_row(text: str, config: Optional[LabelConfig]):
     if not header or header[0] != "report_id" or header[-1] != "status":
         raise MalformedRecord("wide label CSV needs report_id ... status header")
     classes = tuple(header[1:-1])
+    check_class_names(classes, 1)
     if config is None:
         config = LabelConfig("custom", classes)
     elif config.classes != classes:

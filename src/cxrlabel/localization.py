@@ -241,16 +241,6 @@ def _parse_grid_rows(block: list[str], size: int, row_no: int) -> np.ndarray:
     return np.array(rows)
 
 
-def write_heatmaps(heatmaps: Iterable[Heatmap], handle):
-    for heatmap in heatmaps:
-        handle.write(
-            f"{heatmap.image_id}\t{heatmap.label}\t{heatmap.size}"
-            f"\t{heatmap.image_dim:g}\n"
-        )
-        for row in heatmap.grid:
-            handle.write(" ".join(f"{v:.6g}" for v in row) + "\n")
-
-
 def load_boxes(path, with_threshold: bool = False) -> list[BBox]:
     """Read box rows: image_id, class, x, y, w, h, plus a trailing
     threshold column for detection files."""

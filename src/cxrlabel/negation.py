@@ -68,9 +68,6 @@ class EdgeStep:
     labels: Optional[frozenset[str]]  # None = any label
     node_lemmas: Optional[frozenset[str]] = None  # constraint on landing token
 
-    def label_matches(self, label: str) -> bool:
-        return self.labels is None or label in self.labels
-
 
 @dataclass(frozen=True)
 class Rule:

@@ -110,21 +110,11 @@ def hl(y, f) -> float:
     return float(np.sum(np.maximum(0.0, margins)))
 
 
-def _ce_gradient(y, f, beta_p: float, beta_n: float) -> np.ndarray:
-    grad = np.where(y == 1, -beta_p / f, beta_n / (1.0 - f))
-    return grad
-
-
 def wcel_gradient(y, f) -> np.ndarray:
     """Analytic d(loss)/d(score), elementwise over the flattened batch."""
     y_arr, f_arr = _pair(y, f)
     beta_p, beta_n = beta_weights(y_arr)
-    return _ce_gradient(y_arr, f_arr, beta_p, beta_n)
-
-
-def cel_gradient(y, f) -> np.ndarray:
-    y_arr, f_arr = _pair(y, f)
-    return _ce_gradient(y_arr, f_arr, 1.0, 1.0)
+    return np.where(y_arr == 1, -beta_p / f_arr, beta_n / (1.0 - f_arr))
 
 
 LOSSES = {"cel": cel, "wcel": wcel, "el": el, "hl": hl}

@@ -2,7 +2,7 @@
 
 Radiology reports are sectioned free text. This module parses raw report
 text into sections, splits sections into tokenized sentences with a
-deterministic rule-based splitter, and loads/serializes the corpus and
+deterministic rule-based splitter, and loads the corpus and
 dependency-graph file formats used by the rest of the pipeline.
 """
 
@@ -195,12 +195,6 @@ class Corpus:
                     f"graph has {graph.n_tokens} tokens, sentence has {n}", ref
                 )
 
-    def report_by_id(self, report_id: str) -> RadiologyReport:
-        for report in self.reports:
-            if report.report_id == report_id:
-                return report
-        raise KeyError(report_id)
-
     def sentences(self) -> list[Sentence]:
         return [s for r in self.reports for s in r.sentences]
 
@@ -247,10 +241,6 @@ def parse_report_text(
             chunks.setdefault(current or "other", []).append(line.strip())
     sections = {tag: " ".join(parts) for tag, parts in chunks.items()}
     return RadiologyReport(report_id, patient_id, sections)
-
-
-def serialize_report(report: RadiologyReport) -> str:
-    return "\n".join(f"{tag}: {text}" for tag, text in report.sections.items())
 
 
 def _sentence_chunks(text: str) -> list[str]:
@@ -313,7 +303,7 @@ def load_corpus(path) -> Corpus:
             if not patient_id:
                 raise MalformedRecord("missing patient_id", line_no)
             if report_id in seen:
-                raise DuplicateReportId(report_id)
+                raise DuplicateReportId(report_id, line_no)
             seen.add(report_id)
             sections: dict[str, str] = {}
             for pair in fields[2:]:
@@ -339,16 +329,16 @@ def load_dependency_file(path) -> dict[SentenceRef, DependencyGraph]:
     with a real label is a virtual-root edge.
     """
     graphs: dict[SentenceRef, DependencyGraph] = {}
-    header: Optional[tuple[SentenceRef, int]] = None
+    header: Optional[tuple[SentenceRef, int, int]] = None  # ref, n_tokens, line
     rows: list[tuple[int, list[str]]] = []
 
     def flush():
         nonlocal header, rows
         if header is None:
             return
-        ref, n_tokens = header
+        ref, n_tokens, header_line = header
         if ref in graphs:
-            raise MalformedRecord(f"duplicate sentence {ref}")
+            raise MalformedRecord(f"duplicate sentence {ref}", header_line)
         surfaces: dict[int, str] = {}
         edges: set[Edge] = set()
         for row_no, fields in rows:
@@ -406,7 +396,7 @@ def load_dependency_file(path) -> dict[SentenceRef, DependencyGraph]:
                     n_tokens = int(fields[4])
                 except ValueError:
                     raise MalformedRecord("non-integer index/count", line_no) from None
-                header = (SentenceRef(fields[1], fields[2], index), n_tokens)
+                header = (SentenceRef(fields[1], fields[2], index), n_tokens, line_no)
                 continue
             if header is None:
                 raise MalformedRecord("token row before any #sent header", line_no)
@@ -415,28 +405,3 @@ def load_dependency_file(path) -> dict[SentenceRef, DependencyGraph]:
             rows.append((line_no, fields))
     flush()
     return graphs
-
-
-def serialize_dependency_graphs(graphs: dict[SentenceRef, DependencyGraph]) -> str:
-    """Inverse of load_dependency_file; reload yields identical edge sets."""
-    blocks: list[str] = []
-    for ref in sorted(graphs):
-        graph = graphs[ref]
-        lines = [
-            "\t".join(
-                ["#sent", ref.report_id, ref.section, str(ref.index),
-                 str(graph.n_tokens)]
-            )
-        ]
-        by_dependent: dict[int, list[Edge]] = {}
-        for edge in graph.edges:
-            by_dependent.setdefault(edge.dependent, []).append(edge)
-        for pos in range(1, graph.n_tokens + 1):
-            surface = graph.surfaces[pos - 1]
-            edges = sorted(by_dependent.get(pos, []))
-            if not edges:
-                lines.append(f"{pos}\t{surface}\t0\t-")
-            for edge in edges:
-                lines.append(f"{pos}\t{surface}\t{edge.head}\t{edge.label}")
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"

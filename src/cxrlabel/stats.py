@@ -37,16 +37,8 @@ def label_counts(
 ) -> LabelCounts:
     table = label_table(labels, config)
     overlapping = table.y.sum(axis=1) >= 2
-    # Summed by name: a class named twice counts both of its columns.
-    totals = dict.fromkeys(config.classes, 0)
-    overlaps = dict.fromkeys(config.classes, 0)
-    for cls, total, overlap in zip(
-        config.classes,
-        table.y.sum(axis=0).tolist(),
-        table.y[overlapping].sum(axis=0).tolist(),
-    ):
-        totals[cls] += total
-        overlaps[cls] += overlap
+    totals = dict(zip(config.classes, table.y.sum(axis=0).tolist()))
+    overlaps = dict(zip(config.classes, table.y[overlapping].sum(axis=0).tolist()))
     return LabelCounts(totals, overlaps, int(table.has_status(Status.NORMAL).sum()))
 
 

@@ -1,15 +1,21 @@
 """Shared fixture helpers: sentences, graphs, rule example sentences,
-mutated CSV tables."""
+mutated CSV tables, the writers of the round-trip tests, and the
+independent AUC and box-matching oracles."""
 
 from __future__ import annotations
 
+from itertools import combinations, permutations
+from typing import Iterable
+
 from hypothesis import strategies as st
 
+from cxrlabel.localization import Heatmap
 from cxrlabel.reports import (
     DependencyGraph,
     Edge,
     RadiologyReport,
     Sentence,
+    SentenceRef,
     split_sentences,
 )
 
@@ -190,3 +196,63 @@ def mutated_csv(draw, rows: list[list[str]], tokens: list[str]) -> str:
     end = draw(st.sampled_from(["\n", "\n", "\r\n"]))
     text = end.join(",".join(row) for row in rows)
     return text + end if draw(st.booleans()) else text
+
+
+# --- writers for the round-trip tests ---
+
+def serialize_dependency_graphs(graphs: dict[SentenceRef, DependencyGraph]) -> str:
+    """Inverse of load_dependency_file; reload yields identical edge sets."""
+    blocks: list[str] = []
+    for ref in sorted(graphs):
+        graph = graphs[ref]
+        lines = [
+            "\t".join(
+                ["#sent", ref.report_id, ref.section, str(ref.index),
+                 str(graph.n_tokens)]
+            )
+        ]
+        by_dependent: dict[int, list[Edge]] = {}
+        for edge in graph.edges:
+            by_dependent.setdefault(edge.dependent, []).append(edge)
+        for pos in range(1, graph.n_tokens + 1):
+            surface = graph.surfaces[pos - 1]
+            edges = sorted(by_dependent.get(pos, []))
+            if not edges:
+                lines.append(f"{pos}\t{surface}\t0\t-")
+            for edge in edges:
+                lines.append(f"{pos}\t{surface}\t{edge.head}\t{edge.label}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
+
+
+def write_heatmaps(heatmaps: Iterable[Heatmap], handle):
+    for heatmap in heatmaps:
+        handle.write(
+            f"{heatmap.image_id}\t{heatmap.label}\t{heatmap.size}"
+            f"\t{heatmap.image_dim:g}\n"
+        )
+        for row in heatmap.grid:
+            handle.write(" ".join(f"{v:.6g}" for v in row) + "\n")
+
+
+# --- independent oracles ---
+
+def auc_by_pairs(scores, gold):
+    """Independent oracle: enumerate positive/negative pairs."""
+    pos = [s for s, g in zip(scores, gold) if g == 1]
+    neg = [s for s, g in zip(scores, gold) if g == 0]
+    wins = sum(
+        1.0 if p > n else (0.5 if p == n else 0.0) for p in pos for n in neg
+    )
+    return wins / (len(pos) * len(neg))
+
+
+def optimal_match_count(gts, dets, threshold, measure):
+    """Exhaustive maximum one-to-one matching with overlap > threshold."""
+    edge = [[measure(g, d) > threshold for g in gts] for d in dets]
+    for k in range(min(len(gts), len(dets)), 0, -1):
+        for det_idx in combinations(range(len(dets)), k):
+            for gt_idx in permutations(range(len(gts)), k):
+                if all(edge[d][g] for d, g in zip(det_idx, gt_idx)):
+                    return k
+    return 0

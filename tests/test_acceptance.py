@@ -3,13 +3,19 @@
 Run with `pytest -s tests/test_acceptance.py` to see the verdict lines.
 """
 
-import itertools
 import time
 from pathlib import Path
 
 import numpy as np
 
-from conftest import RULE_EXAMPLES, make_graph, make_sentence, mention_phrase
+from conftest import (
+    RULE_EXAMPLES,
+    auc_by_pairs,
+    make_graph,
+    make_sentence,
+    mention_phrase,
+    optimal_match_count,
+)
 from cxrlabel.labeling import get_config, label_all, read_labels_wide_csv
 from cxrlabel.lexicon import default_lexicon, match_concepts
 from cxrlabel.localization import (
@@ -336,18 +342,6 @@ def test_box_generation_properties():
     )
 
 
-def _optimal_match_count(gts, dets, threshold, measure) -> int:
-    for size in range(min(len(gts), len(dets)), 0, -1):
-        for det_subset in itertools.permutations(range(len(dets)), size):
-            for gt_subset in itertools.combinations(range(len(gts)), size):
-                if all(
-                    measure(gts[g], dets[d]) > threshold
-                    for g, d in zip(gt_subset, det_subset)
-                ):
-                    return size
-    return 0
-
-
 def _random_boxes(rng, count, image="i", cls="c"):
     return [
         BBox(image, cls,
@@ -368,7 +362,7 @@ def test_greedy_matching_and_threshold_sweep():
                 cases += 1
                 result = localization_eval(dets, gts, t, mode)
                 greedy = result.matched.get("c", 0)
-                if greedy == _optimal_match_count(gts, dets, t, measure):
+                if greedy == optimal_match_count(gts, dets, t, measure):
                     agreements += 1
 
     violations = 0
@@ -398,14 +392,6 @@ def test_greedy_matching_and_threshold_sweep():
     )
 
 
-def _auc_by_pairs(scores, labels) -> float:
-    pos = [s for s, l in zip(scores, labels) if l == 1]
-    neg = [s for s, l in zip(scores, labels) if l == 0]
-    wins = sum(1.0 if p > n else 0.5 if p == n else 0.0
-               for p in pos for n in neg)
-    return wins / (len(pos) * len(neg))
-
-
 def test_auc_oracle_and_invariance():
     canonical_ok = (
         roc_auc([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]) == 1.0
@@ -421,7 +407,7 @@ def test_auc_oracle_and_invariance():
             labels[0] = 1 - labels[0]
         scores = np.round(rng.uniform(size=n), 1)  # quantized to force ties
         value = roc_auc(scores, labels)
-        if abs(value - _auc_by_pairs(scores, labels)) > 1e-12:
+        if abs(value - auc_by_pairs(scores, labels)) > 1e-12:
             oracle_ok = False
         if (
             roc_auc(2.0 * scores + 3.0, labels) != value

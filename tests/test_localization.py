@@ -23,8 +23,9 @@ from cxrlabel.localization import (
     load_heatmaps,
     normalize_heatmap,
     write_boxes,
-    write_heatmaps,
 )
+
+from conftest import write_heatmaps
 
 EIGHT = np.ones((3, 3), dtype=bool)
 

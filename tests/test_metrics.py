@@ -1,10 +1,9 @@
 """P/R/F1, ROC AUC, and localization Acc/AFP scoring."""
 
-from itertools import combinations, permutations
-
 import numpy as np
 import pytest
 
+from conftest import auc_by_pairs, optimal_match_count
 from cxrlabel.errors import DegenerateLabels, IdSetMismatch, MalformedRow
 from cxrlabel.labeling import LabelConfig, LabelTable, ReportLabels, Status
 from cxrlabel.localization import BBox, iobb, iou
@@ -43,16 +42,6 @@ def flags(record):
     return [*(v == 1 for v in record.y), record.status is Status.NORMAL]
 
 
-def auc_by_pairs(scores, gold):
-    """Independent oracle: enumerate positive/negative pairs."""
-    pos = [s for s, g in zip(scores, gold) if g == 1]
-    neg = [s for s, g in zip(scores, gold) if g == 0]
-    wins = sum(
-        1.0 if p > n else (0.5 if p == n else 0.0) for p in pos for n in neg
-    )
-    return wins / (len(pos) * len(neg))
-
-
 def roc_points_by_thresholds(scores, gold):
     """Slow reference: rescan every score at each distinct threshold."""
     scores = np.asarray(scores, dtype=float)
@@ -66,17 +55,6 @@ def roc_points_by_thresholds(scores, gold):
         fpr = float(np.sum(hit & (gold == 0))) / n_neg
         points.append((fpr, tpr))
     return points
-
-
-def optimal_match_count(gts, dets, threshold, measure):
-    """Exhaustive maximum one-to-one matching with overlap > threshold."""
-    edge = [[measure(g, d) > threshold for g in gts] for d in dets]
-    for k in range(min(len(gts), len(dets)), 0, -1):
-        for det_idx in combinations(range(len(dets)), k):
-            for gt_idx in permutations(range(len(gts)), k):
-                if all(edge[d][g] for d, g in zip(det_idx, gt_idx)):
-                    return k
-    return 0
 
 
 class TestClassScore:

@@ -19,7 +19,6 @@ from cxrlabel.pooling import (
     avg_pool,
     beta_weights,
     cel,
-    cel_gradient,
     compose_heatmaps,
     el,
     hl,
@@ -247,14 +246,6 @@ class TestGradients:
             numeric = central_difference(wcel, y, f)
             analytic = wcel_gradient(y, f)
             assert analytic == pytest.approx(numeric, rel=1e-5, abs=1e-5)
-
-    def test_cel_gradient_matches_finite_difference(self):
-        rng = np.random.default_rng(6)
-        for _ in range(10):
-            y = rng.integers(0, 2, size=8)
-            f = rng.uniform(0.05, 0.95, size=8)
-            numeric = central_difference(cel, y, f)
-            assert cel_gradient(y, f) == pytest.approx(numeric, rel=1e-5, abs=1e-5)
 
     def test_gradient_signs(self):
         y = [1, 0, 1, 0]

@@ -20,13 +20,11 @@ from cxrlabel.reports import (
     load_corpus,
     load_dependency_file,
     parse_report_text,
-    serialize_dependency_graphs,
-    serialize_report,
     split_sentences,
     tokenize,
 )
 
-from conftest import make_graph, make_sentence
+from conftest import make_graph, make_sentence, serialize_dependency_graphs
 
 
 class TestTokenize:
@@ -105,7 +103,8 @@ class TestReportTextParsing:
 
     def test_serialize_round_trip(self):
         report = parse_report_text("FINDINGS: Clear.\nIMPRESSION: Normal.")
-        again = parse_report_text(serialize_report(report))
+        text = "\n".join(f"{tag}: {body}" for tag, body in report.sections.items())
+        again = parse_report_text(text)
         assert again.sections == report.sections
 
     def test_unknown_section_tag_rejected(self):
@@ -123,9 +122,10 @@ class TestCorpusFile:
             encoding="utf-8",
         )
         corpus = load_corpus(path)
-        assert [r.report_id for r in corpus.reports] == ["r1", "r2"]
-        assert corpus.report_by_id("r1").sections["impression"] == "Normal."
-        assert corpus.report_by_id("r2").patient_id == "p1"
+        r1, r2 = corpus.reports
+        assert [r1.report_id, r2.report_id] == ["r1", "r2"]
+        assert r1.sections["impression"] == "Normal."
+        assert r2.patient_id == "p1"
 
     def test_duplicate_report_id_rejected(self, tmp_path):
         path = tmp_path / "corpus.tsv"

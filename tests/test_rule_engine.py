@@ -86,11 +86,13 @@ def walk(graph: DependencyGraph, start: int, path: tuple[EdgeStep, ...]) -> set[
         for node in frontier:
             if step.direction is Direction.DOWN:
                 for edge in scan_out_edges(graph, node):
-                    if step.label_matches(edge.label):
+                    if step.labels is None or edge.label in step.labels:
                         landed.add(edge.dependent)
             else:
                 for edge in scan_in_edges(graph, node):
-                    if step.label_matches(edge.label) and edge.head != 0:
+                    if (
+                        step.labels is None or edge.label in step.labels
+                    ) and edge.head != 0:
                         landed.add(edge.head)
         if step.node_lemmas is not None:
             landed = {

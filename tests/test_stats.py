@@ -61,11 +61,9 @@ class TestLabelCounts:
         assert counts.normal == sum(r.status is Status.NORMAL for r in records)
         assert label_counts(LabelTable.from_records(records, config), config) == counts
 
-    def test_repeated_class_name_sums_its_columns(self):
-        config = LabelConfig("twice", ("A", "A", "B"))
-        counts = label_counts([rl("r1", (1, 1, 0)), rl("r2", (0, 1, 0))], config)
-        assert counts.totals == {"A": 3, "B": 0}
-        assert counts.overlaps == {"A": 2, "B": 0}
+    def test_repeated_class_name_rejected(self):
+        with pytest.raises(MalformedRecord, match="repeated class name 'A'"):
+            LabelConfig("twice", ("A", "A", "B"))
 
 
 class TestCooccurrence:
