@@ -20,7 +20,12 @@ from typing import Optional
 
 import numpy as np
 
-from cxrlabel.errors import CxrLabelError, DegenerateLabels, MalformedRecord
+from cxrlabel.errors import (
+    CxrLabelError,
+    DegenerateLabels,
+    MalformedRecord,
+    open_input,
+)
 from cxrlabel.labeling import (
     check_class_names,
     get_config,
@@ -55,7 +60,6 @@ from cxrlabel.metrics import (
     prf1,
     roc_auc,
     roc_counts,
-    roc_points,
 )
 from cxrlabel.negation import (
     RuleSet,
@@ -127,7 +131,7 @@ class RunConfig:
 
 def _load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open_input(path) as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -258,7 +262,7 @@ def _read_scores_csv(path: str) -> tuple[list[str], list[str], np.ndarray]:
     A file of plain cells is read with one `np.loadtxt`; any other goes
     through the per-row csv parser, which names the bad line.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open_input(path, newline="") as handle:
         text = handle.read()
     return _read_scores_plain(text) or _read_scores_by_row(text)
 
@@ -296,7 +300,7 @@ def _read_scores_by_row(text: str):
     reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, None)
     if not header or header[0] != "report_id":
-        raise CxrLabelError("scores CSV needs a report_id header column")
+        raise MalformedRecord("scores CSV needs a report_id header column", 1)
     check_class_names(header[1:], 1)
     ids: list[str] = []
     rows: list[list[float]] = []
@@ -326,6 +330,41 @@ def _csv_cell(value: str) -> str:
     return buffer.getvalue()[:-2]
 
 
+def _put_rates(out: np.ndarray, k: np.ndarray, n: int):
+    """Write each rate `k / n` (0 <= k <= n) into the 8 byte columns of
+    `out` as `f"{k / n:.6f}"` writes it.
+
+    The rate is rounded to millionths exactly in integers. Away from a
+    rational tie the rate is at least 1 / (2n * 10^6) from the rounding
+    boundary, which for n < 2**32 is more than the error of the double
+    k / n, so both round alike. At a tie the double decides, so those
+    entries are formatted as floats."""
+    millionths, rest = np.divmod(k * 1_000_000, n)
+    millionths += 2 * rest > n
+    for i in np.flatnonzero(2 * rest == n):
+        millionths[i] = int(f"{int(k[i]) / n:.6f}".replace(".", ""))
+    for column in range(7, 1, -1):
+        millionths, digit = np.divmod(millionths, 10)
+        out[:, column] = digit + ord("0")
+    out[:, 1] = ord(".")
+    out[:, 0] = millionths + ord("0")
+
+
+def _roc_block(name: str, tp: np.ndarray, fp: np.ndarray) -> bytes:
+    """The `--roc-out` lines of class `name` from its `roc_counts`: the
+    point (0, 0), then (fp / fp[-1], tp / tp[-1]) at each threshold, as
+    UTF-8 bytes with the rates in fixed columns."""
+    prefix = f"{_csv_cell(name)},".encode()
+    width = len(prefix)
+    rows = np.empty((len(tp) + 1, width + 18), dtype=np.uint8)
+    rows[:, :width] = np.frombuffer(prefix, dtype=np.uint8)
+    _put_rates(rows[:, width:width + 8], np.append(0, fp), int(fp[-1]))
+    rows[:, width + 8] = ord(",")
+    _put_rates(rows[:, width + 9:width + 17], np.append(0, tp), int(tp[-1]))
+    rows[:, width + 17] = ord("\n")
+    return rows.tobytes()
+
+
 def cmd_auc(args, config: RunConfig) -> int:
     classes, report_ids, scores = _read_scores_csv(_require(args.scores, "scores"))
     gold, label_config = read_labels_wide_csv(_require(args.labels, "labels"))
@@ -338,7 +377,7 @@ def cmd_auc(args, config: RunConfig) -> int:
             raise CxrLabelError(f"scores CSV lacks class {cls!r}")
     labels = gold.y[rows]
     cells: list[str] = []
-    curves: dict[str, str] = {}  # class -> its --roc-out lines
+    curves: list[tuple[str, tuple]] = []  # (class, roc_counts) for --roc-out
     for index, cls in enumerate(label_config.classes):
         score_vec = scores[:, column[cls]]
         label_vec = labels[:, index]
@@ -349,19 +388,16 @@ def cmd_auc(args, config: RunConfig) -> int:
             continue
         cells.append(f"{roc_auc(score_vec, label_vec, counts):.6f}")
         if args.roc_out:
-            name = _csv_cell(cls)
-            curves[cls] = "".join(
-                f"{name},{fpr:.6f},{tpr:.6f}\n"
-                for fpr, tpr in roc_points(score_vec, label_vec, counts)
-            )
+            curves.append((cls, counts))
     with open(args.out, "w", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["metric", *label_config.classes])
         writer.writerow(["AUC", *cells])
     if args.roc_out:
-        with open(args.roc_out, "w", encoding="utf-8") as handle:
-            handle.write("class,fpr,tpr\n")
-            handle.write("".join(curves.get(cls, "") for cls in label_config.classes))
+        with open(args.roc_out, "wb") as handle:
+            handle.write(b"class,fpr,tpr\n")
+            for cls, (tp, fp) in curves:
+                handle.write(_roc_block(cls, tp, fp))
     return 0
 
 

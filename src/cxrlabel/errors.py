@@ -3,8 +3,11 @@
 Every error raised by this package derives from CxrLabelError so callers
 (and the CLI) can tell pipeline failures apart from programming errors.
 Location arguments (line_no, row_no) are optional: loaders supply them,
-in-memory constructors do not.
+in-memory constructors do not. Loaders open their files with
+`open_input`, which turns a file that is not UTF-8 into a located error.
 """
+
+from contextlib import contextmanager
 
 
 def _located(reason: str, label: str, location) -> str:
@@ -15,6 +18,31 @@ def _located(reason: str, label: str, location) -> str:
 
 class CxrLabelError(Exception):
     """Base class for all cxrlabel errors."""
+
+
+class NotUtf8(CxrLabelError):
+    def __init__(self, path, line_no: int):
+        super().__init__(f"{path}: line {line_no}: not valid UTF-8")
+        self.path = path
+        self.line_no = line_no
+
+
+@contextmanager
+def open_input(path, newline=None):
+    """`open(path, encoding="utf-8", newline=newline)`, raising NotUtf8
+    with the line of the first bad byte when the text does not decode.
+    The line is found only on that error path."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as handle:
+            yield handle
+    except UnicodeDecodeError:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise NotUtf8(path, data.count(b"\n", 0, err.start) + 1) from None
+        raise
 
 
 # --- report corpus ingestion ---

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from cxrlabel.errors import MalformedRecord, MissingGraph
+from cxrlabel.errors import MalformedRecord, MissingGraph, open_input
 from cxrlabel.lexicon import (
     NORMAL_CONCEPT,
     ConceptMention,
@@ -279,7 +279,7 @@ def read_labels_wide_csv(
     A file of plain cells is read in one pass over its lines; any other
     goes through the per-row csv parser, which names the bad line.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open_input(path, newline="") as handle:
         text = handle.read()
     return _read_labels_plain(text, config) or _read_labels_by_row(text, config)
 
@@ -343,14 +343,14 @@ def _read_labels_by_row(text: str, config: Optional[LabelConfig]):
     reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, None)
     if not header or header[0] != "report_id" or header[-1] != "status":
-        raise MalformedRecord("wide label CSV needs report_id ... status header")
+        raise MalformedRecord("wide label CSV needs report_id ... status header", 1)
     classes = tuple(header[1:-1])
     check_class_names(classes, 1)
     if config is None:
         config = LabelConfig("custom", classes)
     elif config.classes != classes:
         raise MalformedRecord(
-            f"CSV classes {classes} do not match config {config.classes}"
+            f"CSV classes {classes} do not match config {config.classes}", 1
         )
     labels: list[ReportLabels] = []
     seen: set[str] = set()

@@ -18,6 +18,7 @@ from cxrlabel.errors import (
     DuplicateEntry,
     MalformedRow,
     SpanOutOfRange,
+    open_input,
 )
 from cxrlabel.reports import Corpus, Sentence, SentenceRef
 
@@ -121,7 +122,7 @@ class Lexicon:
 def load_lexicon(path) -> Lexicon:
     """Load tab-separated rows cui, category, semantic_type, phrase."""
     entries: list[LexiconEntry] = []
-    with open(path, encoding="utf-8") as handle:
+    with open_input(path) as handle:
         for row_no, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):
@@ -219,7 +220,7 @@ def load_external_mentions(path) -> list[ConceptMention]:
     """Load standoff rows: report_id, section, sentence_index, start, end,
     cui, category. Spans are validated against a corpus at attach time."""
     mentions: list[ConceptMention] = []
-    with open(path, encoding="utf-8") as handle:
+    with open_input(path) as handle:
         for row_no, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):

@@ -14,7 +14,12 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from cxrlabel.errors import CxrLabelError, MalformedRow, ZeroAreaDetection
+from cxrlabel.errors import (
+    CxrLabelError,
+    MalformedRow,
+    ZeroAreaDetection,
+    open_input,
+)
 
 DEFAULT_THRESHOLDS = (60, 180)
 
@@ -182,7 +187,7 @@ def load_heatmaps(path) -> list[Heatmap]:
     """Read blocks of "image_id<TAB>class<TAB>S<TAB>image_dim" headers,
     each followed by S rows of S space-separated scores."""
     heatmaps: list[Heatmap] = []
-    with open(path, encoding="utf-8") as handle:
+    with open_input(path) as handle:
         lines = [line.rstrip("\n") for line in handle]
     i = 0
     while i < len(lines):
@@ -246,7 +251,7 @@ def load_boxes(path, with_threshold: bool = False) -> list[BBox]:
     threshold column for detection files."""
     want = 7 if with_threshold else 6
     boxes: list[BBox] = []
-    with open(path, encoding="utf-8") as handle:
+    with open_input(path) as handle:
         for row_no, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):

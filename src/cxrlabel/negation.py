@@ -14,7 +14,12 @@ from enum import Enum
 from importlib import resources
 from typing import Iterable, Optional
 
-from cxrlabel.errors import MissingGraph, RuleParseError, UnknownDirection
+from cxrlabel.errors import (
+    MissingGraph,
+    RuleParseError,
+    UnknownDirection,
+    open_input,
+)
 from cxrlabel.lexicon import ConceptMention
 from cxrlabel.reports import DependencyGraph, Edge
 
@@ -152,7 +157,7 @@ def load_rules(path) -> RuleSet:
     """
     rules: list[Rule] = []
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
+    with open_input(path) as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):

@@ -19,6 +19,7 @@ from cxrlabel.errors import (
     EmptyReport,
     MalformedRecord,
     TokenCountMismatch,
+    open_input,
 )
 
 SECTION_TAGS = ("comparison", "indication", "findings", "impression", "other")
@@ -287,7 +288,7 @@ def load_corpus(path) -> Corpus:
     """
     reports: list[RadiologyReport] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
+    with open_input(path) as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
@@ -380,7 +381,7 @@ def load_dependency_file(path) -> dict[SentenceRef, DependencyGraph]:
         header = None
         rows = []
 
-    with open(path, encoding="utf-8") as handle:
+    with open_input(path) as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line.strip():

@@ -1,6 +1,7 @@
 """Shared fixture helpers: sentences, graphs, rule example sentences,
-mutated CSV tables, the writers of the round-trip tests, and the
-independent AUC and box-matching oracles."""
+mutated CSV tables, the writers of the round-trip tests, the
+independent AUC and box-matching oracles, and the per-point ROC writer
+that the `--roc-out` renderer is checked against."""
 
 from __future__ import annotations
 
@@ -9,7 +10,9 @@ from typing import Iterable
 
 from hypothesis import strategies as st
 
+from cxrlabel.cli import _csv_cell
 from cxrlabel.localization import Heatmap
+from cxrlabel.metrics import roc_points
 from cxrlabel.reports import (
     DependencyGraph,
     Edge,
@@ -256,3 +259,13 @@ def optimal_match_count(gts, dets, threshold, measure):
                 if all(edge[d][g] for d, g in zip(det_idx, gt_idx)):
                     return k
     return 0
+
+
+def roc_lines_by_points(cls, score_vec, label_vec, counts=None) -> str:
+    """The `--roc-out` lines of one class, one formatted point at a time:
+    the writer the byte renderer of `auc --roc-out` replaced."""
+    name = _csv_cell(cls)
+    return "".join(
+        f"{name},{fpr:.6f},{tpr:.6f}\n"
+        for fpr, tpr in roc_points(score_vec, label_vec, counts)
+    )

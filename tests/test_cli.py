@@ -2,20 +2,22 @@
 
 import csv
 import io
+import math
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cxrlabel import negation, reports
-from cxrlabel.cli import _read_scores_by_row, _read_scores_csv, main
+from cxrlabel.cli import _read_scores_by_row, _read_scores_csv, _roc_block, main
 from cxrlabel.errors import CxrLabelError
 from cxrlabel.labeling import get_config, read_labels_wide_csv
-from cxrlabel.metrics import T_GRID_IOBB, T_GRID_IOU
+from cxrlabel.metrics import T_GRID_IOBB, T_GRID_IOU, roc_counts
 
-from conftest import mutated_csv
+from conftest import mutated_csv, roc_lines_by_points
 
 DATA = Path(__file__).parent / "data"
 CORPUS = str(DATA / "labeled_corpus.tsv")
@@ -63,6 +65,75 @@ def scores_or_error(read, source):
 def last_error_line(capsys, argv):
     assert main(argv) == 2
     return capsys.readouterr().err.splitlines()[-1]
+
+
+# Each input reader: the subcommand that runs it, the flag naming its
+# file, and two lines of valid text to put before a line that is not UTF-8.
+UTF8_READERS = {
+    "config": ("split", "--config", "seed=1\nloss=wcel\n"),
+    "scores": ("auc", "--scores", "report_id,A\nr1,0.9\n"),
+    "labels": ("stats", "--labels", "report_id,A,status\nr1,1,TARGET_FINDINGS\n"),
+    "lexicon": ("label", "--lexicon", "C0004144\tAtelectasis\tT047\tatelectasis\n"
+                "# comment\n"),
+    "external-mentions": ("label", "--external-mentions", "# comment\n\n"),
+    "heatmaps": ("localize", "--heatmaps", "i1\tMass\t1\t64\n0.5\n"),
+    "boxes": ("eval-loc", "--dets", "i1\tc\t0\t0\t10\t10\t60\n# comment\n"),
+    "rules": ("label", "--rules", "# comment\n\n"),
+    "corpus": ("split", "--corpus", "r1\tp1\tfindings=No effusion.\n# comment\n"),
+    "deps": ("label", "--deps", "#sent\tr1\tfindings\t0\t1\n1\tNo\t0\t-\n"),
+}
+
+
+def command_argv(command, tmp_path):
+    """Arguments that run `command` on valid fixture inputs; an input
+    flag given after them takes precedence."""
+    out = str(tmp_path / "out")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("report_id,A,status\nr1,1,TARGET_FINDINGS\nr2,0,NORMAL\n")
+    scores = tmp_path / "scores.csv"
+    scores.write_text("report_id,A\nr1,0.9\nr2,0.1\n")
+    heatmaps = tmp_path / "maps.tsv"
+    heatmaps.write_text("i1\tc\t1\t64\n0.5\n")
+    dets = tmp_path / "dets.tsv"
+    dets.write_text("i1\tc\t0\t0\t10\t10\t60\n")
+    gt = tmp_path / "gt.tsv"
+    gt.write_text("i1\tc\t0\t0\t10\t10\n")
+    return {
+        "split": ["split", "--corpus", CORPUS, "--out", out],
+        "auc": ["auc", "--scores", str(scores), "--labels", str(labels),
+                "--out", out],
+        "stats": ["stats", "--labels", str(labels), "--out-counts", out,
+                  "--out-matrix", out],
+        "label": ["label", "--corpus", CORPUS, "--deps", DEPS,
+                  "--out-tsv", out, "--out-csv", out],
+        "localize": ["localize", "--heatmaps", str(heatmaps), "--out", out],
+        "eval-loc": ["eval-loc", "--dets", str(dets), "--gt", str(gt),
+                     "--mode", "iou", "--out", out],
+    }[command]
+
+
+# Class names whose CSV cell is plain, quoted, non-ASCII, or holds a quote.
+ROC_NAMES = ["A", "A,B", "\u00d6dem", 'say "x"']
+
+# Totals n at which some rates k / n lie exactly halfway between two
+# six-decimal values, that is 2 * (k * 10**6 % n) == n.
+TIE_TOTALS = [128, 384, *(2**7 * 5**j for j in range(1, 7))]
+
+
+@st.composite
+def tie_heavy_counts(draw, size):
+    """Cumulative counts for `roc_points`: `size` sorted values in [0, n],
+    most of them at rational ties, then the total n."""
+    n = draw(st.sampled_from(TIE_TOTALS))
+    period = n // math.gcd(n, 10**6)
+    residues = [r for r in range(period) if 2 * (r * 10**6 % n) == n]
+    ties = st.builds(
+        lambda q, r: q * period + r,
+        st.integers(0, n // period - 1), st.sampled_from(residues),
+    )
+    ks = draw(st.lists(ties | ties | st.integers(0, n),
+                       min_size=size, max_size=size))
+    return np.array(sorted(ks) + [n], dtype=np.int64)
 
 
 class TestExitCodes:
@@ -273,6 +344,54 @@ class TestExitCodes:
         assert code == 2
         last = capsys.readouterr().err.splitlines()[-1]
         assert last == f"error: {out}: No such file or directory"
+
+    @pytest.mark.parametrize("reader", sorted(UTF8_READERS))
+    def test_input_not_utf8_exits_two_with_path_and_line(
+        self, tmp_path, capsys, reader
+    ):
+        command, flag, good = UTF8_READERS[reader]
+        bad = tmp_path / f"{reader}.bad"
+        bad.write_bytes(good.encode() + b"caf\xe9\n")  # Latin-1, line 3
+        last = last_error_line(
+            capsys, [*command_argv(command, tmp_path), flag, str(bad)]
+        )
+        assert last == f"error: {bad}: line 3: not valid UTF-8"
+
+    def test_bad_byte_past_the_first_read_names_its_line(self, tmp_path, capsys):
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_bytes(b"# comment\n" * 5000 + b"\xff\n")
+        last = last_error_line(
+            capsys, [*command_argv("label", tmp_path), "--lexicon", str(lexicon)]
+        )
+        assert last == f"error: {lexicon}: line 5001: not valid UTF-8"
+
+    @pytest.mark.parametrize("command, pred, reason", [
+        ("stats", "id,A,status\nr1,1,TARGET_FINDINGS\n",
+         "wide label CSV needs report_id ... status header"),
+        ("auc", "report_id,A,status\nr1,1,TARGET_FINDINGS\nr2,0,NORMAL\n",
+         "scores CSV needs a report_id header column"),
+        ("eval-nlp", "report_id,A,C,status\nr1,1,0,TARGET_FINDINGS\n",
+         "CSV classes ('A', 'C') do not match config ('A', 'B')"),
+    ], ids=["label-header", "scores-header", "class-mismatch"])
+    def test_wide_csv_header_errors_name_line_1(
+        self, tmp_path, capsys, command, pred, reason
+    ):
+        labels = tmp_path / "labels.csv"
+        labels.write_text(pred)
+        gold = tmp_path / "gold.csv"
+        gold.write_text("report_id,A,B,status\nr1,1,0,TARGET_FINDINGS\n")
+        scores = tmp_path / "scores.csv"
+        scores.write_text("id,A\nr1,0.9\nr2,0.1\n")
+        out = str(tmp_path / "out.csv")
+        argv = {
+            "stats": ["stats", "--labels", str(labels), "--out-counts", out,
+                      "--out-matrix", str(tmp_path / "m.csv")],
+            "auc": ["auc", "--scores", str(scores), "--labels", str(labels),
+                    "--out", out],
+            "eval-nlp": ["eval-nlp", "--pred", str(labels), "--gold", str(gold),
+                         "--out", out],
+        }[command]
+        assert last_error_line(capsys, argv) == f"error: line 1: {reason}"
 
 
 class TestConfigResolution:
@@ -579,6 +698,75 @@ class TestAucCommand:
         ):
             writer.writerow(["A,B", *point])
         assert roc.read_text() == expected.getvalue()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        name=st.sampled_from(ROC_NAMES),
+        pairs=st.lists(
+            st.tuples(
+                st.integers(0, 3).map(float) | st.floats(-1e3, 1e3),
+                st.integers(0, 1),
+            ),
+            min_size=2, max_size=80,
+        ).filter(lambda pairs: len({label for _, label in pairs}) == 2),
+    )
+    def test_roc_block_equals_per_point_writer(self, name, pairs):
+        scores = np.array([score for score, _ in pairs])
+        labels = np.array([label for _, label in pairs])
+        block = _roc_block(name, *roc_counts(scores, labels))
+        assert block.decode("utf-8") == roc_lines_by_points(name, scores, labels)
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(ROC_NAMES), size=st.integers(0, 40),
+           data=st.data())
+    def test_roc_block_equals_per_point_writer_at_rational_ties(
+        self, name, size, data
+    ):
+        tp = data.draw(tie_heavy_counts(size))
+        fp = data.draw(tie_heavy_counts(size))
+        block = _roc_block(name, tp, fp)
+        assert block.decode("utf-8") == roc_lines_by_points(name, None, None, (tp, fp))
+
+    @pytest.mark.parametrize("k, n, cell", [
+        (1, 128, "0.007812"), (3, 128, "0.023438"),
+        (5, 2_000_000, "0.000003"), (7, 2_000_000, "0.000003"),
+    ])
+    def test_rational_tie_rounds_as_the_double_does(self, k, n, cell):
+        tp = np.array([n], dtype=np.int64)
+        fp = np.array([k, n], dtype=np.int64)
+        lines = _roc_block("A", np.append(tp, tp), fp).decode().splitlines()
+        assert lines[1] == f"A,{cell},1.000000"
+
+    def test_roc_out_streams_each_class_in_config_order(self, tmp_path):
+        names = ["A,B", "flat", "\u00d6dem", 'say "x"']
+        rng = np.random.default_rng(8)
+        y = rng.integers(0, 2, size=(40, 4))
+        y[:, 1] = 1  # no negatives: no curve
+        scores = rng.integers(0, 6, size=(40, 4)) / 4
+        ids = [f"r{i:02d}" for i in range(40)]
+        labels_path = tmp_path / "labels.csv"
+        scores_path = tmp_path / "scores.csv"
+        with open(labels_path, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(["report_id", *names, "status"])
+            for rid, row in zip(ids, y):
+                writer.writerow([rid, *row, "TARGET_FINDINGS"])
+        with open(scores_path, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(["report_id", *reversed(names)])
+            for rid, row in zip(ids, scores):
+                writer.writerow([rid, *map(repr, row[::-1].tolist())])
+        roc = tmp_path / "roc.csv"
+        code = main([
+            "auc", "--scores", str(scores_path), "--labels", str(labels_path),
+            "--out", str(tmp_path / "auc.csv"), "--roc-out", str(roc),
+        ])
+        assert code == 0
+        expected = "class,fpr,tpr\n" + "".join(
+            roc_lines_by_points(name, scores[:, c], y[:, c])
+            for c, name in enumerate(names) if name != "flat"
+        )
+        assert roc.read_bytes() == expected.encode("utf-8")
 
     def test_plain_scores_skip_the_row_parser(self, tmp_path):
         scores, _ = self.write_inputs(tmp_path)
