@@ -46,6 +46,7 @@ from cxrlabel.localization import (
     BBox,
     Heatmap,
     boxes_from_heatmap,
+    boxes_from_heatmaps,
     iobb,
     iou,
     load_boxes,
@@ -403,9 +404,7 @@ def cmd_auc(args, config: RunConfig) -> int:
 
 def cmd_localize(args, config: RunConfig) -> int:
     heatmaps = load_heatmaps(_require(args.heatmaps, "heatmaps"))
-    boxes: list[BBox] = []
-    for heatmap in heatmaps:
-        boxes.extend(boxes_from_heatmap(heatmap, config.thresholds))
+    boxes = boxes_from_heatmaps(heatmaps, config.thresholds)
     boxes.sort(
         key=lambda b: (b.image_id, b.label, b.threshold, b.y, b.x, b.w, b.h)
     )

@@ -68,53 +68,127 @@ class BBox:
 def normalize_heatmap(heatmap) -> np.ndarray:
     """Map scores linearly onto integers 0..255, rounding half-up.
 
-    A constant grid normalizes to all zeros: it carries no localization
-    evidence.
+    Takes a Heatmap, a grid, or a stack of grids (..., S, S); each grid
+    of a stack is normalized on its own. A constant grid normalizes to all
+    zeros: it carries no localization evidence.
     """
     grid = heatmap.grid if isinstance(heatmap, Heatmap) else np.asarray(
         heatmap, dtype=float
     )
-    lo = float(np.min(grid))
-    hi = float(np.max(grid))
-    if hi == lo:
-        return np.zeros(grid.shape, dtype=int)
-    scaled = (grid - lo) * (255.0 / (hi - lo))
-    return np.floor(scaled + 0.5).astype(int)
+    lo = grid.min(axis=(-2, -1), keepdims=True)
+    span = grid.max(axis=(-2, -1), keepdims=True) - lo
+    # A constant grid has grid - lo == 0, so any finite scale maps it to 0.
+    scale = 255.0 / np.where(span == 0, 1.0, span)
+    return np.floor((grid - lo) * scale + 0.5).astype(int)
 
 
-_NEIGHBORS = tuple(
-    (dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)
-)
+def _check_threshold(t):
+    if not 0 <= t <= 255:
+        raise MalformedRow(f"threshold {t} outside 0..255")
+
+
+def _hook(root: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """One round of labelling, in place on `root`, where every node points
+    at the root of its tree on entry and again on return.
+
+    Drops the links a[i]-b[i] inside one tree, hooks every root linked to
+    a smaller root onto the smallest of them, then jumps pointers until
+    each node points at its root. Roots only ever point at smaller nodes,
+    so the root of a tree is its smallest node. As in Shiloach-Vishkin,
+    every tree with a link out merges within two rounds, so the rounds
+    grow with the log of a component's size, not with its diameter.
+    Returns the links that joined two trees.
+    """
+    ra, rb = root[a], root[b]
+    cross = ra != rb
+    a, b, ra, rb = a[cross], b[cross], ra[cross], rb[cross]
+    np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+    while True:
+        jumped = root[root]
+        if np.array_equal(jumped, root):
+            return a, b
+        root[:] = jumped
+
+
+def _label(flat: np.ndarray, width: int):
+    """Label the 8-connected regions of a flattened bool stack of rows
+    `width` long whose first and last rows and columns are all False.
+
+    Returns the index in `flat` of every mask cell, ascending, and for
+    each cell the position in that array of its region's first cell.
+    """
+    cells = np.flatnonzero(flat)
+    left, right = flat[cells - 1], flat[cells + 1]
+    # Each run of cells along a row starts as one tree, rooted at its
+    # first cell.
+    root = np.where(left, 0, np.arange(len(cells)))
+    np.maximum.accumulate(root, out=root)
+    # Link the runs of adjacent rows through the fewest cells: a cell to
+    # the one below it, unless its left neighbour's link joins the same
+    # two runs, and diagonally only where neither the cell below nor the
+    # one beside it joins them. The border keeps every link in its slab.
+    down = flat[cells + width]
+    down_left = flat[cells + width - 1]
+    down_right = flat[cells + width + 1]
+    heads, tails = [], []
+    for step, linked in ((width, down & ~(left & down_left)),
+                         (width - 1, down_left & ~left & ~down),
+                         (width + 1, down_right & ~right & ~down)):
+        linked = np.flatnonzero(linked)
+        heads.append(linked)
+        tails.append(np.searchsorted(cells, cells[linked] + step))
+    a, b = np.concatenate(heads), np.concatenate(tails)
+    while len(a):
+        a, b = _hook(root, a, b)
+    return cells, root
+
+
+def _regions(padded: np.ndarray):
+    """The 8-connected regions of each (H+2, W+2) slab of a bool stack
+    whose border cells are all False, labelled over the mask cells only.
+
+    Returns the slab, row and column of every mask cell (row-major within
+    each slab, rows and columns counted inside the border), the region of
+    each cell, and the slab, min row, min col, max row and max col of each
+    region. Regions are numbered by slab, then (min row, min col), then
+    their first cell in row-major order.
+    """
+    _, height, width = padded.shape
+    cells, root = _label(padded.ravel(), width)
+    firsts = np.flatnonzero(root == np.arange(len(root)))
+    region = np.searchsorted(firsts, root)
+    slab, row = np.divmod(cells, height * width)
+    row, col = np.divmod(row, width)
+    row -= 1
+    col -= 1
+    count = len(firsts)
+    c0 = np.full(count, width)
+    r1 = np.full(count, -1)
+    c1 = np.full(count, -1)
+    np.minimum.at(c0, region, col)
+    np.maximum.at(r1, region, row)
+    np.maximum.at(c1, region, col)
+    s, r0 = slab[firsts], row[firsts]
+    order = np.lexsort((firsts, c0, r0, s))
+    rank = np.empty(count, dtype=np.intp)
+    rank[order] = np.arange(count)
+    return (slab, row, col), rank[region], (s[order], r0[order], c0[order],
+                                            r1[order], c1[order])
 
 
 def connected_regions(intgrid, t: int) -> list[frozenset[tuple[int, int]]]:
     """8-connected components of cells with value > t, ordered by their
-    top-left extreme (min row, then min col)."""
-    if not 0 <= t <= 255:
-        raise MalformedRow(f"threshold {t} outside 0..255")
-    rows, cols = np.nonzero(np.asarray(intgrid) > t)
-    mask_cells = list(zip(rows.tolist(), cols.tolist()))
-    # Mask cells not yet in a region; a neighbour off the grid is never here.
-    unvisited = set(mask_cells)
-    regions: list[frozenset[tuple[int, int]]] = []
-    for seed in mask_cells:  # row-major, as the sort below expects for ties
-        if seed not in unvisited:
-            continue
-        unvisited.remove(seed)
-        region = [seed]
-        stack = [seed]
-        while stack:
-            r, c = stack.pop()
-            for dr, dc in _NEIGHBORS:
-                cell = (r + dr, c + dc)
-                if cell in unvisited:
-                    unvisited.remove(cell)
-                    region.append(cell)
-                    stack.append(cell)
-        regions.append(frozenset(region))
-    regions.sort(key=lambda cells: (min(r for r, _ in cells),
-                                    min(c for _, c in cells)))
-    return regions
+    top-left extreme (min row, then min col), then by their first cell in
+    row-major order."""
+    _check_threshold(t)
+    grid = np.asarray(intgrid)
+    padded = np.zeros((1, grid.shape[0] + 2, grid.shape[1] + 2), dtype=bool)
+    padded[0, 1:-1, 1:-1] = grid > t
+    (_, rows, cols), region, extents = _regions(padded)
+    regions: list[list[tuple[int, int]]] = [[] for _ in extents[0]]
+    for r, c, k in zip(rows.tolist(), cols.tolist(), region.tolist()):
+        regions[k].append((r, c))
+    return [frozenset(cells) for cells in regions]
 
 
 def boxes_from_heatmap(
@@ -126,32 +200,64 @@ def boxes_from_heatmap(
     with f = image_dim / S. The union over thresholds is returned as-is:
     nested or duplicate boxes are not merged.
     """
+    return boxes_from_heatmaps([heatmap], thresholds)
+
+
+# At most this many cells are normalized in one numpy pass, which bounds
+# the float working memory however many maps there are.
+_NORMALIZE_CELLS = 1 << 16
+
+
+def boxes_from_heatmaps(
+    heatmaps: Iterable[Heatmap], thresholds: Iterable[int] = DEFAULT_THRESHOLDS
+) -> list[BBox]:
+    """`boxes_from_heatmap` of each map, concatenated in map order.
+
+    The maps of one size are thresholded at every threshold into one bool
+    stack and labelled together, over the mask cells only.
+    """
+    heatmaps = list(heatmaps)
     thresholds = sorted(set(thresholds))
     if not thresholds:
         raise MalformedRow("thresholds must be nonempty")
-    intgrid = normalize_heatmap(heatmap)
-    factor = heatmap.image_dim / heatmap.size
-    boxes: list[BBox] = []
     for t in thresholds:
-        for cells in connected_regions(intgrid, t):
-            r0 = min(r for r, _ in cells)
-            r1 = max(r for r, _ in cells)
-            c0 = min(c for _, c in cells)
-            c1 = max(c for _, c in cells)
-            x = c0 * factor
-            y = r0 * factor
-            w = (c1 - c0 + 1) * factor
-            h = (r1 - r0 + 1) * factor
-            # Clip to image bounds; the grid arithmetic already lands
-            # inside, this guards float fuzz only.
-            x = max(0.0, x)
-            y = max(0.0, y)
-            w = min(w, heatmap.image_dim - x)
-            h = min(h, heatmap.image_dim - y)
-            boxes.append(
-                BBox(heatmap.image_id, heatmap.label, x, y, w, h, threshold=t)
-            )
-    return boxes
+        _check_threshold(t)
+    levels = np.array(thresholds)[:, None, None]
+    by_size: dict[int, list[int]] = {}
+    for k, heatmap in enumerate(heatmaps):
+        by_size.setdefault(heatmap.size, []).append(k)
+    per_map: list[list[BBox]] = [[] for _ in heatmaps]
+    for size, members in by_size.items():
+        padded = np.zeros((len(members), len(thresholds), size + 2, size + 2),
+                          dtype=bool)
+        step = max(1, _NORMALIZE_CELLS // (size * size))
+        for start in range(0, len(members), step):
+            part = members[start:start + step]
+            intgrids = normalize_heatmap(np.stack([heatmaps[k].grid for k in part]))
+            np.greater(intgrids[:, None], levels,
+                       out=padded[start:start + step, :, 1:-1, 1:-1])
+        _, _, (slab, r0, c0, r1, c1) = _regions(
+            padded.reshape(-1, size + 2, size + 2)
+        )
+        member, level = np.divmod(slab, len(thresholds))
+        factor = np.array([heatmaps[k].image_dim / size for k in members])[member]
+        dim = np.array([float(heatmaps[k].image_dim) for k in members])[member]
+        x = c0 * factor
+        y = r0 * factor
+        w = (c1 - c0 + 1) * factor
+        h = (r1 - r0 + 1) * factor
+        # Clip to image bounds; the grid arithmetic already lands inside,
+        # this guards float fuzz only.
+        x = np.maximum(0.0, x)
+        y = np.maximum(0.0, y)
+        w = np.minimum(w, dim - x)
+        h = np.minimum(h, dim - y)
+        for m, t, *geometry in zip(member.tolist(), level.tolist(), x.tolist(),
+                                   y.tolist(), w.tolist(), h.tolist()):
+            k = members[m]
+            per_map[k].append(BBox(heatmaps[k].image_id, heatmaps[k].label,
+                                   *geometry, threshold=thresholds[t]))
+    return [box for boxes in per_map for box in boxes]
 
 
 def _intersection(a: BBox, b: BBox) -> float:
@@ -185,50 +291,108 @@ OVERLAP_MEASURES = {"iou": iou, "iobb": iobb}
 
 def load_heatmaps(path) -> list[Heatmap]:
     """Read blocks of "image_id<TAB>class<TAB>S<TAB>image_dim" headers,
-    each followed by S rows of S space-separated scores."""
-    heatmaps: list[Heatmap] = []
+    each followed by S rows of S space-separated scores. A file names
+    each (image_id, class) at most once.
+
+    The grid rows of all maps of one size are parsed with one `loadtxt`.
+    A size whose rows do not all parse to finite values is read again
+    block by block, so the error reported is the first in the file.
+    """
     with open_input(path) as handle:
         lines = [line.rstrip("\n") for line in handle]
-    i = 0
-    while i < len(lines):
-        if not lines[i].strip() or lines[i].startswith("#"):
-            i += 1
-            continue
-        fields = lines[i].split("\t")
-        if len(fields) != 4:
-            raise MalformedRow("heatmap header needs 4 fields", i + 1)
-        image_id, label, size_s, dim_s = fields
-        try:
-            size = int(size_s)
-            image_dim = float(dim_s)
-        except ValueError:
-            raise MalformedRow("non-numeric size/dim", i + 1) from None
-        if size < 1:
-            raise MalformedRow(f"heatmap size must be >= 1, got {size}", i + 1)
-        if not (math.isfinite(image_dim) and image_dim > 0):
-            raise MalformedRow(
-                f"image_dim must be finite and > 0, got {dim_s}", i + 1
-            )
-        if i + 1 + size > len(lines):
-            raise MalformedRow(f"expected {size} grid rows", i + 1)
-        block = lines[i + 1:i + 1 + size]
-        try:
-            # loadtxt reads a subset of the tokens float() reads, to the same
-            # values; it skips blank rows, and warns when every row is blank.
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                grid = np.loadtxt(block, ndmin=2, comments=None)
-        except ValueError:
-            grid = None
-        if grid is None or grid.shape != (size, size):
-            grid = _parse_grid_rows(block, size, i + 2)
-        finite_rows = np.isfinite(grid).all(axis=-1)
-        if not finite_rows.all():
-            first = int(np.argmin(finite_rows))
-            raise MalformedRow("non-finite score", i + 2 + first)
+    headers, header_error = _read_headers(lines)
+    by_size: dict[int, list[int]] = {}
+    for _, _, size, _, i in headers:
+        by_size.setdefault(size, []).append(i)
+    grids: dict[int, np.ndarray] = {}
+    for size, starts in by_size.items():
+        rows = [row for i in starts for row in lines[i + 1:i + 1 + size]]
+        values = _loadtxt(rows)
+        # min and max are finite only when every score is, and need no
+        # array of flags as large as the grids.
+        if (values is not None and values.shape == (len(rows), size)
+                and math.isfinite(values.min()) and math.isfinite(values.max())):
+            for k, i in enumerate(starts):
+                grids[i] = values[k * size:(k + 1) * size]
+    heatmaps: list[Heatmap] = []
+    for image_id, label, size, image_dim, i in headers:
+        grid = grids.get(i)
+        if grid is None:
+            grid = _read_grid(lines[i + 1:i + 1 + size], size, i + 2)
         heatmaps.append(Heatmap(image_id, label, grid, image_dim))
-        i += 1 + size
+    if header_error is not None:
+        raise header_error
     return heatmaps
+
+
+def _read_headers(lines: list[str]):
+    """The (image_id, class, S, image_dim, line index) of each header in
+    file order, up to the first bad one, and that header's error (None
+    when every header is good). Skips S grid rows after each header."""
+    headers = []
+    seen: set[tuple[str, str]] = set()
+    i = 0
+    try:
+        while i < len(lines):
+            if not lines[i].strip() or lines[i].startswith("#"):
+                i += 1
+                continue
+            fields = lines[i].split("\t")
+            if len(fields) != 4:
+                raise MalformedRow("heatmap header needs 4 fields", i + 1)
+            image_id, label, size_s, dim_s = fields
+            try:
+                size = int(size_s)
+                image_dim = float(dim_s)
+            except ValueError:
+                raise MalformedRow("non-numeric size/dim", i + 1) from None
+            if size < 1:
+                raise MalformedRow(f"heatmap size must be >= 1, got {size}", i + 1)
+            if not (math.isfinite(image_dim) and image_dim > 0):
+                raise MalformedRow(
+                    f"image_dim must be finite and > 0, got {dim_s}", i + 1
+                )
+            if i + 1 + size > len(lines):
+                raise MalformedRow(f"expected {size} grid rows", i + 1)
+            if (image_id, label) in seen:
+                raise MalformedRow(
+                    f"duplicate heatmap for image {image_id!r}, class {label!r}",
+                    i + 1,
+                )
+            seen.add((image_id, label))
+            headers.append((image_id, label, size, image_dim, i))
+            i += 1 + size
+    except MalformedRow as err:
+        return headers, err
+    return headers, None
+
+
+def _loadtxt(rows: list[str]) -> Optional[np.ndarray]:
+    """`np.loadtxt` of the rows as a 2-d array, or None when it raises.
+
+    loadtxt reads a subset of the tokens float() reads, to the same
+    values; it skips blank rows, and warns when every row is blank.
+    Given the row count, it allocates the array once instead of growing it.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            return np.loadtxt(rows, ndmin=2, comments=None, max_rows=len(rows))
+    except ValueError:
+        return None
+
+
+def _read_grid(block: list[str], size: int, row_no: int) -> np.ndarray:
+    """One S x S grid, its first row numbered row_no: loadtxt when that
+    gives the shape, else the per-row parser; non-finite rows are named."""
+    grid = _loadtxt(block)
+    if grid is None or grid.shape != (size, size):
+        grid = _parse_grid_rows(block, size, row_no)
+    finite_rows = np.isfinite(grid).all(axis=-1)
+    if not finite_rows.all():
+        first = int(np.argmin(finite_rows))
+        raise MalformedRow("non-finite score", row_no + first)
+    return grid
 
 
 def _parse_grid_rows(block: list[str], size: int, row_no: int) -> np.ndarray:

@@ -152,17 +152,15 @@ class LocEvalResult:
     n_images: int
 
 
-def _greedy_match(
-    gts: list[BBox], dets: list[BBox], threshold: float, measure
-) -> tuple[int, int]:
-    """Returns (matched gt count, unmatched det count) for one image/class."""
-    if not gts:
-        return 0, len(dets)
-    overlap = [[measure(gt, det) for gt in gts] for det in dets]
+def _greedy_match(overlap: list[list[float]], threshold: float) -> tuple[int, int]:
+    """(matched gt count, unmatched det count) for one image/class, from
+    overlap[d][g], the overlap of detection d with ground-truth box g."""
+    if not overlap or not overlap[0]:
+        return 0, len(overlap)
     det_order = sorted(
-        range(len(dets)), key=lambda d: (-max(overlap[d]), d)
+        range(len(overlap)), key=lambda d: (-max(overlap[d]), d)
     )
-    free = set(range(len(gts)))
+    free = set(range(len(overlap[0])))
     matched = 0
     unmatched = 0
     for d in det_order:
@@ -180,6 +178,11 @@ def _greedy_match(
     return matched, unmatched
 
 
+def _check_threshold(threshold: float):
+    if not 0 < threshold < 1:
+        raise MalformedRow(f"threshold {threshold} outside (0,1)")
+
+
 def localization_eval(
     detections: Iterable[BBox],
     gts: Iterable[BBox],
@@ -193,10 +196,29 @@ def localization_eval(
     divided by the evaluation image count (the distinct image ids across
     both inputs unless given explicitly; an explicit count must be >= 1).
     """
+    return localization_sweep(detections, gts, mode, (threshold,), n_images)[0]
+
+
+def localization_sweep(
+    detections: Iterable[BBox],
+    gts: Iterable[BBox],
+    mode: str,
+    grid: Optional[Iterable[float]] = None,
+    n_images: Optional[int] = None,
+) -> list[LocEvalResult]:
+    """`localization_eval` at each threshold of the grid (the mode's
+    T_GRID_* by default). Each (gt, detection) pair of a (class, image)
+    group is measured once, and every threshold matches on those overlaps.
+    """
+    if grid is None:
+        grid = T_GRID_IOBB if mode == "iobb" else T_GRID_IOU
+    grid = list(grid)
+    if not grid:
+        return []
     if mode not in OVERLAP_MEASURES:
         raise MalformedRow(f"unknown overlap mode {mode!r}")
-    if not 0 < threshold < 1:
-        raise MalformedRow(f"threshold {threshold} outside (0,1)")
+    # Checked before any overlap is measured, as at every threshold.
+    _check_threshold(grid[0])
     measure = OVERLAP_MEASURES[mode]
     detections = list(detections)
     gts = list(gts)
@@ -211,36 +233,29 @@ def localization_eval(
     for side, boxes in enumerate((gts, detections)):
         for box in boxes:
             groups.setdefault((box.label, box.image_id), ([], []))[side].append(box)
-
-    matched: dict[str, int] = {c: 0 for c in classes}
     total_gt: dict[str, int] = {c: 0 for c in classes}
-    unmatched_det: dict[str, int] = {c: 0 for c in classes}
+    scored = []  # (class, overlap of each detection with each gt) per group
     for (cls, _), (image_gts, image_dets) in groups.items():
-        hit, miss = _greedy_match(image_gts, image_dets, threshold, measure)
-        matched[cls] += hit
         total_gt[cls] += len(image_gts)
-        unmatched_det[cls] += miss
+        scored.append(
+            (cls, [[measure(gt, det) for gt in image_gts] for det in image_dets])
+        )
 
-    acc = {
-        c: matched[c] / total_gt[c] for c in classes if total_gt[c] > 0
-    }
-    afp = {c: unmatched_det[c] / n_images for c in classes}
-    return LocEvalResult(
-        mode, threshold, acc, afp, matched, total_gt, unmatched_det, n_images
-    )
-
-
-def localization_sweep(
-    detections: Iterable[BBox],
-    gts: Iterable[BBox],
-    mode: str,
-    grid: Optional[Iterable[float]] = None,
-    n_images: Optional[int] = None,
-) -> list[LocEvalResult]:
-    if grid is None:
-        grid = T_GRID_IOBB if mode == "iobb" else T_GRID_IOU
-    detections = list(detections)
-    gts = list(gts)
-    return [
-        localization_eval(detections, gts, t, mode, n_images) for t in grid
-    ]
+    results = []
+    for threshold in grid:
+        _check_threshold(threshold)
+        matched: dict[str, int] = {c: 0 for c in classes}
+        unmatched_det: dict[str, int] = {c: 0 for c in classes}
+        for cls, overlap in scored:
+            hit, miss = _greedy_match(overlap, threshold)
+            matched[cls] += hit
+            unmatched_det[cls] += miss
+        acc = {
+            c: matched[c] / total_gt[c] for c in classes if total_gt[c] > 0
+        }
+        afp = {c: unmatched_det[c] / n_images for c in classes}
+        results.append(LocEvalResult(
+            mode, threshold, acc, afp, matched, dict(total_gt), unmatched_det,
+            n_images,
+        ))
+    return results

@@ -863,6 +863,13 @@ class TestLocalizeCommand:
         assert last == f"error: row 3: image_dim must be finite and > 0, got {dim}"
         assert not (tmp_path / "b.tsv").exists()
 
+    def test_duplicate_heatmap_exits_two_at_its_second_header(self, tmp_path, capsys):
+        text = ("img1\tMass\t2\t64\n0 1\n1 0\nimg1\tNodule\t1\t64\n5\n"
+                "img1\tMass\t2\t64\n0 1\n1 0\n")
+        last = self.last_error_line(tmp_path, capsys, text)
+        assert last == "error: row 6: duplicate heatmap for image 'img1', class 'Mass'"
+        assert not (tmp_path / "b.tsv").exists()
+
 
 class TestEvalLocCommand:
     def write_inputs(self, tmp_path):

@@ -1,6 +1,9 @@
 """Heatmap thresholding, connected regions, box generation, overlap scores."""
 
 import io
+import math
+import time
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -10,12 +13,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
+from cxrlabel import localization
 from cxrlabel.errors import CxrLabelError, MalformedRow, ZeroAreaDetection
 from cxrlabel.localization import (
     DEFAULT_THRESHOLDS,
     BBox,
     Heatmap,
+    _parse_grid_rows,
     boxes_from_heatmap,
+    boxes_from_heatmaps,
     connected_regions,
     iobb,
     iou,
@@ -73,6 +79,92 @@ def connected_regions_by_scan(intgrid, t):
     return regions
 
 
+def connected_regions_by_fill(intgrid, t):
+    """Reference: seed regions at the mask cells in row-major order and
+    flood-fill each through the set of mask cells not yet visited; regions
+    are then stably sorted by (min row, min col)."""
+    rows, cols = np.nonzero(np.asarray(intgrid) > t)
+    mask_cells = list(zip(rows.tolist(), cols.tolist()))
+    unvisited = set(mask_cells)
+    regions = []
+    for seed in mask_cells:
+        if seed not in unvisited:
+            continue
+        unvisited.remove(seed)
+        region = [seed]
+        stack = [seed]
+        while stack:
+            r, c = stack.pop()
+            for dr, dc in _NEIGHBORS:
+                cell = (r + dr, c + dc)
+                if cell in unvisited:
+                    unvisited.remove(cell)
+                    region.append(cell)
+                    stack.append(cell)
+        regions.append(frozenset(region))
+    regions.sort(key=lambda cells: (min(r for r, _ in cells),
+                                    min(c for _, c in cells)))
+    return regions
+
+
+def boxes_by_fill(heatmap, thresholds):
+    """Reference: one map at a time, normalized on its own, its regions
+    found by flood fill and boxed with min/max over their cells."""
+    grid = heatmap.grid
+    lo, hi = float(np.min(grid)), float(np.max(grid))
+    if hi == lo:
+        intgrid = np.zeros(grid.shape, dtype=int)
+    else:
+        intgrid = np.floor((grid - lo) * (255.0 / (hi - lo)) + 0.5).astype(int)
+    factor = heatmap.image_dim / heatmap.size
+    boxes = []
+    for t in sorted(set(thresholds)):
+        for cells in connected_regions_by_fill(intgrid, t):
+            r0 = min(r for r, _ in cells)
+            r1 = max(r for r, _ in cells)
+            c0 = min(c for _, c in cells)
+            c1 = max(c for _, c in cells)
+            x = max(0.0, c0 * factor)
+            y = max(0.0, r0 * factor)
+            w = min((c1 - c0 + 1) * factor, heatmap.image_dim - x)
+            h = min((r1 - r0 + 1) * factor, heatmap.image_dim - y)
+            boxes.append(BBox(heatmap.image_id, heatmap.label, x, y, w, h, t))
+    return boxes
+
+
+def serpentine(size):
+    """One path that runs along every even row and turns at alternate
+    ends: about size**2 / 2 cells, with a geodesic length of the same."""
+    grid = np.zeros((size, size))
+    grid[::2] = 1.0
+    grid[1::4, -1] = 1.0
+    grid[3::4, 0] = 1.0
+    return grid
+
+
+def spiral(size):
+    """A one-cell-wide path spiralling in from the top-left corner, one
+    free cell between its turns: a geodesic length of about size**2 / 2."""
+    grid = np.zeros((size, size))
+    r, c, dr, dc = 0, 0, 0, 1
+    grid[0, 0] = 1.0
+
+    def free(row, col):
+        return 0 <= row < size and 0 <= col < size and not grid[row, col]
+
+    while True:
+        for _ in range(2):  # straight on, else turn right
+            ahead = not (0 <= r + 2 * dr < size and 0 <= c + 2 * dc < size
+                         and grid[r + 2 * dr, c + 2 * dc])
+            if free(r + dr, c + dc) and ahead:
+                r, c = r + dr, c + dc
+                grid[r, c] = 1.0
+                break
+            dr, dc = dc, -dr
+        else:
+            return grid
+
+
 @st.composite
 def int_grids(draw):
     size = draw(st.integers(1, 16))
@@ -116,14 +208,146 @@ def heatmap_texts(draw):
     return "\n".join([f"i1\tMass\t{size}\t64", *rows, "i2\tMass\t1\t8", "5"])
 
 
-def loaded_or_error(path):
+def loaded_or_error(path, loader=load_heatmaps):
     try:
         return [
             (h.image_id, h.label, h.image_dim, h.grid.shape, h.grid.tobytes())
-            for h in load_heatmaps(path)
+            for h in loader(path)
         ]
     except CxrLabelError as err:
         return str(err)
+
+
+def load_heatmaps_by_block(path):
+    """Reference: read each block in file order, its grid with one
+    loadtxt, falling back to the per-row parser when that does not give
+    an S x S grid; stop at the first bad header or row."""
+    heatmaps = []
+    with open(path, encoding="utf-8") as handle:
+        lines = [line.rstrip("\n") for line in handle]
+    i = 0
+    while i < len(lines):
+        if not lines[i].strip() or lines[i].startswith("#"):
+            i += 1
+            continue
+        fields = lines[i].split("\t")
+        if len(fields) != 4:
+            raise MalformedRow("heatmap header needs 4 fields", i + 1)
+        image_id, label, size_s, dim_s = fields
+        try:
+            size = int(size_s)
+            image_dim = float(dim_s)
+        except ValueError:
+            raise MalformedRow("non-numeric size/dim", i + 1) from None
+        if size < 1:
+            raise MalformedRow(f"heatmap size must be >= 1, got {size}", i + 1)
+        if not (math.isfinite(image_dim) and image_dim > 0):
+            raise MalformedRow(
+                f"image_dim must be finite and > 0, got {dim_s}", i + 1
+            )
+        if i + 1 + size > len(lines):
+            raise MalformedRow(f"expected {size} grid rows", i + 1)
+        block = lines[i + 1:i + 1 + size]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                grid = np.loadtxt(block, ndmin=2, comments=None)
+        except ValueError:
+            grid = None
+        if grid is None or grid.shape != (size, size):
+            grid = _parse_grid_rows(block, size, i + 2)
+        finite_rows = np.isfinite(grid).all(axis=-1)
+        if not finite_rows.all():
+            raise MalformedRow("non-finite score", i + 2 + int(np.argmin(finite_rows)))
+        heatmaps.append(Heatmap(image_id, label, grid, image_dim))
+        i += 1 + size
+    return heatmaps
+
+
+# A bad grid row: replace the row, or one of its cells.
+BAD_ROWS = ["cell x", "cell nan", "cell inf", "blank", "short", "long"]
+# A bad header for block k ({size} is the size of its grid rows).
+BAD_HEADERS = [
+    "i{k}\tC\t{size}",
+    "i{k}\tC\t0\t64",
+    "i{k}\tC\t-1\t64",
+    "i{k}\tC\tx\t64",
+    "i{k}\tC\t{size}\tinf",
+    "i{k}\tC\t{size}\t0",
+    "i{k}\tC\t99\t64",
+]
+
+
+@st.composite
+def interleaved_heatmap_texts(draw):
+    """Blocks of several sizes, with blank and comment lines between
+    them; maybe a bad grid row in one block and a bad header in the same
+    or a later block (or after the last)."""
+    sizes = draw(st.lists(st.sampled_from([1, 2, 3, 5]), min_size=1, max_size=6))
+    bad_row = draw(st.none() | st.tuples(
+        st.integers(0, len(sizes) - 1), st.integers(0, 4), st.sampled_from(BAD_ROWS)
+    ))
+    first_bad_header = bad_row[0] if bad_row else 0
+    bad_header = draw(st.none() | st.tuples(
+        st.integers(first_bad_header, len(sizes)), st.sampled_from(BAD_HEADERS)
+    ))
+    lines = []
+    for k, size in enumerate([*sizes, 1]):
+        lines.extend(draw(st.lists(st.sampled_from(["", "# note", " ", "\t"]),
+                                   max_size=2)))
+        if bad_header and bad_header[0] == k:
+            lines.append(bad_header[1].format(k=k, size=size))
+        elif k == len(sizes):
+            break
+        else:
+            dim = draw(st.sampled_from(["64", "100", "7.5"]))
+            lines.append(f"i{k}\tC{k % 2}\t{size}\t{dim}")
+        for r in range(size):
+            cells = [f"{v:.3f}" for v in draw(
+                st.lists(st.floats(0, 1), min_size=size, max_size=size)
+            )]
+            if bad_row and bad_row[0] == k and bad_row[1] % size == r:
+                kind = bad_row[2]
+                if kind.startswith("cell "):
+                    cells[draw(st.integers(0, size - 1))] = kind[5:]
+                elif kind == "blank":
+                    cells = []
+                elif kind == "short":
+                    cells.pop()
+                else:
+                    cells.append("0.5")
+            lines.append(" ".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def heatmap_lists(draw):
+    """Up to six maps of sizes 1..40 in one list: normal scores, plateaus
+    of a few levels (many ties), checkerboards of them (corner-only
+    contacts) and constant maps, with image_dim values that S does not
+    divide evenly."""
+    maps = []
+    for k in range(draw(st.integers(0, 6))):
+        size = draw(st.integers(1, 40))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        kind = draw(st.sampled_from(["normal", "levels", "checker", "constant"]))
+        if kind == "constant":
+            grid = np.full((size, size), draw(st.floats(-1e3, 1e3)))
+        elif kind == "normal":
+            grid = rng.normal(size=(size, size))
+        else:
+            grid = rng.integers(0, 4, size=(size, size)).astype(float)
+            if kind == "checker":
+                grid[np.add.outer(np.arange(size), np.arange(size)) % 2 == 1] = 0.0
+        dim = draw(st.sampled_from([1, 7, 100, 333.3, 1000, 1024.0, 0.001]))
+        maps.append(Heatmap(f"i{k}", f"c{size}", grid, dim))
+    return maps
+
+
+THRESHOLD_SETS = st.lists(
+    st.sampled_from([0, 1, 60, 128, 180, 254, 255]) | st.integers(0, 255),
+    min_size=1, max_size=4,
+)
 
 
 def pixel_cells(box: BBox):
@@ -157,6 +381,14 @@ class TestNormalize:
     def test_accepts_heatmap_object(self):
         hm = Heatmap("i1", "Mass", np.array([[0.0, 1.0], [0.5, 0.25]]), 1024)
         assert normalize_heatmap(hm)[0, 1] == 255
+
+    def test_stack_normalizes_each_grid_on_its_own(self):
+        rng = np.random.default_rng(3)
+        grids = [rng.normal(size=(5, 5)), np.full((5, 5), 2.0),
+                 rng.integers(0, 3, size=(5, 5)) * 1e-300]
+        stacked = normalize_heatmap(np.stack(grids))
+        for grid, out in zip(grids, stacked):
+            assert out.tolist() == normalize_heatmap(grid).tolist()
 
 
 class TestConnectedRegions:
@@ -308,6 +540,65 @@ class TestBoxesFromHeatmap:
             boxes_from_heatmap(hm, thresholds=())
 
 
+class TestBoxesFromHeatmaps:
+    @settings(max_examples=150, deadline=None)
+    @given(maps=heatmap_lists(), thresholds=THRESHOLD_SETS)
+    @example(maps=[], thresholds=[0, 255])
+    def test_equals_flood_fill_reference_map_by_map(self, maps, thresholds):
+        expected = [boxes_by_fill(heatmap, thresholds) for heatmap in maps]
+        batched = boxes_from_heatmaps(maps, thresholds)
+        assert batched == [box for boxes in expected for box in boxes]
+        for heatmap, boxes in zip(maps, expected):
+            assert boxes_from_heatmap(heatmap, thresholds) == boxes
+            intgrid = normalize_heatmap(heatmap)
+            for t in set(thresholds):
+                regions = connected_regions(intgrid, t)
+                assert regions == connected_regions_by_fill(intgrid, t)
+                assert regions == connected_regions_by_scan(intgrid, t)
+                assert set(regions) == scipy_regions(intgrid, t)
+
+    @pytest.mark.parametrize("size", [128, 256])
+    @pytest.mark.parametrize("shape", [serpentine, spiral])
+    def test_long_geodesic_paths(self, shape, size):
+        heatmap = Heatmap("i1", "Mass", shape(size), 1000.0)
+        thresholds = (0, 60, 255)
+        assert boxes_from_heatmaps([heatmap], thresholds) == boxes_by_fill(
+            heatmap, thresholds
+        )
+        intgrid = normalize_heatmap(heatmap)
+        regions = connected_regions(intgrid, 60)
+        assert regions == connected_regions_by_fill(intgrid, 60)
+        assert set(regions) == scipy_regions(intgrid, 60)
+        assert len(regions) == 1
+
+    def test_serpentine_needs_log_rounds_and_is_no_slower_than_fill(self):
+        grid = serpentine(256)
+        heatmap = Heatmap("i1", "Mass", grid, 1024.0)
+        with mock.patch.object(localization, "_hook", wraps=localization._hook) as hook:
+            boxes_from_heatmaps([heatmap], (60,))
+        # A path of about 33k cells, but rounds grow with the log of that.
+        assert hook.call_count <= math.log2(grid.sum())
+
+        def best_of_three(fn):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                fn()
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        batched = best_of_three(lambda: boxes_from_heatmaps([heatmap], (60,)))
+        by_fill = best_of_three(lambda: boxes_by_fill(heatmap, (60,)))
+        assert batched <= by_fill
+
+    def test_thresholds_validated(self):
+        hm = Heatmap("i1", "Mass", np.eye(3), 100)
+        with pytest.raises(MalformedRow, match="thresholds must be nonempty"):
+            boxes_from_heatmaps([hm], ())
+        with pytest.raises(MalformedRow, match="threshold 256 outside 0..255"):
+            boxes_from_heatmaps([hm], (60, 256))
+
+
 class TestOverlapMeasures:
     def test_identical_boxes(self):
         a = BBox("i", "c", 0, 0, 10, 10)
@@ -426,6 +717,49 @@ class TestFileFormats:
         with mock.patch("numpy.loadtxt", side_effect=ValueError):
             by_rows = loaded_or_error(path)
         assert fast == by_rows
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=interleaved_heatmap_texts())
+    def test_interleaved_sizes_equal_block_by_block_reader(
+        self, tmp_path_factory, text
+    ):
+        path = tmp_path_factory.getbasetemp() / "interleaved_heatmaps.tsv"
+        path.write_text(text, encoding="utf-8")
+        assert loaded_or_error(path) == loaded_or_error(path, load_heatmaps_by_block)
+
+    def test_grids_of_one_size_are_read_in_one_call(self, tmp_path):
+        path = tmp_path / "heatmaps.tsv"
+        path.write_text(
+            "i1\tA\t2\t64\n1 2\n3 4\n\n# x\ni1\tB\t1\t8\n5\n"
+            "i2\tA\t2\t64\n6 7\n8 9\n",
+            encoding="utf-8",
+        )
+        with mock.patch("numpy.loadtxt", wraps=np.loadtxt) as loadtxt:
+            maps = load_heatmaps(path)
+        assert loadtxt.call_count == 2
+        assert [m.grid.tolist() for m in maps] == [
+            [[1, 2], [3, 4]], [[5]], [[6, 7], [8, 9]]
+        ]
+
+    def test_duplicate_heatmap_named_at_its_second_header(self, tmp_path):
+        path = tmp_path / "heatmaps.tsv"
+        path.write_text(
+            "i1\tMass\t1\t64\n5\ni1\tNodule\t1\t64\n6\ni1\tMass\t1\t64\n7\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedRow) as err:
+            load_heatmaps(path)
+        assert str(err.value) == "row 5: duplicate heatmap for image 'i1', class 'Mass'"
+
+    def test_bad_cell_before_a_duplicate_is_named_first(self, tmp_path):
+        path = tmp_path / "heatmaps.tsv"
+        path.write_text(
+            "i1\tMass\t1\t64\n5\ni2\tMass\t1\t64\nx\ni1\tMass\t1\t64\n7\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedRow) as err:
+            load_heatmaps(path)
+        assert str(err.value) == "row 4: non-numeric score"
 
     def test_box_round_trip(self, tmp_path):
         boxes = [

@@ -1,12 +1,22 @@
 """P/R/F1, ROC AUC, and localization Acc/AFP scoring."""
 
+from collections import Counter
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import auc_by_pairs, optimal_match_count
-from cxrlabel.errors import DegenerateLabels, IdSetMismatch, MalformedRow
+from cxrlabel.errors import (
+    DegenerateLabels,
+    IdSetMismatch,
+    MalformedRow,
+    ZeroAreaDetection,
+)
 from cxrlabel.labeling import LabelConfig, LabelTable, ReportLabels, Status
-from cxrlabel.localization import BBox, iobb, iou
+from cxrlabel.localization import OVERLAP_MEASURES, BBox, iobb, iou
 from cxrlabel.metrics import (
     NORMAL_ROW,
     T_GRID_IOBB,
@@ -238,29 +248,44 @@ class TestRocAuc:
             assert area == pytest.approx(roc_auc(scores, gold), abs=1e-12)
 
 
+def box_lists(detection: bool):
+    """Boxes on a small integer grid, so overlaps tie often, over three
+    images and two classes; ground-truth boxes may have no area."""
+    coord = st.integers(0, 12).map(float)
+    extent = st.integers(1 if detection else 0, 8).map(float)
+    box = st.builds(BBox, st.sampled_from(["i1", "i2", "i3"]),
+                    st.sampled_from(["A", "B"]), coord, coord, extent, extent)
+    return st.lists(box, max_size=10)
+
+
+def greedy_match(gts, dets, threshold, measure):
+    """`_greedy_match` on the overlap of every (detection, gt) pair."""
+    return _greedy_match([[measure(gt, det) for gt in gts] for det in dets], threshold)
+
+
 class TestGreedyMatch:
     GT = BBox("i1", "Mass", 0, 0, 10, 10)
 
     def test_single_match(self):
         det = BBox("i1", "Mass", 5, 0, 10, 10)  # IoBB 0.5
-        assert _greedy_match([self.GT], [det], 0.25, iobb) == (1, 0)
+        assert greedy_match([self.GT], [det], 0.25, iobb) == (1, 0)
 
     def test_threshold_is_strict(self):
         det = BBox("i1", "Mass", 5, 0, 10, 10)
-        assert _greedy_match([self.GT], [det], 0.5, iobb) == (0, 1)
+        assert greedy_match([self.GT], [det], 0.5, iobb) == (0, 1)
 
     def test_one_to_one(self):
         dets = [
             BBox("i1", "Mass", 0, 0, 10, 10),
             BBox("i1", "Mass", 1, 1, 9, 9),
         ]
-        assert _greedy_match([self.GT], dets, 0.25, iobb) == (1, 1)
+        assert greedy_match([self.GT], dets, 0.25, iobb) == (1, 1)
 
     def test_best_det_claims_first(self):
         # The weaker-overlap detection must not steal the only GT.
         strong = BBox("i1", "Mass", 0, 0, 10, 10)
         weak = BBox("i1", "Mass", 7, 0, 10, 10)
-        matched, unmatched = _greedy_match([self.GT], [weak, strong], 0.1, iou)
+        matched, unmatched = greedy_match([self.GT], [weak, strong], 0.1, iou)
         assert (matched, unmatched) == (1, 1)
 
     def test_equal_overlap_resolves_by_index(self):
@@ -270,7 +295,7 @@ class TestGreedyMatch:
         det = BBox("i1", "Mass", 5, 0, 20, 10)
         overlap_left = iobb(g1, det)
         assert overlap_left == pytest.approx(iobb(g2, det))
-        assert _greedy_match([g1, g2], [det], 0.1, iobb) == (1, 0)
+        assert greedy_match([g1, g2], [det], 0.1, iobb) == (1, 0)
 
     def test_agrees_with_exhaustive_on_seeded_fixtures(self):
         rng = np.random.default_rng(1)
@@ -287,7 +312,7 @@ class TestGreedyMatch:
             ]
             for t in (0.1, 0.25, 0.5):
                 for measure in (iobb, iou):
-                    matched, _ = _greedy_match(gts, dets, t, measure)
+                    matched, _ = greedy_match(gts, dets, t, measure)
                     assert matched == optimal_match_count(gts, dets, t, measure)
 
 
@@ -378,3 +403,61 @@ class TestLocalizationEval:
             afps = [r.afp["Mass"] for r in sweep]
             assert all(a >= b for a, b in zip(accs, accs[1:]))
             assert all(a <= b for a, b in zip(afps, afps[1:]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dets=box_lists(detection=True),
+        gts=box_lists(detection=False),
+        mode=st.sampled_from(["iobb", "iou"]),
+        grid=st.lists(st.sampled_from([0.1, 0.25, 1 / 3, 0.5, 0.75, 0.9])
+                      | st.floats(0.01, 0.99), max_size=6),
+        n_images=st.none() | st.integers(1, 5),
+    )
+    def test_sweep_equals_one_eval_per_threshold(self, dets, gts, mode, grid, n_images):
+        assert localization_sweep(dets, gts, mode, grid, n_images) == [
+            localization_eval(dets, gts, t, mode, n_images) for t in grid
+        ]
+
+    def test_sweep_measures_each_pair_once(self):
+        rng = np.random.default_rng(8)
+
+        def boxes(count):
+            return [
+                BBox(f"i{rng.integers(0, 3)}", str(rng.choice(["A", "B"])),
+                     float(rng.integers(0, 30)), float(rng.integers(0, 30)),
+                     float(rng.integers(5, 25)), float(rng.integers(5, 25)))
+                for _ in range(count)
+            ]
+
+        gts, dets = boxes(12), boxes(30)
+        calls = Counter()
+
+        def counted(gt, det):
+            calls[id(gt), id(det)] += 1
+            return iobb(gt, det)
+
+        with mock.patch.dict(OVERLAP_MEASURES, {"iobb": counted}):
+            sweep = localization_sweep(dets, gts, "iobb")
+        assert len(sweep) == len(T_GRID_IOBB)
+        pairs = sum((g.label, g.image_id) == (d.label, d.image_id)
+                    for g in gts for d in dets)
+        assert pairs > 0
+        assert len(calls) == pairs
+        assert set(calls.values()) == {1}
+
+    def test_sweep_errors(self):
+        dets, gts = self.fixture()
+        zero = [BBox("i1", "Mass", 0, 0, 0, 5)]
+        # An empty grid evaluates nothing, so it checks nothing.
+        assert localization_sweep(zero, gts, "dice", [], n_images=0) == []
+        with pytest.raises(MalformedRow, match="unknown overlap mode"):
+            localization_sweep(dets, gts, "dice", [0.5])
+        with pytest.raises(MalformedRow, match="threshold 1.0 outside"):
+            localization_sweep(zero, gts, "iobb", [1.0, 0.5])
+        with pytest.raises(MalformedRow, match="image count 0 below 1"):
+            localization_sweep(zero, gts, "iobb", [0.5], n_images=0)
+        # The first threshold is good, so the overlaps are measured.
+        with pytest.raises(ZeroAreaDetection):
+            localization_sweep(zero, gts, "iobb", [0.5, 1.0])
+        with pytest.raises(MalformedRow, match="threshold 1.0 outside"):
+            localization_sweep(dets, gts, "iobb", [0.5, 1.0])
