@@ -217,7 +217,8 @@ def cmd_label(args, config: RunConfig) -> int:
     ruleset = _rules_for(config)
     label_config = get_config(config.label_set)
 
-    uncovered = [c for c in label_config.classes if c not in lexicon.categories()]
+    categories = lexicon.categories()
+    uncovered = [c for c in label_config.classes if c not in categories]
     if uncovered:
         print(
             "warning: no lexicon coverage for classes: " + ", ".join(uncovered),

@@ -72,9 +72,11 @@ class BadHeadIndex(CxrLabelError):
 
 
 class TokenCountMismatch(CxrLabelError):
-    def __init__(self, reason: str, sentence_ref=None):
-        super().__init__(_located(reason, "sentence", sentence_ref))
+    def __init__(self, reason: str, sentence_ref=None, line_no=None):
+        reason = _located(reason, "sentence", sentence_ref)
+        super().__init__(_located(reason, "line", line_no))
         self.sentence_ref = sentence_ref
+        self.line_no = line_no
 
 
 # --- lexicon / mentions ---

@@ -13,6 +13,7 @@ import csv
 import io
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -71,6 +72,11 @@ class LabelConfig:
     @property
     def C(self) -> int:
         return len(self.classes)
+
+    @cached_property
+    def column(self) -> dict[str, int]:
+        """The column of each class."""
+        return {name: k for k, name in enumerate(self.classes)}
 
 
 def check_class_names(classes: Sequence[str], line_no=None):
@@ -177,28 +183,23 @@ def label_report(
     polarized_mentions: Iterable[PolarizedMention],
     config: LabelConfig,
 ) -> ReportLabels:
-    """Two passes: score target classes over the scoped sections, then
-    decide normal status from positive disease mentions anywhere."""
-    mine = [
-        pm for pm in polarized_mentions
-        if pm.mention.sentence_ref.report_id == report.report_id
-    ]
-    for pm in mine:
-        if pm.mention.sentence_ref not in graphs:
-            raise MissingGraph(pm.mention.sentence_ref)
-
+    """Label one report from its own polarized mentions: target classes
+    are scored over the scoped sections, normal status is decided from
+    positive disease mentions anywhere."""
     scoped = _scoped_sections(report)
+    column = config.column
     y = [0] * config.C
     disease_asserted = False
-    for pm in mine:
-        if pm.polarity is not Polarity.POSITIVE:
-            continue
-        category = pm.mention.category
-        if category == NORMAL_CONCEPT:
+    for pm in polarized_mentions:
+        mention = pm.mention
+        if mention.sentence_ref not in graphs:
+            raise MissingGraph(mention.sentence_ref)
+        if pm.polarity is not Polarity.POSITIVE or mention.category == NORMAL_CONCEPT:
             continue
         disease_asserted = True
-        if pm.mention.sentence_ref.section in scoped and category in config.classes:
-            y[config.classes.index(category)] = 1
+        k = column.get(mention.category)
+        if k is not None and mention.sentence_ref.section in scoped:
+            y[k] = 1
 
     if any(y):
         status = Status.TARGET_FINDINGS
@@ -227,6 +228,36 @@ def polarize_corpus(
     return polarized
 
 
+def _label_reports(
+    work: Iterable[tuple[RadiologyReport, Iterable[tuple[SentenceRef, list]]]],
+    graphs: dict[SentenceRef, DependencyGraph],
+    ruleset: RuleSet,
+    config: LabelConfig,
+    missing: list[SentenceRef],
+) -> list[ReportLabels]:
+    """Label each report of `work` from the mentions of each of its
+    sentences, one report at a time.
+
+    A sentence with mentions but no graph joins `missing`; when any is
+    missing, MissingGraph names the first of them in sorted order, as a
+    pass over all sentences in that order would.
+    """
+    labels: list[ReportLabels] = []
+    for report, sentences in work:
+        polarized: list[PolarizedMention] = []
+        for ref, mentions in sentences:
+            graph = graphs.get(ref)
+            if graph is None:
+                missing.append(ref)
+            elif not missing:
+                polarized += apply_rules(graph, mentions, ruleset)
+        if not missing:
+            labels.append(label_report(report, graphs, polarized, config))
+    if missing:
+        raise MissingGraph(min(missing))
+    return labels
+
+
 def label_corpus(
     corpus: Corpus,
     mentions: Iterable[ConceptMention],
@@ -234,13 +265,31 @@ def label_corpus(
     config: LabelConfig,
 ) -> list[ReportLabels]:
     """One ReportLabels per report, in corpus order."""
-    mine: dict[str, list[PolarizedMention]] = {r.report_id: [] for r in corpus.reports}
-    for pm in polarize_corpus(corpus, mentions, ruleset):
-        mine[pm.mention.sentence_ref.report_id].append(pm)
-    return [
-        label_report(report, corpus.graphs, mine[report.report_id], config)
-        for report in corpus.reports
-    ]
+    by_report: dict[str, dict[SentenceRef, list[ConceptMention]]] = {
+        report.report_id: {} for report in corpus.reports
+    }
+    strays: list[SentenceRef] = []  # sentences of no report, so of no graph
+    for mention in mentions:
+        ref = mention.sentence_ref
+        sentences = by_report.get(ref.report_id)
+        if sentences is None:
+            strays.append(ref)
+        else:
+            sentences.setdefault(ref, []).append(mention)
+    work = ((r, by_report[r.report_id].items()) for r in corpus.reports)
+    return _label_reports(work, corpus.graphs, ruleset, config, strays)
+
+
+def _sentence_mentions(report: RadiologyReport, lexicon, external):
+    """(ref, mentions) of each sentence of `report` that has mentions: the
+    lexicon matches, merged with the sentence's external mentions if any."""
+    for sentence in report.sentences:
+        mentions = match_concepts(sentence, lexicon)
+        extra = external.get(sentence.ref)
+        if extra:
+            mentions = merge_mention_sets(mentions, extra)
+        if mentions:
+            yield sentence.ref, mentions
 
 
 def label_all(
@@ -250,10 +299,13 @@ def label_all(
     config: LabelConfig,
     extra_mentions: Iterable[ConceptMention] = (),
 ) -> list[ReportLabels]:
-    """Full pipeline: match concepts, merge external mentions, label."""
-    internal = [m for s in corpus.sentences() for m in match_concepts(s, lexicon)]
-    merged = merge_mention_sets(internal, attach_mentions(corpus, extra_mentions))
-    return label_corpus(corpus, merged, ruleset, config)
+    """Full pipeline, one report at a time: match concepts, merge external
+    mentions into the sentences they name, polarize, label."""
+    external: dict[SentenceRef, list[ConceptMention]] = {}
+    for mention in attach_mentions(corpus, extra_mentions):
+        external.setdefault(mention.sentence_ref, []).append(mention)
+    work = ((r, _sentence_mentions(r, lexicon, external)) for r in corpus.reports)
+    return _label_reports(work, corpus.graphs, ruleset, config, [])
 
 
 # --- label table I/O ---

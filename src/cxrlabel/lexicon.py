@@ -253,11 +253,20 @@ def load_external_mentions(path) -> list[ConceptMention]:
 def attach_mentions(
     corpus: Corpus, mentions: Iterable[ConceptMention]
 ) -> list[ConceptMention]:
-    """Validate mention spans against corpus sentences."""
-    lengths = {sentence.ref: len(sentence) for sentence in corpus.sentences()}
+    """Validate mention spans against corpus sentences. Only the reports
+    the mentions name are looked at."""
+    reports = None
+    lengths: dict[SentenceRef, int] = {}
     attached: list[ConceptMention] = []
     for mention in mentions:
-        n = lengths.get(mention.sentence_ref)
+        ref = mention.sentence_ref
+        if ref not in lengths:
+            if reports is None:
+                reports = {report.report_id: report for report in corpus.reports}
+            report = reports.get(ref.report_id)
+            if report is not None:
+                lengths.update((s.ref, len(s)) for s in report.sentences)
+        n = lengths.get(ref)
         if n is None:
             raise SpanOutOfRange("unknown sentence", mention)
         if mention.end > n:

@@ -75,11 +75,33 @@ def normalize_heatmap(heatmap) -> np.ndarray:
     grid = heatmap.grid if isinstance(heatmap, Heatmap) else np.asarray(
         heatmap, dtype=float
     )
-    lo = grid.min(axis=(-2, -1), keepdims=True)
-    span = grid.max(axis=(-2, -1), keepdims=True) - lo
-    # A constant grid has grid - lo == 0, so any finite scale maps it to 0.
-    scale = 255.0 / np.where(span == 0, 1.0, span)
+    lo, span, scale = _range_scale(grid)
+    wide, narrow = np.isinf(span), np.isinf(scale)
+    if (wide | narrow).any():
+        # A range past the largest double, or one so narrow that 255 over it
+        # is not finite: scale those grids alone by a power of two first,
+        # halving a wide one and bringing a narrow one's largest cell
+        # magnitude into [0.5, 1). Both are exact, but for the subnormal
+        # cells of a wide grid, which lose at most 2**-1075 of a range
+        # above 2**1023.
+        top = np.abs(grid).max(axis=(-2, -1), keepdims=True)
+        exponent = np.where(wide, -1, np.where(narrow, -np.frexp(top)[1], 0))
+        with np.errstate(under="ignore"):
+            grid = np.ldexp(grid, exponent)
+        lo, span, scale = _range_scale(grid)
     return np.floor((grid - lo) * scale + 0.5).astype(int)
+
+
+def _range_scale(grid: np.ndarray):
+    """The least cell, the range and 255 over the range of each grid; the
+    range is inf when it overflows, and so is the scale when 255 over it
+    does."""
+    lo = grid.min(axis=(-2, -1), keepdims=True)
+    with np.errstate(over="ignore"):
+        span = grid.max(axis=(-2, -1), keepdims=True) - lo
+        # A constant grid has grid - lo == 0, so any finite scale maps it to 0.
+        scale = 255.0 / np.where(span == 0, 1.0, span)
+    return lo, span, scale
 
 
 def _check_threshold(t):

@@ -126,6 +126,32 @@ class RuleSet:
             ))
             for rule in self.negation_rules + self.uncertainty_rules
         )
+        # What a graph must hold for a rule to fire (see `reaches`): a
+        # token that starts a trigger phrase, or an edge that can take the
+        # first step of a rule that triggers on any token.
+        first_keys = {
+            key for _, phrases in self.ranked for phrase in phrases for key in phrase[0]
+        }
+        self.trigger_words = frozenset(
+            word for word in first_keys.union(_INFLECTIONS) if lemma(word) in first_keys
+        )
+        wildcards = [rule for rule in self.rules if not rule.triggers]
+        self.fires_anywhere = any(rule.scope is Scope.SENTENCE for rule in wildcards)
+        first_labels = [rule.path[0].labels for rule in wildcards]
+        self.first_labels = (
+            None if None in first_labels else frozenset().union(*first_labels)
+        )
+
+    def reaches(self, graph: DependencyGraph) -> bool:
+        """False when no rule can fire on `graph`. A rule that triggers on
+        any token and has `sentence` scope fires on every graph."""
+        if self.fires_anywhere or not self.trigger_words.isdisjoint(graph.lowered):
+            return True
+        labels = self.first_labels  # None: any label
+        return any(
+            edge.head and (labels is None or edge.label in labels)
+            for edge in graph.edges
+        )
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -309,6 +335,8 @@ def apply_rules(
     for mention in mentions:
         if mention.sentence_ref != graph.sentence_ref:
             raise MissingGraph(mention.sentence_ref)
+    if not mentions or not ruleset.reaches(graph):
+        return [PolarizedMention(mention, Polarity.POSITIVE) for mention in mentions]
 
     # Lemmatize the graph once and index its positions by lemma.
     lemmas = [lemma(word) for word in graph.lowered]

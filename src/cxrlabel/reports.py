@@ -38,6 +38,11 @@ _HEADER_SYNONYMS = (
 # single punctuation mark emitted standalone.
 _TOKEN_RE = re.compile(r"\d+\.\d+|[^\s/,():;.!?]+|[/,():;.!?]")
 
+# A terminator ends a sentence only before whitespace or at the end of the
+# text, so the period inside a decimal like "2.2" never splits. `\s`
+# matches exactly the characters for which `str.isspace` is true.
+_SENTENCE_END = re.compile(r"(?<=[.!?])(?=\s)")
+
 
 class SentenceRef(NamedTuple):
     report_id: str
@@ -88,7 +93,7 @@ class Sentence:
     index: int
     tokens: tuple[Token, ...]
 
-    @property
+    @cached_property
     def ref(self) -> SentenceRef:
         return SentenceRef(self.report_id, self.section, self.index)
 
@@ -245,20 +250,8 @@ def parse_report_text(
 
 
 def _sentence_chunks(text: str) -> list[str]:
-    # A terminator ends a sentence only before whitespace or end of text,
-    # so the period inside a decimal like "2.2" never splits.
-    chunks: list[str] = []
-    buf: list[str] = []
-    for i, ch in enumerate(text):
-        buf.append(ch)
-        if ch in ".!?":
-            nxt = text[i + 1] if i + 1 < len(text) else ""
-            if nxt == "" or nxt.isspace():
-                chunks.append("".join(buf))
-                buf = []
-    if buf:
-        chunks.append("".join(buf))
-    return [c.strip() for c in chunks if c.strip()]
+    chunks = (chunk.strip() for chunk in _SENTENCE_END.split(text))
+    return [chunk for chunk in chunks if chunk]
 
 
 def tokenize(chunk: str) -> tuple[Token, ...]:
@@ -359,7 +352,7 @@ def load_dependency_file(path) -> dict[SentenceRef, DependencyGraph]:
                 raise BadHeadIndex(f"self-loop at token {pos}", row_no)
             if pos in surfaces and surfaces[pos] != surface:
                 raise TokenCountMismatch(
-                    f"conflicting surfaces for position {pos}", ref
+                    f"conflicting surfaces for position {pos}", ref, row_no
                 )
             surfaces[pos] = surface
             if deprel == "-":
@@ -367,10 +360,13 @@ def load_dependency_file(path) -> dict[SentenceRef, DependencyGraph]:
                     raise MalformedRecord("deprel '-' requires head 0", row_no)
             else:
                 edges.add(Edge(head_pos, pos, deprel))
+        if n_tokens < 1:
+            raise TokenCountMismatch("graph declares no tokens", ref, header_line)
         if set(surfaces) != set(range(1, n_tokens + 1)):
             raise TokenCountMismatch(
                 f"rows cover positions {sorted(surfaces)}, expected 1..{n_tokens}",
                 ref,
+                header_line,
             )
         graphs[ref] = DependencyGraph(
             ref,

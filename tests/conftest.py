@@ -1,7 +1,8 @@
 """Shared fixture helpers: sentences, graphs, rule example sentences,
 mutated CSV tables, the writers of the round-trip tests, the
-independent AUC and box-matching oracles, and the per-point ROC writer
-that the `--roc-out` renderer is checked against."""
+independent AUC and box-matching oracles, the per-point ROC writer
+that the `--roc-out` renderer is checked against, and the corpus-wide
+label pipeline that `label_all` is checked against."""
 
 from __future__ import annotations
 
@@ -11,8 +12,12 @@ from typing import Iterable
 from hypothesis import strategies as st
 
 from cxrlabel.cli import _csv_cell
+from cxrlabel.errors import MissingGraph, SpanOutOfRange
+from cxrlabel.labeling import ReportLabels, Status, polarize_corpus
+from cxrlabel.lexicon import NORMAL_CONCEPT, match_concepts, merge_mention_sets
 from cxrlabel.localization import Heatmap
 from cxrlabel.metrics import roc_points
+from cxrlabel.negation import Polarity
 from cxrlabel.reports import (
     DependencyGraph,
     Edge,
@@ -269,3 +274,68 @@ def roc_lines_by_points(cls, score_vec, label_vec, counts=None) -> str:
         f"{name},{fpr:.6f},{tpr:.6f}\n"
         for fpr, tpr in roc_points(score_vec, label_vec, counts)
     )
+
+
+# --- the corpus-wide label pipeline `labeling.label_all` replaced ---
+
+def label_all_corpus_wide(corpus, lexicon, ruleset, config, extra_mentions=()):
+    """Match every sentence of the corpus, check the external mentions
+    against a table of all sentences, merge the two mention lists of the
+    whole corpus, then label."""
+    internal = [m for s in corpus.sentences() for m in match_concepts(s, lexicon)]
+    lengths = {sentence.ref: len(sentence) for sentence in corpus.sentences()}
+    for mention in extra_mentions:
+        n = lengths.get(mention.sentence_ref)
+        if n is None:
+            raise SpanOutOfRange("unknown sentence", mention)
+        if mention.end > n:
+            raise SpanOutOfRange(f"span ends past {n} tokens", mention)
+    attached = sorted(
+        extra_mentions, key=lambda m: (m.sentence_ref, m.start, m.end, m.cui)
+    )
+    merged = merge_mention_sets(internal, attached)
+    return label_corpus_corpus_wide(corpus, merged, ruleset, config)
+
+
+def label_corpus_corpus_wide(corpus, mentions, ruleset, config):
+    """Polarize all mentions in sorted sentence order, then give each
+    report the whole list and let it pick out its own mentions."""
+    mine = {report.report_id: [] for report in corpus.reports}
+    for pm in polarize_corpus(corpus, mentions, ruleset):
+        mine[pm.mention.sentence_ref.report_id].append(pm)
+    return [
+        _label_report_filtered(report, corpus.graphs, mine[report.report_id], config)
+        for report in corpus.reports
+    ]
+
+
+def _label_report_filtered(report, graphs, polarized_mentions, config):
+    mine = [
+        pm for pm in polarized_mentions
+        if pm.mention.sentence_ref.report_id == report.report_id
+    ]
+    for pm in mine:
+        if pm.mention.sentence_ref not in graphs:
+            raise MissingGraph(pm.mention.sentence_ref)
+    if "findings" in report.sections or "impression" in report.sections:
+        scoped = {"findings", "impression"}
+    else:
+        scoped = set(report.sections)
+    y = [0] * config.C
+    disease_asserted = False
+    for pm in mine:
+        if pm.polarity is not Polarity.POSITIVE:
+            continue
+        category = pm.mention.category
+        if category == NORMAL_CONCEPT:
+            continue
+        disease_asserted = True
+        if pm.mention.sentence_ref.section in scoped and category in config.classes:
+            y[config.classes.index(category)] = 1
+    if any(y):
+        status = Status.TARGET_FINDINGS
+    elif disease_asserted:
+        status = Status.OTHER_FINDINGS_ONLY
+    else:
+        status = Status.NORMAL
+    return ReportLabels(report.report_id, tuple(y), status)

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -15,6 +16,7 @@ from cxrlabel import negation, reports
 from cxrlabel.cli import _read_scores_by_row, _read_scores_csv, _roc_block, main
 from cxrlabel.errors import CxrLabelError
 from cxrlabel.labeling import get_config, read_labels_wide_csv
+from cxrlabel.lexicon import Lexicon
 from cxrlabel.metrics import T_GRID_IOBB, T_GRID_IOU, roc_counts
 
 from conftest import mutated_csv, roc_lines_by_points
@@ -571,6 +573,14 @@ class TestLabelCommand:
         assert main(["split", "--corpus", CORPUS, "--out", str(tmp_path / "s")]) == 0
         assert calls == []  # a corpus without graphs is never split
 
+    def test_lexicon_categories_gathered_once(self, tmp_path):
+        with mock.patch.object(
+            Lexicon, "categories", autospec=True, side_effect=Lexicon.categories
+        ) as categories:
+            code, _, _ = run_label(tmp_path, "--label-set", "x14")
+        assert code == 0
+        assert categories.call_count == 1
+
     def test_rule_engine_lemmatizes_each_token_once(self, tmp_path, monkeypatch):
         tokens = sum(g.n_tokens for g in reports.load_dependency_file(DEPS).values())
         words = sum(len(p) for r in negation.default_rules().rules for p in r.triggers)
@@ -809,6 +819,24 @@ class TestLocalizeCommand:
         assert out.read_text().splitlines() == [
             "img1\tMass\t16\t16\t32\t32\t60",
             "img1\tMass\t16\t16\t32\t32\t180",
+        ]
+
+    def test_extreme_score_ranges_give_boxes_without_warnings(self, tmp_path):
+        maps = tmp_path / "maps.tsv"
+        maps.write_text(
+            "wide\tMass\t2\t64\n-1e308 1e308\n0 0\n"
+            "narrow\tMass\t2\t64\n0 5e-324\n0 0\n"
+        )
+        out = tmp_path / "boxes.tsv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["localize", "--heatmaps", str(maps), "--out", str(out)])
+        assert code == 0
+        assert out.read_text().splitlines() == [
+            "narrow\tMass\t32\t0\t32\t32\t60",
+            "narrow\tMass\t32\t0\t32\t32\t180",
+            "wide\tMass\t0\t0\t64\t64\t60",
+            "wide\tMass\t32\t0\t32\t32\t180",
         ]
 
     def test_threshold_flag_overrides_grid(self, tmp_path):

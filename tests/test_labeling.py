@@ -1,6 +1,7 @@
 """Report-level label vectors, statuses, and label table I/O."""
 
 import io
+import runpy
 from pathlib import Path
 from unittest import mock
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cxrlabel.errors import MalformedRecord, MissingGraph
+from cxrlabel.errors import CxrLabelError, MalformedRecord, MissingGraph
 from cxrlabel.labeling import (
     CONFIG_X8,
     CONFIG_X14,
@@ -27,13 +28,33 @@ from cxrlabel.labeling import (
     write_labels_tsv,
     write_labels_wide_csv,
 )
-from cxrlabel.lexicon import ConceptMention, default_lexicon
-from cxrlabel.negation import default_rules
-from cxrlabel.reports import Corpus, RadiologyReport, SentenceRef
+from cxrlabel.lexicon import (
+    NORMAL_CONCEPT,
+    OTHER_DISEASE,
+    ConceptMention,
+    Source,
+    default_lexicon,
+    match_concepts,
+)
+from cxrlabel.negation import RuleSet, default_rules, propagate_conjuncts
+from cxrlabel.reports import (
+    Corpus,
+    RadiologyReport,
+    SentenceRef,
+    load_corpus,
+    load_dependency_file,
+)
 
-from conftest import make_graph, make_sentence, mutated_csv
+from conftest import (
+    label_all_corpus_wide,
+    label_corpus_corpus_wide,
+    make_graph,
+    make_sentence,
+    mutated_csv,
+)
 
-GOLD = Path(__file__).parent / "data" / "gold_labels.csv"
+DATA = Path(__file__).parent / "data"
+GOLD = DATA / "gold_labels.csv"
 
 LEXICON = default_lexicon()
 RULES = default_rules()
@@ -188,6 +209,122 @@ class TestLabeling:
         )
         with pytest.raises(MissingGraph):
             label_corpus(corpus, [mention], RULES, CONFIG_X8)
+
+
+def labels_or_error(label, *args):
+    try:
+        return label(*args)
+    except CxrLabelError as err:
+        return type(err), str(err)
+
+
+@pytest.fixture(scope="module")
+def corpora(tmp_path_factory):
+    """The fixture corpus and a generated one (two seeded copies of it
+    under fresh ids, as the benchmark builds its label input), each with
+    its graphs as loaded and after conjunct propagation."""
+    generate = runpy.run_path(str(DATA.parent.parent / "bench" / "generate.py"))
+    out = tmp_path_factory.mktemp("generated")
+    files = generate["make_label"](DATA, out, seed=5, copies=2).files
+    built = {}
+    for name, corpus_path, deps_path in (
+        ("fixture", DATA / "labeled_corpus.tsv", DATA / "labeled_deps.tsv"),
+        ("generated", files["corpus"], files["deps"]),
+    ):
+        corpus = load_corpus(corpus_path)
+        graphs = load_dependency_file(deps_path)
+        propagated = {ref: propagate_conjuncts(g) for ref, g in graphs.items()}
+        built[name] = (corpus.with_graphs(graphs), corpus.with_graphs(propagated))
+    return built
+
+
+@st.composite
+def external_mentions(draw, corpus):
+    """Up to six external mentions: copies of lexicon matches under
+    another category, or random spans in random sentences, with now and
+    then a sentence the corpus lacks or a span past the sentence end."""
+    sentences = corpus.sentences()
+    matched = [m for s in sentences for m in match_concepts(s, LEXICON)]
+    codes = sorted({(e.cui, e.category) for e in LEXICON.entries})
+    categories = [*X14_CLASSES, NORMAL_CONCEPT, OTHER_DISEASE, "Unlisted"]
+    mentions = []
+    for _ in range(draw(st.integers(0, 6))):
+        category = draw(st.sampled_from(categories))
+        if matched and draw(st.booleans()):
+            m = draw(st.sampled_from(matched))
+            mentions.append(ConceptMention(
+                m.sentence_ref, m.start, m.end,
+                draw(st.sampled_from([m.cui, "C0000001"])), category, Source.EXTERNAL,
+            ))
+            continue
+        sentence = draw(st.sampled_from(sentences))
+        ref, n = sentence.ref, len(sentence)
+        if draw(st.integers(0, 9)) == 0:
+            ref = draw(st.sampled_from([
+                ref._replace(index=ref.index + 50),
+                ref._replace(report_id="unknown"),
+            ]))
+        start = draw(st.integers(1, n))
+        end = start + draw(st.integers(0, 3))
+        if draw(st.integers(0, 9)):
+            end = min(end, n)
+        cui, own_category = draw(st.sampled_from(codes))
+        mentions.append(ConceptMention(
+            ref, start, end, cui, draw(st.sampled_from([own_category, category])),
+            Source.EXTERNAL,
+        ))
+    return mentions
+
+
+@st.composite
+def label_cases(draw, corpora):
+    corpus = draw(st.sampled_from(corpora[draw(st.sampled_from(sorted(corpora)))]))
+    dropped = []
+    if draw(st.integers(0, 3)) == 0:
+        dropped = draw(st.lists(st.sampled_from(sorted(corpus.graphs)), max_size=3))
+    if dropped:
+        corpus = Corpus(corpus.reports, {
+            ref: g for ref, g in corpus.graphs.items() if ref not in dropped
+        })
+    kept = draw(st.sets(st.sampled_from([r.rule_id for r in RULES.rules])))
+    ruleset = RuleSet(r for r in RULES.rules if r.rule_id in kept)
+    config = draw(st.sampled_from([CONFIG_X8, CONFIG_X14]))
+    return corpus, ruleset, config, draw(external_mentions(corpus))
+
+
+class TestPipelineReference:
+    """`label_all` and `label_corpus` label report by report; the pipeline
+    they replaced works on mention lists of the whole corpus."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_label_all_equals_corpus_wide_pipeline(self, corpora, data):
+        corpus, ruleset, config, external = data.draw(label_cases(corpora))
+        assert labels_or_error(
+            label_all, corpus, LEXICON, ruleset, config, external
+        ) == labels_or_error(
+            label_all_corpus_wide, corpus, LEXICON, ruleset, config, external
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_label_corpus_equals_corpus_wide_pipeline(self, corpora, data):
+        corpus, ruleset, config, external = data.draw(label_cases(corpora))
+        mentions = [m for s in corpus.sentences() for m in match_concepts(s, LEXICON)]
+        mentions += data.draw(st.permutations(external))
+        assert labels_or_error(
+            label_corpus, corpus, mentions, ruleset, config
+        ) == labels_or_error(
+            label_corpus_corpus_wide, corpus, mentions, ruleset, config
+        )
+
+    def test_missing_graph_named_in_sorted_order(self):
+        reports = (
+            RadiologyReport("r2", "p1", {"findings": "pneumonia"}),
+            RadiologyReport("r1", "p1", {"findings": "effusion"}),
+        )
+        with pytest.raises(MissingGraph, match="sentence r1/findings/0$"):
+            label_all(Corpus(reports), LEXICON, RULES, CONFIG_X8)
 
 
 class TestLabelTables:

@@ -390,6 +390,23 @@ class TestNormalize:
         for grid, out in zip(grids, stacked):
             assert out.tolist() == normalize_heatmap(grid).tolist()
 
+    def test_range_past_the_largest_double_or_subnormal(self):
+        wide = np.array([[-1e308, 1e308], [0.0, 0.0]])
+        narrow = np.array([[0.0, 5e-324], [0.0, 0.0]])
+        plain = np.array([[1.0, 2.0], [3.0, 4.0]])
+        with np.errstate(all="raise"):
+            assert normalize_heatmap(wide).tolist() == [[0, 255], [128, 128]]
+            assert normalize_heatmap(narrow).tolist() == [[0, 255], [0, 0]]
+            # The same grids scaled by a power of two into a safe range.
+            assert normalize_heatmap(wide).tolist() == normalize_heatmap(
+                np.ldexp(wide, -4)).tolist()
+            assert normalize_heatmap(narrow).tolist() == normalize_heatmap(
+                np.ldexp(narrow, 1074)).tolist()
+            stacked = normalize_heatmap(np.stack([wide, plain, narrow]))
+        assert stacked.tolist() == [
+            normalize_heatmap(grid).tolist() for grid in (wide, plain, narrow)
+        ]
+
 
 class TestConnectedRegions:
     def test_diagonal_cells_connect(self):

@@ -1,5 +1,7 @@
 """Report parsing, sentence splitting, and the two text file formats."""
 
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from cxrlabel.reports import (
     Edge,
     RadiologyReport,
     SentenceRef,
+    _sentence_chunks,
     load_corpus,
     load_dependency_file,
     parse_report_text,
@@ -49,7 +52,38 @@ class TestTokenize:
         assert [t.lowered for t in tokens] == ["no", "acute", "disease"]
 
 
+def sentence_chunks_by_char(text: str) -> list[str]:
+    """The splitter the compiled pattern replaced: one character at a
+    time, ending a chunk at a terminator followed by whitespace or by
+    the end of the text."""
+    chunks: list[str] = []
+    buf: list[str] = []
+    for i, ch in enumerate(text):
+        buf.append(ch)
+        if ch in ".!?":
+            nxt = text[i + 1] if i + 1 < len(text) else ""
+            if nxt == "" or nxt.isspace():
+                chunks.append("".join(buf))
+                buf = []
+    if buf:
+        chunks.append("".join(buf))
+    return [c.strip() for c in chunks if c.strip()]
+
+
+WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+
 class TestSentenceSplitting:
+    @pytest.mark.parametrize("space", WHITESPACE, ids=lambda c: f"U+{ord(c):04X}")
+    def test_every_whitespace_character_ends_a_sentence(self, space):
+        text = f"a.{space}b!{space}{space}c?{space}2.2{space}d.e"
+        assert _sentence_chunks(text) == sentence_chunks_by_char(text)
+        assert _sentence_chunks(text) == ["a.", "b!", "c?", f"2.2{space}d.e"]
+
+    @given(st.text(alphabet=st.sampled_from(WHITESPACE + list(".!?a2\u00a0\u200b"))))
+    def test_splitter_equals_per_character_reference(self, text):
+        assert _sentence_chunks(text) == sentence_chunks_by_char(text)
+
     def test_terminators_split(self):
         report = RadiologyReport("r", "p", {"findings": "One here. Two there! Three?"})
         sentences = split_sentences(report)
@@ -249,6 +283,21 @@ class TestDependencyFile:
         )
         with pytest.raises(TokenCountMismatch):
             load_dependency_file(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("#sent\tr0\tfindings\t0\t1\n1\ta\t0\t-\n\n#sent\tr1\tfindings\t0\t0\n",
+         "line 4: sentence r1/findings/0: graph declares no tokens"),
+        ("\n#sent\tr1\tfindings\t0\t3\n1\ta\t0\t-\n2\tb\t1\tamod\n",
+         "line 2: sentence r1/findings/0: rows cover positions [1, 2], expected 1..3"),
+        ("#sent\tr1\tfindings\t0\t2\n1\ta\t0\t-\n2\tb\t1\tamod\n1\tA\t2\tnsubj\n",
+         "line 4: sentence r1/findings/0: conflicting surfaces for position 1"),
+    ])
+    def test_graph_errors_name_their_line(self, tmp_path, text, message):
+        path = tmp_path / "deps.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(TokenCountMismatch) as caught:
+            load_dependency_file(path)
+        assert str(caught.value) == message
 
     def test_head_outside_range_rejected(self, tmp_path):
         path = tmp_path / "deps.tsv"

@@ -8,6 +8,8 @@ rule and phrase, and scans every edge for each adjacency query.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from cxrlabel.lexicon import ConceptMention
 from cxrlabel.negation import (
     Direction,
     EdgeStep,
+    Polarity,
     Rule,
     RulePolarity,
     RuleSet,
@@ -180,8 +183,8 @@ CASES = [str.lower, str.capitalize, str.upper]
 # Rules the shipped set lacks: a multi-word phrase beside one-word ones,
 # a capitalized and an inflected trigger word, a wildcard that steps up,
 # a pathless rule that never fires, a step that keeps an inflected
-# surface, a subtree under any governor, and a wildcard sentence rule
-# with a path.
+# surface, a subtree under any governor, a wildcard sentence rule with a
+# path, and a wildcard whose first step takes any label.
 EXTRA_RULES = RuleSet([
     Rule("x1", RulePolarity.NEGATION, (("no", "evidence"), ("no",), ("May",)),
          (EdgeStep(Direction.DOWN, None), EdgeStep(Direction.DOWN, frozenset({"amod"}))),
@@ -199,6 +202,9 @@ EXTRA_RULES = RuleSet([
     Rule("x7", RulePolarity.UNCERTAINTY, (),
          (EdgeStep(Direction.UP, None), EdgeStep(Direction.DOWN, None)),
          "ANY", Scope.SENTENCE),
+    Rule("x8", RulePolarity.NEGATION, (),
+         (EdgeStep(Direction.DOWN, None), EdgeStep(Direction.DOWN, frozenset({"amod"}))),
+         "ANY", Scope.ENDPOINT),
 ])
 
 # The shipped set, the shipped set less each rule, and each extra rule
@@ -289,3 +295,69 @@ def test_adjacency_equals_edge_scan(case):
         assert graph.out_edges(position) == scan_out_edges(graph, position)
         assert graph.in_edges(position) == scan_in_edges(graph, position)
         assert graph.descendants(position) == scan_descendants(graph, position)
+
+
+@st.composite
+def unplanted_graphs_with_mentions(draw):
+    """A short random graph with random mentions and no rule planted, so
+    that many graphs hold no trigger word and no edge a wildcard rule
+    can step along."""
+    surfaces = [variant(draw, w) for w in draw(st.lists(st.sampled_from(WORDS),
+                                                         min_size=1, max_size=4))]
+    n = len(surfaces)
+    edges = [
+        Edge(head, dependent, label)
+        for head, dependent, label in draw(st.lists(
+            st.tuples(st.integers(0, n), st.integers(1, n), st.sampled_from(LABELS)),
+            max_size=n,
+        ))
+        if head != dependent
+    ]
+    graph = DependencyGraph(REF, n, tuple(surfaces), tuple(edges))
+    starts = draw(st.lists(st.integers(1, n), min_size=1, max_size=3))
+    mentions = [ConceptMention(REF, s, s, "C0032285", "Pneumonia") for s in starts]
+    return graph, mentions
+
+
+@pytest.mark.parametrize("name", sorted(RULESETS))
+@given(case=unplanted_graphs_with_mentions())
+def test_prefilter_keeps_every_graph_a_rule_can_reach(name, case):
+    ruleset = RULESETS[name]
+    graph, mentions = case
+    fast = [
+        (p.polarity.value, p.matched_rule)
+        for p in apply_rules(graph, mentions, ruleset)
+    ]
+    reference = reference_apply_rules(graph, mentions, ruleset)
+    assert fast == reference
+    if not ruleset.reaches(graph):
+        assert reference == [("positive", None)] * len(mentions)
+
+
+def test_prefilter_skips_the_walk_on_a_graph_no_rule_can_reach():
+    graph = DependencyGraph(
+        REF, 3, ("small", "left", "effusion"),
+        (Edge(3, 1, "amod"), Edge(3, 2, "amod"), Edge(0, 3, "prep_without")),
+    )
+    mention = ConceptMention(REF, 3, 3, "C0013687", "Effusion")
+    assert not RULES.reaches(graph)
+    with mock.patch("cxrlabel.negation._walk", side_effect=AssertionError), \
+            mock.patch("cxrlabel.negation._trigger_positions",
+                       side_effect=AssertionError):
+        polarized = apply_rules(graph, [mention], RULES)
+    assert [(p.polarity, p.matched_rule) for p in polarized] == [
+        (Polarity.POSITIVE, None)
+    ]
+
+
+def test_wildcard_sentence_rule_fires_on_a_graph_without_edges():
+    rule = Rule("w", RulePolarity.UNCERTAINTY, (),
+                (EdgeStep(Direction.DOWN, frozenset({"dobj"})),), "ANY", Scope.SENTENCE)
+    ruleset = RuleSet([rule])
+    graph = DependencyGraph(REF, 2, ("left", "effusion"), ())
+    mention = ConceptMention(REF, 2, 2, "C0013687", "Effusion")
+    assert ruleset.reaches(graph)
+    polarized = apply_rules(graph, [mention], ruleset)
+    assert [(p.polarity, p.matched_rule) for p in polarized] == [
+        (Polarity.UNCERTAIN, "w")
+    ]
