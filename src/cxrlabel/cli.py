@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -23,15 +22,13 @@ import numpy as np
 from cxrlabel.errors import (
     CxrLabelError,
     DegenerateLabels,
-    MalformedRecord,
     open_input,
 )
 from cxrlabel.labeling import (
-    check_class_names,
     get_config,
     label_all,
-    plain_csv_lines,
     read_labels_wide_csv,
+    read_scores_csv,
     write_labels_tsv,
     write_labels_wide_csv,
 )
@@ -258,73 +255,6 @@ def cmd_eval_nlp(args, config: RunConfig) -> int:
     return 0
 
 
-def _read_scores_csv(path: str) -> tuple[list[str], list[str], np.ndarray]:
-    """Classes, report ids and the (N, K) score matrix of a scores CSV.
-
-    A file of plain cells is read with one `np.loadtxt`; any other goes
-    through the per-row csv parser, which names the bad line.
-    """
-    with open_input(path, newline="") as handle:
-        text = handle.read()
-    return _read_scores_plain(text) or _read_scores_by_row(text)
-
-
-def _read_scores_plain(text: str):
-    """The scores of `text` when it has plain lines, a valid header, at
-    least one row, the header's column count on every row, unique ids and
-    finite numbers; None otherwise."""
-    lines = plain_csv_lines(text)
-    if lines is None:
-        return None
-    header = lines[0].split(",")
-    body = lines[1:]
-    if len(header) < 2 or header[0] != "report_id" or not body:
-        return None
-    if len(set(header[1:])) != len(header) - 1:
-        return None
-    if any(line.count(",") != len(header) - 1 for line in body):
-        return None
-    ids = [line.partition(",")[0] for line in body]
-    if len(set(ids)) != len(ids):
-        return None
-    try:
-        # loadtxt reads a subset of the tokens float() reads, to the same values.
-        values = np.loadtxt(body, delimiter=",", usecols=range(1, len(header)),
-                            comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if values.shape != (len(body), len(header) - 1) or not np.isfinite(values).all():
-        return None
-    return header[1:], ids, values
-
-
-def _read_scores_by_row(text: str):
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if not header or header[0] != "report_id":
-        raise MalformedRecord("scores CSV needs a report_id header column", 1)
-    check_class_names(header[1:], 1)
-    ids: list[str] = []
-    rows: list[list[float]] = []
-    seen: set[str] = set()
-    for line_no, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            raise MalformedRecord("wrong column count", line_no)
-        try:
-            values = [float(v) for v in row[1:]]
-        except ValueError as err:
-            raise MalformedRecord(str(err), line_no) from None
-        if not all(map(math.isfinite, values)):
-            raise MalformedRecord(f"non-finite score in row {row!r}", line_no)
-        if row[0] in seen:
-            raise MalformedRecord(f"duplicate report id {row[0]!r}", line_no)
-        seen.add(row[0])
-        ids.append(row[0])
-        rows.append(values)
-    values = np.array(rows, dtype=float).reshape(len(rows), len(header) - 1)
-    return header[1:], ids, values
-
-
 def _csv_cell(value: str) -> str:
     """`value` as csv.writer writes it in a row of several cells."""
     buffer = io.StringIO()
@@ -368,7 +298,7 @@ def _roc_block(name: str, tp: np.ndarray, fp: np.ndarray) -> bytes:
 
 
 def cmd_auc(args, config: RunConfig) -> int:
-    classes, report_ids, scores = _read_scores_csv(_require(args.scores, "scores"))
+    classes, report_ids, scores = read_scores_csv(_require(args.scores, "scores"))
     gold, label_config = read_labels_wide_csv(_require(args.labels, "labels"))
     rows = gold.rows_of(report_ids)
     if rows is None:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -145,12 +147,6 @@ class LabelTable:
 
     def has_status(self, status: Status) -> np.ndarray:
         return self.status == STATUSES.index(status)
-
-    def records(self) -> list[ReportLabels]:
-        return [
-            ReportLabels(rid, tuple(row), STATUSES[code])
-            for rid, row, code in zip(self.ids, self.y.tolist(), self.status.tolist())
-        ]
 
     def rows_of(self, ids: list[str]) -> Optional[np.ndarray]:
         """The row of each of `ids` (no id twice) in this table, or None
@@ -336,85 +332,150 @@ def read_labels_wide_csv(
     return _read_labels_plain(text, config) or _read_labels_by_row(text, config)
 
 
-def plain_csv_lines(text: str) -> Optional[list[str]]:
-    """The lines of `text` when it is not empty and has no quote and no
-    carriage return, so that `csv.reader` reads each line as its
-    comma-separated cells; None otherwise."""
+def read_scores_csv(path) -> tuple[list[str], list[str], np.ndarray]:
+    """Classes, report ids and the (N, K) score matrix of a scores CSV.
+
+    A file of plain cells is read with one `np.loadtxt`; any other goes
+    through the per-row csv parser, which names the bad line.
+    """
+    with open_input(path, newline="") as handle:
+        text = handle.read()
+    return _read_scores_plain(text) or _read_scores_by_row(text)
+
+
+_SCORES_HEADER = "scores CSV needs a report_id header column"
+
+
+def _header_classes(header, need: str = _SCORES_HEADER, last: str = "") -> list[str]:
+    """The cells after `report_id` (and before `last`, when given). A bad
+    header raises `need`, a repeated class its own error, both at line 1."""
+    if not header or header[0] != "report_id" or (last and header[-1] != last):
+        raise MalformedRecord(need, 1)
+    classes = header[1:-1] if last else header[1:]
+    check_class_names(classes, 1)
+    return classes
+
+
+def _labels_config(header: Optional[list[str]], config: Optional[LabelConfig]):
+    """The config of a label CSV header: `config` if given, which it must match."""
+    classes = tuple(_header_classes(
+        header, "wide label CSV needs report_id ... status header", "status"
+    ))
+    if config is None:
+        return LabelConfig("custom", classes)
+    if config.classes != classes:
+        raise MalformedRecord(
+            f"CSV classes {classes} do not match config {config.classes}", 1
+        )
+    return config
+
+
+def _plain_rows(text: str, check_header):
+    """`check_header(header)`, the ids and the rests (each row after its id)
+    of `text` when it is not empty, has no id twice and no quote or carriage
+    return (so that each line's cells are its comma-separated parts); else None."""
     if not text or '"' in text or "\r" in text:
         return None
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
-    return lines
+    checked = check_header(lines[0].split(","))
+    ids, rests = [], []
+    for line in lines[1:]:
+        report_id, _, rest = line.partition(",")
+        ids.append(report_id)
+        rests.append(rest)
+    if len(set(ids)) != len(ids):
+        return None
+    return checked, ids, rests
 
 
 def _read_labels_plain(text: str, config: Optional[LabelConfig]):
-    """The table and config of `text` when it has plain lines, a valid
-    header, unique ids, known statuses and rows of 0/1 cells that agree
-    with their status; None otherwise."""
-    lines = plain_csv_lines(text)
-    if lines is None:
+    """The table and config of `text` when it has plain lines and each row
+    has 0/1 cells that agree with its known status; None otherwise."""
+    plain = _plain_rows(text, lambda header: _labels_config(header, config))
+    if plain is None:
         return None
-    header = lines[0].split(",")
-    if len(header) < 3 or header[0] != "report_id" or header[-1] != "status":
-        return None
-    classes = tuple(header[1:-1])
-    if len(set(classes)) != len(classes):
-        return None
-    if config is not None and config.classes != classes:
-        return None
-    ids, cells, statuses = [], [], []
-    for line in lines[1:]:
-        report_id, _, rest = line.partition(",")
-        middle, _, status = rest.rpartition(",")
-        ids.append(report_id)
-        cells.append(middle)
-        statuses.append(status)
-    codes = [_STATUS_CODE.get(status) for status in statuses]
-    # Each row's label cells read "d,d,...,d": 2C - 1 characters.
-    joined = ",".join(cells + [""])
-    if (
-        None in codes
-        or set(map(len, cells)) - {2 * len(classes) - 1}
-        or not joined.isascii()
-        or len(set(ids)) != len(ids)
-    ):
+    config, ids, rests = plain
+    width = 2 * config.C  # each rest is "d,d,...,d," and then its status
+    codes = [_STATUS_CODE.get(rest[width:]) for rest in rests]
+    joined = "".join(rest[:width] for rest in rests)
+    if None in codes or not joined.isascii():
         return None
     pairs = np.frombuffer(joined.encode(), dtype=np.uint8)
-    pairs = pairs.reshape(len(ids), len(classes), 2)
+    pairs = pairs.reshape(len(ids), config.C, 2)
     y = pairs[..., 0] - ord("0")  # any byte other than 0 or 1 wraps above 1
     if (pairs[..., 1] != ord(",")).any() or (y > 1).any():
         return None
     table = LabelTable(ids, y.astype(np.int8), np.array(codes, dtype=np.int8))
     if (table.y.any(axis=1) != table.has_status(Status.TARGET_FINDINGS)).any():
         return None
-    return table, config or LabelConfig("custom", classes)
+    return table, config
+
+
+def _read_scores_plain(text: str):
+    """The scores of `text` when it has plain lines, unique ids and as
+    many finite numbers in each row as there are classes; None otherwise."""
+    plain = _plain_rows(text, _header_classes)
+    if plain is None:
+        return None
+    classes, ids, rests = plain
+    try:
+        # loadtxt reads a subset of the tokens float() reads, to the same
+        # values; it skips blank rests, and warns when all are blank.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(rests, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (len(ids), len(classes)) or not np.isfinite(values).all():
+        return None
+    return classes, ids, values
+
+
+def _parse_rows(text: str, check_header, parse_row):
+    """`check_header(header)`, the ids and `parse_row(row)` of each row of
+    `text` as `csv.reader` reads it. A row error (column count, then cells,
+    then a repeated id) names the line the row starts on."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    checked = check_header(header)
+    ids: dict[str, None] = {}  # in row order
+    parsed: list = []
+    line_no = reader.line_num + 1
+    for row in reader:
+        if len(row) != len(header):
+            raise MalformedRecord("wrong column count", line_no)
+        try:
+            parsed.append(parse_row(row))
+        except (ValueError, MalformedRecord) as err:
+            raise MalformedRecord(str(err), line_no) from None
+        if row[0] in ids:
+            raise MalformedRecord(f"duplicate report id {row[0]!r}", line_no)
+        ids[row[0]] = None
+        line_no = reader.line_num + 1
+    return checked, list(ids), parsed
+
+
+def _label_row(row: list[str]) -> ReportLabels:
+    return ReportLabels(row[0], tuple(int(v) for v in row[1:-1]), Status(row[-1]))
+
+
+def _score_row(row: list[str]) -> list[float]:
+    values = [float(v) for v in row[1:]]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"non-finite score in row {row!r}")
+    return values
 
 
 def _read_labels_by_row(text: str, config: Optional[LabelConfig]):
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if not header or header[0] != "report_id" or header[-1] != "status":
-        raise MalformedRecord("wide label CSV needs report_id ... status header", 1)
-    classes = tuple(header[1:-1])
-    check_class_names(classes, 1)
-    if config is None:
-        config = LabelConfig("custom", classes)
-    elif config.classes != classes:
-        raise MalformedRecord(
-            f"CSV classes {classes} do not match config {config.classes}", 1
-        )
-    labels: list[ReportLabels] = []
-    seen: set[str] = set()
-    for row_no, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            raise MalformedRecord("wrong column count", row_no)
-        try:
-            y = tuple(int(v) for v in row[1:-1])
-            labels.append(ReportLabels(row[0], y, Status(row[-1])))
-        except (ValueError, MalformedRecord) as err:
-            raise MalformedRecord(str(err), row_no) from None
-        if row[0] in seen:
-            raise MalformedRecord(f"duplicate report id {row[0]!r}", row_no)
-        seen.add(row[0])
-    return LabelTable.from_records(labels, config), config
+    config, _, records = _parse_rows(
+        text, lambda header: _labels_config(header, config), _label_row
+    )
+    return LabelTable.from_records(records, config), config
+
+
+def _read_scores_by_row(text: str):
+    classes, ids, rows = _parse_rows(text, _header_classes, _score_row)
+    values = np.array(rows, dtype=float).reshape(len(rows), len(classes))
+    return classes, ids, values

@@ -156,9 +156,6 @@ class RuleSet:
     def __len__(self) -> int:
         return len(self.rules)
 
-    def without(self, rule_id: str) -> "RuleSet":
-        return RuleSet(r for r in self.rules if r.rule_id != rule_id)
-
 
 def _parse_step(token: str, line_no: int) -> EdgeStep:
     direction, sep, rest = token.partition(":")

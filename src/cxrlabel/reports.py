@@ -146,9 +146,6 @@ class DependencyGraph:
             adjacency.setdefault(edge.dependent, []).append(edge)
         return adjacency
 
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
-
     def out_edges(self, position: int) -> list[Edge]:
         return list(self.out_adjacency.get(position, ()))
 
@@ -193,6 +190,10 @@ class Corpus:
             seen.add(report.report_id)
         sentences = {s.ref: s for s in self.sentences()} if self.graphs else {}
         for ref, graph in self.graphs.items():
+            if graph.sentence_ref != ref:
+                raise TokenCountMismatch(
+                    f"graph is for sentence {graph.sentence_ref}", ref
+                )
             if ref not in sentences:
                 raise TokenCountMismatch("graph for unknown sentence", ref)
             n = len(sentences[ref])

@@ -1,8 +1,8 @@
 """Shared fixture helpers: sentences, graphs, rule example sentences,
-mutated CSV tables, the writers of the round-trip tests, the
-independent AUC and box-matching oracles, the per-point ROC writer
-that the `--roc-out` renderer is checked against, and the corpus-wide
-label pipeline that `label_all` is checked against."""
+mutated CSV tables, the records of a label table, the writers of the
+round-trip tests, the independent AUC and box-matching oracles, the
+per-point ROC writer that the `--roc-out` renderer is checked against,
+and the corpus-wide label pipeline that `label_all` is checked against."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from cxrlabel.cli import _csv_cell
 from cxrlabel.errors import MissingGraph, SpanOutOfRange
-from cxrlabel.labeling import ReportLabels, Status, polarize_corpus
+from cxrlabel.labeling import STATUSES, ReportLabels, Status, polarize_corpus
 from cxrlabel.lexicon import NORMAL_CONCEPT, match_concepts, merge_mention_sets
 from cxrlabel.localization import Heatmap
 from cxrlabel.metrics import roc_points
@@ -204,6 +204,14 @@ def mutated_csv(draw, rows: list[list[str]], tokens: list[str]) -> str:
     end = draw(st.sampled_from(["\n", "\n", "\r\n"]))
     text = end.join(",".join(row) for row in rows)
     return text + end if draw(st.booleans()) else text
+
+
+def label_records(table) -> list[ReportLabels]:
+    """The ReportLabels of each row of a LabelTable, in row order."""
+    return [
+        ReportLabels(rid, tuple(row), STATUSES[code])
+        for rid, row, code in zip(table.ids, table.y.tolist(), table.status.tolist())
+    ]
 
 
 # --- writers for the round-trip tests ---

@@ -13,13 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cxrlabel import negation, reports
-from cxrlabel.cli import _read_scores_by_row, _read_scores_csv, _roc_block, main
+from cxrlabel.cli import _roc_block, main
 from cxrlabel.errors import CxrLabelError
-from cxrlabel.labeling import get_config, read_labels_wide_csv
+from cxrlabel.labeling import (
+    _read_scores_by_row,
+    get_config,
+    read_labels_wide_csv,
+    read_scores_csv,
+)
 from cxrlabel.lexicon import Lexicon
 from cxrlabel.metrics import T_GRID_IOBB, T_GRID_IOU, roc_counts
 
-from conftest import mutated_csv, roc_lines_by_points
+from conftest import label_records, mutated_csv, roc_lines_by_points
 
 DATA = Path(__file__).parent / "data"
 CORPUS = str(DATA / "labeled_corpus.tsv")
@@ -465,7 +470,7 @@ class TestLabelCommand:
         code, _, out_csv = run_label(tmp_path)
         assert code == 0
         labels, config = read_labels_wide_csv(out_csv, get_config("x8"))
-        by_id = {record.report_id: record for record in labels.records()}
+        by_id = {record.report_id: record for record in label_records(labels)}
         assert tuple(by_id["r17"].positive_classes(config)) == (
             "Atelectasis", "Effusion",
         )
@@ -511,7 +516,7 @@ class TestLabelCommand:
             ])
             assert code == 0
             labels, config = read_labels_wide_csv(out_csv, get_config("x8"))
-            record = labels.records()[0]
+            record = label_records(labels)[0]
             return tuple(record.positive_classes(config)), record.status
 
         classes, _ = label_with()
@@ -780,18 +785,26 @@ class TestAucCommand:
 
     def test_plain_scores_skip_the_row_parser(self, tmp_path):
         scores, _ = self.write_inputs(tmp_path)
-        with mock.patch("cxrlabel.cli._read_scores_by_row",
+        with mock.patch("cxrlabel.labeling._read_scores_by_row",
                         side_effect=AssertionError):
-            classes, ids, values = _read_scores_csv(scores)
+            classes, ids, values = read_scores_csv(scores)
         assert (classes, ids) == (["A", "B"], ["i1", "i2", "i3", "i4"])
         assert values.tolist() == [[0.9, 0.4], [0.1, 0.3], [0.8, 0.2], [0.2, 0.1]]
+
+    def test_bad_score_row_after_a_quoted_line_break_names_its_line(self, tmp_path):
+        scores = tmp_path / "scores.csv"
+        # The quoted id spans lines 2 and 3, so the bad row is on line 4.
+        scores.write_text('report_id,A\n"i\n1",0.9\ni2,high\n')
+        with pytest.raises(CxrLabelError) as err:
+            read_scores_csv(scores)
+        assert str(err.value) == "line 4: could not convert string to float: 'high'"
 
     @settings(max_examples=600, deadline=None)
     @given(text=scores_csv_texts())
     def test_scores_reader_equals_per_row_parser(self, tmp_path_factory, text):
         path = tmp_path_factory.getbasetemp() / "mutated_scores.csv"
         path.write_bytes(text.encode("utf-8"))
-        assert scores_or_error(_read_scores_csv, path) == scores_or_error(
+        assert scores_or_error(read_scores_csv, path) == scores_or_error(
             _read_scores_by_row, text
         )
 

@@ -48,6 +48,7 @@ from cxrlabel.reports import (
 from conftest import (
     label_all_corpus_wide,
     label_corpus_corpus_wide,
+    label_records,
     make_graph,
     make_sentence,
     mutated_csv,
@@ -87,7 +88,7 @@ def table_or_error(read, *args):
         table, config = read(*args)
     except MalformedRecord as err:
         return str(err)
-    return (config, table.records(), table.y.dtype, table.y.shape,
+    return (config, label_records(table), table.y.dtype, table.y.shape,
             table.status.dtype, table.status.shape)
 
 
@@ -348,7 +349,7 @@ class TestLabelTables:
         with open(path, "w", encoding="utf-8") as handle:
             write_labels_wide_csv(self.LABELS, CONFIG_X8, handle)
         loaded, config = read_labels_wide_csv(path)
-        assert loaded.records() == self.LABELS
+        assert label_records(loaded) == self.LABELS
         assert config.classes == CONFIG_X8.classes
 
     def test_wide_csv_header(self, tmp_path):
@@ -376,7 +377,8 @@ class TestLabelTables:
                         side_effect=AssertionError):
             table, config = read_labels_wide_csv(GOLD)
         assert (table.y.dtype, table.y.shape) == (np.int8, (20, 8))
-        assert table.records() == read_labels_wide_csv(GOLD, config)[0].records()
+        again, _ = read_labels_wide_csv(GOLD, config)
+        assert label_records(table) == label_records(again)
 
     @settings(max_examples=600, deadline=None)
     @given(case=label_csv_cases())
@@ -401,6 +403,15 @@ class TestLabelTables:
         with pytest.raises(MalformedRecord, match=f"^line 3: {reason}$"):
             read_labels_wide_csv(path)
 
+    def test_bad_row_after_a_quoted_line_break_named_by_its_line(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        # The quoted id spans lines 2 and 3, so the bad row is on line 4.
+        path.write_text('report_id,A,status\n"r\n0",1,TARGET_FINDINGS\nr1,2,NORMAL\n')
+        with pytest.raises(
+            MalformedRecord, match="^line 4: non-binary label vector for r1$"
+        ):
+            read_labels_wide_csv(path)
+
 
 class TestLabelTable:
     RECORDS = TestLabelTables.LABELS
@@ -409,13 +420,13 @@ class TestLabelTable:
         table = LabelTable.from_records(self.RECORDS, CONFIG_X8)
         assert table.ids == ["r1", "r2", "r3"]
         assert table.y.dtype == np.int8 and table.y.shape == (3, 8)
-        assert table.records() == self.RECORDS
+        assert label_records(table) == self.RECORDS
         assert table.has_status(Status.NORMAL).tolist() == [False, True, False]
 
     def test_empty_table_keeps_its_width(self):
         table = LabelTable.from_records([], CONFIG_X14)
         assert table.y.shape == (0, 14)
-        assert table.records() == []
+        assert label_records(table) == []
 
     def test_duplicate_id_rejected(self):
         with pytest.raises(MalformedRecord, match="^duplicate report id 'r1'$"):

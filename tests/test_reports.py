@@ -229,6 +229,19 @@ class TestCorpusValidation:
             build((report,), {ref: bad})
 
     @pytest.mark.parametrize("build", GRAPH_ROUTES)
+    def test_graph_stored_under_another_sentence_ref_rejected(self, build):
+        # Both sentences have three tokens, so the token counts agree.
+        report = RadiologyReport("r1", "p1", {"findings": "no effusion. small mass."})
+        ref_a = SentenceRef("r1", "findings", 0)
+        ref_b = SentenceRef("r1", "findings", 1)
+        graph_b = DependencyGraph(ref_b, 3, ("small", "mass", "."), ())
+        with pytest.raises(
+            TokenCountMismatch,
+            match="^sentence r1/findings/0: graph is for sentence r1/findings/1$",
+        ):
+            build((report,), {ref_a: graph_b})
+
+    @pytest.mark.parametrize("build", GRAPH_ROUTES)
     def test_graph_for_unknown_sentence_rejected(self, build):
         report = RadiologyReport("r1", "p1", {"findings": "no acute disease"})
         ref = SentenceRef("r1", "findings", 7)
@@ -250,8 +263,8 @@ class TestDependencyFile:
         graphs = load_dependency_file(path)
         ref = SentenceRef("r1", "findings", 0)
         assert graphs[ref].surfaces == ("no", "acute", "disease")
-        assert Edge(3, 1, "neg") in graphs[ref].edge_set()
-        assert Edge(0, 3, "root") in graphs[ref].edge_set()
+        assert Edge(3, 1, "neg") in graphs[ref].edges
+        assert Edge(0, 3, "root") in graphs[ref].edges
 
     def test_repeated_position_gives_multiple_heads(self, tmp_path):
         path = tmp_path / "deps.tsv"
@@ -264,7 +277,7 @@ class TestDependencyFile:
         )
         graphs = load_dependency_file(path)
         graph = graphs[SentenceRef("r1", "findings", 0)]
-        assert graph.edge_set() == {Edge(2, 1, "dobj"), Edge(2, 1, "nsubj")}
+        assert frozenset(graph.edges) == {Edge(2, 1, "dobj"), Edge(2, 1, "nsubj")}
 
     def test_dash_row_declares_edgeless_token(self, tmp_path):
         path = tmp_path / "deps.tsv"
@@ -323,7 +336,7 @@ class TestDependencyFile:
         path = tmp_path / "deps.tsv"
         path.write_text(text, encoding="utf-8")
         again = load_dependency_file(path)
-        assert again[graph.sentence_ref].edge_set() == graph.edge_set()
+        assert frozenset(again[graph.sentence_ref].edges) == frozenset(graph.edges)
         assert again[graph.sentence_ref].surfaces == graph.surfaces
 
     @given(
@@ -352,5 +365,5 @@ class TestDependencyFile:
             serialize_dependency_graphs({ref: graph}), encoding="utf-8"
         )
         again = load_dependency_file(path)
-        assert again[ref].edge_set() == graph.edge_set()
+        assert frozenset(again[ref].edges) == frozenset(graph.edges)
         assert again[ref].surfaces == graph.surfaces

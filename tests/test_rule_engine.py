@@ -211,7 +211,10 @@ EXTRA_RULES = RuleSet([
 # alone, so that no other rule masks it.
 RULESETS = (
     {"all": RULES}
-    | {f"without-{r.rule_id}": RULES.without(r.rule_id) for r in RULES.rules}
+    | {
+        f"without-{r.rule_id}": RuleSet(s for s in RULES.rules if s is not r)
+        for r in RULES.rules
+    }
     | {f"only-{r.rule_id}": RuleSet([r]) for r in EXTRA_RULES.rules}
 )
 
