@@ -4,7 +4,8 @@ Every error raised by this package derives from CxrLabelError so callers
 (and the CLI) can tell pipeline failures apart from programming errors.
 Location arguments (line_no, row_no) are optional: loaders supply them,
 in-memory constructors do not. Loaders open their files with
-`open_input`, which turns a file that is not UTF-8 into a located error.
+`open_input`, or read their bytes with `read_input`; both turn a file
+that is not UTF-8 into a located error.
 """
 
 from contextlib import contextmanager
@@ -27,6 +28,27 @@ class NotUtf8(CxrLabelError):
         self.line_no = line_no
 
 
+def line_of(data: bytes, offset: int) -> int:
+    r"""The line of byte `offset` of `data`, counting `\r\n`, a lone `\r`
+    and `\n` each as one line break, as universal newlines do."""
+    breaks = data.count(b"\n", 0, offset) + data.count(b"\r", 0, offset)
+    return breaks - data.count(b"\r\n", 0, offset) + 1
+
+
+def read_input(path) -> bytes:
+    """The bytes of `path`, raising NotUtf8 with the line of the first bad
+    byte when they do not decode as UTF-8. A pure-ASCII file is not
+    decoded."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise NotUtf8(path, line_of(data, err.start)) from None
+    return data
+
+
 @contextmanager
 def open_input(path, newline=None):
     """`open(path, encoding="utf-8", newline=newline)`, raising NotUtf8
@@ -36,12 +58,7 @@ def open_input(path, newline=None):
         with open(path, encoding="utf-8", newline=newline) as handle:
             yield handle
     except UnicodeDecodeError:
-        with open(path, "rb") as handle:
-            data = handle.read()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as err:
-            raise NotUtf8(path, data.count(b"\n", 0, err.start) + 1) from None
+        read_input(path)
         raise
 
 

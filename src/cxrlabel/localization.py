@@ -19,6 +19,7 @@ from cxrlabel.errors import (
     MalformedRow,
     ZeroAreaDetection,
     open_input,
+    read_input,
 )
 
 DEFAULT_THRESHOLDS = (60, 180)
@@ -225,8 +226,9 @@ def boxes_from_heatmap(
     return boxes_from_heatmaps([heatmap], thresholds)
 
 
-# At most this many cells are normalized in one numpy pass, which bounds
-# the float working memory however many maps there are.
+# At most this many cells are normalized, or bytes of grid rows decoded,
+# in one numpy pass, which bounds the working memory however many maps
+# there are.
 _NORMALIZE_CELLS = 1 << 16
 
 
@@ -316,26 +318,32 @@ def load_heatmaps(path) -> list[Heatmap]:
     each followed by S rows of S space-separated scores. A file names
     each (image_id, class) at most once.
 
-    The grid rows of all maps of one size are parsed with one `loadtxt`.
-    A size whose rows do not all parse to finite values is read again
-    block by block, so the error reported is the first in the file.
+    The grid rows of all maps of one size are decoded from the bytes in
+    one pass when they are fixed-width (see `_fixed_width_grids`), and
+    parsed with one `loadtxt` otherwise. A size whose rows do not all
+    parse to finite values is read again block by block, so the error
+    reported is the first in the file.
     """
-    with open_input(path) as handle:
-        lines = [line.rstrip("\n") for line in handle]
+    lines = _Lines(read_input(path))
     headers, header_error = _read_headers(lines)
     by_size: dict[int, list[int]] = {}
     for _, _, size, _, i in headers:
         by_size.setdefault(size, []).append(i)
     grids: dict[int, np.ndarray] = {}
     for size, starts in by_size.items():
-        rows = [row for i in starts for row in lines[i + 1:i + 1 + size]]
-        values = _loadtxt(rows)
-        # min and max are finite only when every score is, and need no
-        # array of flags as large as the grids.
-        if (values is not None and values.shape == (len(rows), size)
-                and math.isfinite(values.min()) and math.isfinite(values.max())):
-            for k, i in enumerate(starts):
-                grids[i] = values[k * size:(k + 1) * size]
+        values = _fixed_width_grids(lines, np.array(starts), size)
+        if values is None:
+            rows = [row for i in starts for row in lines[i + 1:i + 1 + size]]
+            values = _loadtxt(rows)
+            # min and max are finite only when every score is, and need no
+            # array of flags as large as the grids.
+            if not (values is not None and values.shape == (len(rows), size)
+                    and math.isfinite(values.min())
+                    and math.isfinite(values.max())):
+                continue
+            values = values.reshape(len(starts), size, size)
+        for k, i in enumerate(starts):
+            grids[i] = values[k]
     heatmaps: list[Heatmap] = []
     for image_id, label, size, image_dim, i in headers:
         grid = grids.get(i)
@@ -347,7 +355,86 @@ def load_heatmaps(path) -> list[Heatmap]:
     return heatmaps
 
 
-def _read_headers(lines: list[str]):
+class _Lines:
+    r"""The lines of a file's bytes, read as text mode reads them: `\r\n`
+    and a lone `\r` end a line as `\n` does. Every newline is found once;
+    a line is decoded only when it is indexed, and a slice is a list."""
+
+    def __init__(self, data: bytes):
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if data and not data.endswith(b"\n"):
+            data += b"\n"  # the last line reads the same without it
+        self.data = data
+        self.codes = np.frombuffer(data, dtype=np.uint8)
+        # The index of each line's newline.
+        self.ends = np.flatnonzero(self.codes == ord("\n"))
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        start = int(self.ends[i - 1]) + 1 if i else 0
+        return self.data[start:int(self.ends[i])].decode("utf-8")
+
+
+def _fixed_width_grids(lines: _Lines, starts: np.ndarray,
+                       size: int) -> Optional[np.ndarray]:
+    """The (n, S, S) grids of the maps whose headers are lines `starts`,
+    decoded from the bytes, or None when some grid row is not S tokens of
+    one width w, each of digits (at most 15) around a "." at one inner
+    column, joined by single spaces and ended by a newline; this is what
+    "%.4f" writes for scores in [0, 10).
+
+    A token's digits form an integer below 2**53, built exactly in float64
+    column by column; one division by the exact power of ten then rounds
+    correctly (Clinger's fast path, PLDI 1990), so each value equals
+    float(token) bit for bit. The rows are gathered `_NORMALIZE_CELLS`
+    bytes at a time, which bounds the working memory.
+    """
+    codes, ends = lines.codes, lines.ends
+    first = int(ends[starts[0]]) + 1
+    length = int(ends[starts[0] + 1]) + 1 - first
+    width = length // size - 1
+    dot = lines.data.find(b".", first, first + width) - first
+    if length % size or not 3 <= width <= 16 or not 0 < dot < width - 1:
+        return None
+    if not np.all(ends[starts + size] - ends[starts] == size * length):
+        return None
+    # Every grid row is `length` bytes: S tokens of `width` bytes, each
+    # followed by a space, or by the newline after the last. Less its
+    # expected byte, a digit column's byte is its digit (a byte below "0"
+    # wraps past 9) and any other byte is 0.
+    expected = np.tile(np.append(np.full(width, ord("0"), dtype=np.uint8),
+                                 np.uint8(ord(" "))), size)
+    expected[dot::width + 1] = ord(".")
+    expected[-1] = ord("\n")
+    most = np.where(expected == ord("0"), 9, 0).astype(np.uint8)
+    columns = [c for c in range(width) if c != dot]
+    scale = float(10 ** (width - 1 - dot))
+    rows = np.lib.stride_tricks.sliding_window_view(codes, length)
+    offsets = np.arange(size) * length
+    grids = np.empty((len(starts), size, size))
+    step = max(1, _NORMALIZE_CELLS // (size * length))
+    for at in range(0, len(starts), step):
+        firsts = ends[starts[at:at + step]] + 1
+        block = rows[(firsts[:, None] + offsets).ravel()]
+        np.subtract(block, expected, out=block)
+        if not np.all(block.max(axis=0) <= most):
+            return None
+        digits = block.reshape(-1, size, width + 1)
+        out = grids[at:at + step].reshape(digits.shape[:2])
+        out[...] = digits[..., columns[0]]
+        for column in columns[1:]:
+            out *= 10.0
+            out += digits[..., column]
+        out /= scale
+    return grids
+
+
+def _read_headers(lines: _Lines):
     """The (image_id, class, S, image_dim, line index) of each header in
     file order, up to the first bad one, and that header's error (None
     when every header is good). Skips S grid rows after each header."""
@@ -356,10 +443,11 @@ def _read_headers(lines: list[str]):
     i = 0
     try:
         while i < len(lines):
-            if not lines[i].strip() or lines[i].startswith("#"):
+            line = lines[i]
+            if not line.strip() or line.startswith("#"):
                 i += 1
                 continue
-            fields = lines[i].split("\t")
+            fields = line.split("\t")
             if len(fields) != 4:
                 raise MalformedRow("heatmap header needs 4 fields", i + 1)
             image_id, label, size_s, dim_s = fields

@@ -372,6 +372,36 @@ class TestExitCodes:
         )
         assert last == f"error: {lexicon}: line 5001: not valid UTF-8"
 
+    @pytest.mark.parametrize("end", ["\r", "\r\n"])
+    @pytest.mark.parametrize("reader", sorted(UTF8_READERS))
+    def test_bad_byte_line_counts_carriage_returns_as_line_ends(
+        self, tmp_path, capsys, reader, end
+    ):
+        command, flag, good = UTF8_READERS[reader]
+        bad = tmp_path / f"{reader}.bad"
+        # Latin-1 on line 3, every line ended by `end`.
+        bad.write_bytes(f"{good}caf\xe9\n".replace("\n", end).encode("latin-1"))
+        last = last_error_line(
+            capsys, [*command_argv(command, tmp_path), flag, str(bad)]
+        )
+        assert last == f"error: {bad}: line 3: not valid UTF-8"
+
+    @pytest.mark.parametrize("cell, error", [
+        (b"\xff", "{path}: line 3: not valid UTF-8"),
+        (b"2", "line 3: non-binary label vector for r2"),
+    ])
+    def test_lone_cr_label_csv_errors_count_lines_alike(
+        self, tmp_path, capsys, cell, error
+    ):
+        labels = tmp_path / "labels.csv"
+        labels.write_bytes(b"report_id,A,status\rr1,1,TARGET_FINDINGS\rr2,"
+                           + cell + b",NORMAL\r")
+        last = last_error_line(capsys, [
+            "stats", "--labels", str(labels), "--out-counts",
+            str(tmp_path / "c.csv"), "--out-matrix", str(tmp_path / "m.csv"),
+        ])
+        assert last == "error: " + error.format(path=labels)
+
     @pytest.mark.parametrize("command, pred, reason", [
         ("stats", "id,A,status\nr1,1,TARGET_FINDINGS\n",
          "wide label CSV needs report_id ... status header"),

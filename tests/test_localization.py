@@ -3,6 +3,7 @@
 import io
 import math
 import time
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -14,7 +15,12 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from cxrlabel import localization
-from cxrlabel.errors import CxrLabelError, MalformedRow, ZeroAreaDetection
+from cxrlabel.errors import (
+    CxrLabelError,
+    MalformedRow,
+    NotUtf8,
+    ZeroAreaDetection,
+)
 from cxrlabel.localization import (
     DEFAULT_THRESHOLDS,
     BBox,
@@ -201,9 +207,22 @@ def grid_rows(draw, size):
 
 
 @st.composite
+def fixed_width_rows(draw, size):
+    """S rows of S "%.4f" scores in [0, 10): the rows the byte decoder
+    reads."""
+    scores = st.lists(st.floats(0, 9.999), min_size=size, max_size=size)
+    return [" ".join(f"{v:.4f}" for v in draw(scores)) for _ in range(size)]
+
+
+@st.composite
 def heatmap_texts(draw):
     size = draw(st.integers(1, 4))
-    rows = [draw(grid_rows(size)) for _ in range(size)]
+    if draw(st.booleans()):
+        rows = draw(fixed_width_rows(size))
+        if draw(st.booleans()):
+            rows[draw(st.integers(0, size - 1))] = draw(grid_rows(size))
+    else:
+        rows = [draw(grid_rows(size)) for _ in range(size)]
     # A second, clean block shows that rows are numbered across blocks.
     return "\n".join([f"i1\tMass\t{size}\t64", *rows, "i2\tMass\t1\t8", "5"])
 
@@ -302,8 +321,11 @@ def interleaved_heatmap_texts(draw):
         else:
             dim = draw(st.sampled_from(["64", "100", "7.5"]))
             lines.append(f"i{k}\tC{k % 2}\t{size}\t{dim}")
+        # Most blocks are fixed-width; a "%g" block sends its whole size
+        # through loadtxt.
+        style = draw(st.sampled_from(["{:.3f}"] * 3 + ["{:g}"]))
         for r in range(size):
-            cells = [f"{v:.3f}" for v in draw(
+            cells = [style.format(v) for v in draw(
                 st.lists(st.floats(0, 1), min_size=size, max_size=size)
             )]
             if bad_row and bad_row[0] == k and bad_row[1] % size == r:
@@ -342,6 +364,85 @@ def heatmap_lists(draw):
         dim = draw(st.sampled_from([1, 7, 100, 333.3, 1000, 1024.0, 0.001]))
         maps.append(Heatmap(f"i{k}", f"c{size}", grid, dim))
     return maps
+
+
+# Mantissas at the edge of exactness: 15 digits next to 2**53 / 10, the
+# largest 15-digit one, and 16 digits next to 2**53, where float64 stops
+# holding every integer.
+EDGE_MANTISSAS = [2**53 // 10 - 1, 2**53 // 10, 2**53 // 10 + 1, 10**15 - 1,
+                  2**53 - 1, 2**53, 2**53 + 1]
+
+
+@st.composite
+def fixed_width_tokens(draw, width, dot):
+    """A token of `width` bytes: digits, leading zeros kept, around a "."
+    at column `dot`."""
+    digits = width - 1
+    mantissas = st.integers(0, 10**digits - 1)
+    edges = [m for m in EDGE_MANTISSAS if m < 10**digits]
+    if edges:
+        mantissas |= st.sampled_from(edges)
+    text = str(draw(mantissas)).zfill(digits)
+    return text[:dot] + "." + text[dot:]
+
+
+@st.composite
+def fixed_width_grids(draw, blocks=1):
+    """(S, width, rows): S rows of S tokens for each block, the tokens of
+    one width from 3 to 17, with the "." at any inner column."""
+    size = draw(st.integers(1, 4))
+    width = draw(st.integers(3, 17))
+    dot = draw(st.integers(1, width - 2))
+    token = fixed_width_tokens(width, dot)
+    rows = [" ".join(draw(st.lists(token, min_size=size, max_size=size)))
+            for _ in range(blocks * size)]
+    return size, width, rows
+
+
+# Edits of one token that the byte decoder declines.
+ODD_CELLS = ["1e3", "nan", "1_0", "\u0661", "-", "+"]
+
+
+@st.composite
+def edited_fixed_width_texts(draw):
+    r"""Two fixed-width blocks of one size with one edit: a token one byte
+    wider, a sign, an exponent, nan, an underscore or a non-ASCII digit in
+    place of a token or of its first bytes, a trailing space, a tab or
+    another byte in place of a space, "\r\n" or "\r" line ends, no final
+    newline, blank or "#" lines between the blocks, or a non-ASCII image
+    id."""
+    size, _, rows = draw(fixed_width_grids(blocks=2))
+    rows, more = rows[:size], rows[size:]
+    edit = draw(st.sampled_from(["wider", "cell", "overlay", "trailing space",
+                                 "gap", "\r\n", "\r", "no final newline",
+                                 "between", "image id"]))
+    r = draw(st.integers(0, size - 1))
+    tokens = rows[r].split(" ")
+    t = draw(st.integers(0, size - 1))
+    odd = draw(st.sampled_from(ODD_CELLS))
+    if edit == "wider":
+        tokens[t] = "0" + tokens[t]
+    elif edit == "cell":
+        tokens[t] = odd
+    elif edit == "overlay":
+        tokens[t] = odd + tokens[t][len(odd):]
+    elif edit == "trailing space":
+        tokens[-1] += " "
+    elif edit == "gap" and size > 1:
+        gap = draw(st.sampled_from(["\t", "\x0b", "0", ",", "x"]))
+        tokens[t - 1] += gap + tokens.pop(t)
+    rows[r] = " ".join(tokens)
+    image_id = "\u00efmage" if edit == "image id" else "i1"
+    between = ""
+    if edit == "between":
+        between = draw(st.sampled_from(["\n", "# x\n", " \n"]))
+    text = (f"{image_id}\tMass\t{size}\t64\n" + "\n".join(rows) + "\n" + between
+            + f"i2\tMass\t{size}\t64\n" + "\n".join(more) + "\n")
+    if edit in ("\r\n", "\r"):
+        text = text.replace("\n", edit)
+    if edit == "no final newline":
+        text = text[:-1]
+    return text
 
 
 THRESHOLD_SETS = st.lists(
@@ -730,8 +831,11 @@ class TestFileFormats:
         path = tmp_path_factory.getbasetemp() / "mutated_heatmaps.tsv"
         path.write_text(text, encoding="utf-8")
         fast = loaded_or_error(path)
-        # With loadtxt failing, every block goes through the per-row parser.
-        with mock.patch("numpy.loadtxt", side_effect=ValueError):
+        # With the byte decoder declining and loadtxt failing, every block
+        # goes through the per-row parser.
+        with mock.patch.object(localization, "_fixed_width_grids",
+                               return_value=None), \
+                mock.patch("numpy.loadtxt", side_effect=ValueError):
             by_rows = loaded_or_error(path)
         assert fast == by_rows
 
@@ -757,6 +861,91 @@ class TestFileFormats:
         assert [m.grid.tolist() for m in maps] == [
             [[1, 2], [3, 4]], [[5]], [[6, 7], [8, 9]]
         ]
+
+    @pytest.mark.parametrize("edit", [
+        "none", "\r\n", "\r", "no final newline", "between", "image id"
+    ])
+    def test_fixed_width_sizes_are_decoded_without_loadtxt(self, tmp_path, edit):
+        text = ("i1\tA\t2\t64\n0.5000 1.2500\n9.0000 0.0625\ni1\tB\t1\t8\n5.0\n"
+                "i2\tA\t2\t64\n0.1000 0.2000\n0.3000 0.4000\n")
+        text = {
+            "\r\n": text.replace("\n", "\r\n"),
+            "\r": text.replace("\n", "\r"),
+            "no final newline": text[:-1],
+            "between": text.replace("\ni2", "\n\n# x\ni2"),
+            "image id": text.replace("i1", "\u00efm"),
+        }.get(edit, text)
+        path = tmp_path / "heatmaps.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch("numpy.loadtxt", wraps=np.loadtxt) as loadtxt, \
+                mock.patch.object(localization, "_fixed_width_grids",
+                                  wraps=localization._fixed_width_grids) as decode:
+            maps = load_heatmaps(path)
+        assert decode.call_count == 2
+        assert loadtxt.call_count == 0
+        assert [m.grid.tolist() for m in maps] == [
+            [[0.5, 1.25], [9.0, 0.0625]], [[5.0]], [[0.1, 0.2], [0.3, 0.4]]
+        ]
+
+    @settings(max_examples=400, deadline=None)
+    @given(grid=fixed_width_grids())
+    @example(grid=(1, 17, ["900719925474099.3"]))
+    @example(grid=(2, 16, ["9007199254740.99 0000000000000.01",
+                           "9999999999999.99 0000000000001.00"]))
+    def test_byte_decoder_equals_float_of_each_token(self, grid):
+        size, width, rows = grid
+        text = f"i1\tMass\t{size}\t64\n" + "\n".join(rows) + "\n"
+        decoded = localization._fixed_width_grids(
+            localization._Lines(text.encode()), np.array([0]), size
+        )
+        if width > 16:  # more than 15 digits
+            assert decoded is None
+        else:
+            expected = _parse_grid_rows(rows, size, 2)
+            assert decoded[0].tobytes() == expected.tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=edited_fixed_width_texts())
+    def test_edited_fixed_width_text_reads_as_loadtxt_and_rows_read_it(
+        self, tmp_path_factory, text
+    ):
+        path = tmp_path_factory.getbasetemp() / "edited_heatmaps.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        fast = loaded_or_error(path)
+        with mock.patch.object(localization, "_fixed_width_grids",
+                               return_value=None):
+            slow = loaded_or_error(path)
+        assert fast == slow
+
+    def test_bad_byte_in_a_grid_row_with_lone_cr_ends_names_its_line(
+        self, tmp_path
+    ):
+        path = tmp_path / "heatmaps.tsv"
+        path.write_bytes(b"i1\tMass\t2\t64\r0.5000 0.2500\r0.1250 \xff.0625\r")
+        with pytest.raises(NotUtf8) as err:
+            load_heatmaps(path)
+        assert str(err.value) == f"{path}: line 3: not valid UTF-8"
+
+    def test_peak_memory_is_about_the_file_and_the_grids(self, tmp_path):
+        rng = np.random.default_rng(0)
+        path = tmp_path / "heatmaps.tsv"
+        with open(path, "w", encoding="utf-8") as handle:
+            for i in range(200):
+                for label in ("Mass", "Nodule", "Effusion"):
+                    handle.write(f"img{i:05d}\t{label}\t32\t1024\n")
+                    for row in rng.random((32, 32)):
+                        handle.write(" ".join(f"{v:.4f}" for v in row) + "\n")
+        load_heatmaps(path)  # first-use allocations are not the reader's
+        tracemalloc.start()
+        try:
+            maps = load_heatmaps(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grids = sum(m.grid.nbytes for m in maps)
+        # The file's bytes are 7/8 of the grids'; what is left is the
+        # newline index, the headers and one chunk of rows.
+        assert peak < 2 * grids
 
     def test_duplicate_heatmap_named_at_its_second_header(self, tmp_path):
         path = tmp_path / "heatmaps.tsv"
