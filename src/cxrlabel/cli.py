@@ -22,7 +22,7 @@ import numpy as np
 from cxrlabel.errors import (
     CxrLabelError,
     DegenerateLabels,
-    open_input,
+    read_lines,
 )
 from cxrlabel.labeling import (
     get_config,
@@ -129,16 +129,15 @@ class RunConfig:
 
 def _load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open_input(path) as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not sep or key not in _CONFIG_KEYS:
-                raise CxrLabelError(f"config line {line_no}: bad entry {line!r}")
-            values[key] = value
+    for line_no, line in read_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep or key not in _CONFIG_KEYS:
+            raise CxrLabelError(f"config line {line_no}: bad entry {line!r}")
+        values[key] = value
     return values
 
 

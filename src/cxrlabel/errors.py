@@ -3,12 +3,11 @@
 Every error raised by this package derives from CxrLabelError so callers
 (and the CLI) can tell pipeline failures apart from programming errors.
 Location arguments (line_no, row_no) are optional: loaders supply them,
-in-memory constructors do not. Loaders open their files with
-`open_input`, or read their bytes with `read_input`; both turn a file
-that is not UTF-8 into a located error.
+in-memory constructors do not. Loaders read their files only through
+`read_input` (the bytes), `read_lines` (numbered lines) or `read_rows`
+(the tab-separated rows of a TSV file); each turns a file that is not
+UTF-8 into a located error.
 """
-
-from contextlib import contextmanager
 
 
 def _located(reason: str, label: str, location) -> str:
@@ -49,14 +48,15 @@ def read_input(path) -> bytes:
     return data
 
 
-@contextmanager
-def open_input(path, newline=None):
-    """`open(path, encoding="utf-8", newline=newline)`, raising NotUtf8
-    with the line of the first bad byte when the text does not decode.
-    The line is found only on that error path."""
+def read_lines(path):
+    r"""Yield (line_no, line) for each line of `path`, numbered from 1,
+    without its line break; `\r\n` and a lone `\r` end a line as `\n`
+    does. A byte that is not UTF-8 raises NotUtf8 with its line, which is
+    found only on that error path."""
     try:
-        with open(path, encoding="utf-8", newline=newline) as handle:
-            yield handle
+        with open(path, encoding="utf-8") as handle:
+            for line_no, line in enumerate(handle, start=1):
+                yield line_no, line.rstrip("\n")
     except UnicodeDecodeError:
         read_input(path)
         raise
@@ -106,10 +106,12 @@ class BadCui(CxrLabelError):
 
 
 class DuplicateEntry(CxrLabelError):
-    def __init__(self, cui: str, phrase: str):
-        super().__init__(f"duplicate lexicon entry ({cui}, {phrase!r})")
+    def __init__(self, cui: str, phrase: str, row_no=None):
+        reason = f"duplicate lexicon entry ({cui}, {phrase!r})"
+        super().__init__(_located(reason, "row", row_no))
         self.cui = cui
         self.phrase = phrase
+        self.row_no = row_no
 
 
 class MalformedRow(CxrLabelError):
@@ -120,7 +122,8 @@ class MalformedRow(CxrLabelError):
 
 class SpanOutOfRange(CxrLabelError):
     def __init__(self, reason: str, mention=None):
-        super().__init__(_located(reason, "mention", mention))
+        where = mention and f"{mention.sentence_ref} [{mention.start},{mention.end}]"
+        super().__init__(_located(reason, "mention", where))
         self.mention = mention
 
 
@@ -182,3 +185,19 @@ class DegenerateLabels(CxrLabelError):
 
 class EmptyCorpus(CxrLabelError):
     """Operation needs at least one patient/report."""
+
+
+# --- TSV rows; after the error classes, as MalformedRow is the default ---
+
+def read_rows(path, width: int, what: str, error=MalformedRow):
+    """Yield (line_no, fields) for each row of a TSV file: each line that
+    holds more than whitespace and does not start with "#", split at tabs.
+    A row of other than `width` fields raises `error("<what> needs <width>
+    fields", line_no)`."""
+    for line_no, line in read_lines(path):
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise error(f"{what} needs {width} fields", line_no)
+        yield line_no, fields

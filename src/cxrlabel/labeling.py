@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from cxrlabel.errors import MalformedRecord, MissingGraph, open_input
+from cxrlabel.errors import MalformedRecord, MissingGraph, read_input
 from cxrlabel.lexicon import (
     NORMAL_CONCEPT,
     ConceptMention,
@@ -327,8 +327,7 @@ def read_labels_wide_csv(
     A file of plain cells is read in one pass over its lines; any other
     goes through the per-row csv parser, which names the bad line.
     """
-    with open_input(path, newline="") as handle:
-        text = handle.read()
+    text = read_input(path).decode("utf-8")
     return _read_labels_plain(text, config) or _read_labels_by_row(text, config)
 
 
@@ -338,8 +337,7 @@ def read_scores_csv(path) -> tuple[list[str], list[str], np.ndarray]:
     A file of plain cells is read with one `np.loadtxt`; any other goes
     through the per-row csv parser, which names the bad line.
     """
-    with open_input(path, newline="") as handle:
-        text = handle.read()
+    text = read_input(path).decode("utf-8")
     return _read_scores_plain(text) or _read_scores_by_row(text)
 
 

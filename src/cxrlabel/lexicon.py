@@ -18,7 +18,7 @@ from cxrlabel.errors import (
     DuplicateEntry,
     MalformedRow,
     SpanOutOfRange,
-    open_input,
+    read_rows,
 )
 from cxrlabel.reports import Corpus, Sentence, SentenceRef
 
@@ -122,23 +122,22 @@ class Lexicon:
 def load_lexicon(path) -> Lexicon:
     """Load tab-separated rows cui, category, semantic_type, phrase."""
     entries: list[LexiconEntry] = []
-    with open_input(path) as handle:
-        for row_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise MalformedRow("lexicon row needs 4 fields", row_no)
-            cui, category, semantic_type, phrase = fields
-            if not _CUI_RE.match(cui):
-                raise BadCui(cui, row_no)
-            if not category.strip():
-                raise MalformedRow("empty category", row_no)
-            tokens = tuple(phrase.lower().split())
-            if not tokens:
-                raise MalformedRow("empty phrase", row_no)
-            entries.append(LexiconEntry(cui, category, semantic_type, tokens))
+    seen: set[tuple[str, tuple[str, ...]]] = set()
+    for row_no, fields in read_rows(path, 4, "lexicon row"):
+        cui, category, semantic_type, phrase = fields
+        if not _CUI_RE.match(cui):
+            raise BadCui(cui, row_no)
+        if not category.strip():
+            raise MalformedRow("empty category", row_no)
+        tokens = tuple(phrase.lower().split())
+        if not tokens:
+            raise MalformedRow("empty phrase", row_no)
+        if semantic_type not in SEMANTIC_TYPES:
+            raise MalformedRow(f"unknown semantic type {semantic_type!r}", row_no)
+        if (cui, tokens) in seen:
+            raise DuplicateEntry(cui, " ".join(tokens), row_no)
+        seen.add((cui, tokens))
+        entries.append(LexiconEntry(cui, category, semantic_type, tokens))
     return Lexicon(entries)
 
 
@@ -220,33 +219,26 @@ def load_external_mentions(path) -> list[ConceptMention]:
     """Load standoff rows: report_id, section, sentence_index, start, end,
     cui, category. Spans are validated against a corpus at attach time."""
     mentions: list[ConceptMention] = []
-    with open_input(path) as handle:
-        for row_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 7:
-                raise MalformedRow("mention row needs 7 fields", row_no)
-            report_id, section, index, start, end, cui, category = fields
-            try:
-                index_i, start_i, end_i = int(index), int(start), int(end)
-            except ValueError:
-                raise MalformedRow("non-integer index/span", row_no) from None
-            if start_i < 1 or end_i < start_i:
-                raise MalformedRow(f"bad span [{start_i},{end_i}]", row_no)
-            if not _CUI_RE.match(cui):
-                raise MalformedRow(f"bad CUI {cui!r}", row_no)
-            mentions.append(
-                ConceptMention(
-                    sentence_ref=SentenceRef(report_id, section, index_i),
-                    start=start_i,
-                    end=end_i,
-                    cui=cui,
-                    category=category,
-                    source=Source.EXTERNAL,
-                )
+    for row_no, fields in read_rows(path, 7, "mention row"):
+        report_id, section, index, start, end, cui, category = fields
+        try:
+            index_i, start_i, end_i = int(index), int(start), int(end)
+        except ValueError:
+            raise MalformedRow("non-integer index/span", row_no) from None
+        if start_i < 1 or end_i < start_i:
+            raise MalformedRow(f"bad span [{start_i},{end_i}]", row_no)
+        if not _CUI_RE.match(cui):
+            raise MalformedRow(f"bad CUI {cui!r}", row_no)
+        mentions.append(
+            ConceptMention(
+                sentence_ref=SentenceRef(report_id, section, index_i),
+                start=start_i,
+                end=end_i,
+                cui=cui,
+                category=category,
+                source=Source.EXTERNAL,
             )
+        )
     return mentions
 
 

@@ -18,8 +18,8 @@ from cxrlabel.errors import (
     CxrLabelError,
     MalformedRow,
     ZeroAreaDetection,
-    open_input,
     read_input,
+    read_rows,
 )
 
 DEFAULT_THRESHOLDS = (60, 180)
@@ -321,8 +321,8 @@ def load_heatmaps(path) -> list[Heatmap]:
     The grid rows of all maps of one size are decoded from the bytes in
     one pass when they are fixed-width (see `_fixed_width_grids`), and
     parsed with one `loadtxt` otherwise. A size whose rows do not all
-    parse to finite values is read again block by block, so the error
-    reported is the first in the file.
+    parse to finite values is parsed again block by block with float(),
+    so the error reported is the first in the file.
     """
     lines = _Lines(read_input(path))
     headers, header_error = _read_headers(lines)
@@ -348,7 +348,7 @@ def load_heatmaps(path) -> list[Heatmap]:
     for image_id, label, size, image_dim, i in headers:
         grid = grids.get(i)
         if grid is None:
-            grid = _read_grid(lines[i + 1:i + 1 + size], size, i + 2)
+            grid = _parse_grid_rows(lines[i + 1:i + 1 + size], size, i + 2)
         heatmaps.append(Heatmap(image_id, label, grid, image_dim))
     if header_error is not None:
         raise header_error
@@ -492,22 +492,10 @@ def _loadtxt(rows: list[str]) -> Optional[np.ndarray]:
         return None
 
 
-def _read_grid(block: list[str], size: int, row_no: int) -> np.ndarray:
-    """One S x S grid, its first row numbered row_no: loadtxt when that
-    gives the shape, else the per-row parser; non-finite rows are named."""
-    grid = _loadtxt(block)
-    if grid is None or grid.shape != (size, size):
-        grid = _parse_grid_rows(block, size, row_no)
-    finite_rows = np.isfinite(grid).all(axis=-1)
-    if not finite_rows.all():
-        first = int(np.argmin(finite_rows))
-        raise MalformedRow("non-finite score", row_no + first)
-    return grid
-
-
 def _parse_grid_rows(block: list[str], size: int, row_no: int) -> np.ndarray:
     """Parse S rows of S scores token by token with float(), naming the
-    first bad row (numbered from row_no) in the error."""
+    first bad row (numbered from row_no) in the error. A short or
+    non-numeric row is named before a non-finite one of the same block."""
     rows = []
     for k, line in enumerate(block):
         values = line.split()
@@ -517,34 +505,30 @@ def _parse_grid_rows(block: list[str], size: int, row_no: int) -> np.ndarray:
             rows.append([float(v) for v in values])
         except ValueError:
             raise MalformedRow("non-numeric score", row_no + k) from None
-    return np.array(rows)
+    grid = np.array(rows)
+    finite_rows = np.isfinite(grid).all(axis=-1)
+    if not finite_rows.all():
+        raise MalformedRow("non-finite score", row_no + int(np.argmin(finite_rows)))
+    return grid
 
 
 def load_boxes(path, with_threshold: bool = False) -> list[BBox]:
     """Read box rows: image_id, class, x, y, w, h, plus a trailing
     threshold column for detection files."""
-    want = 7 if with_threshold else 6
     boxes: list[BBox] = []
-    with open_input(path) as handle:
-        for row_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != want:
-                raise MalformedRow(f"box row needs {want} fields", row_no)
-            try:
-                x, y, w, h = (float(v) for v in fields[2:6])
-                threshold = int(fields[6]) if with_threshold else None
-            except ValueError:
-                raise MalformedRow("non-numeric box geometry", row_no) from None
-            if not all(map(math.isfinite, (x, y, w, h))):
-                raise MalformedRow("non-finite box geometry", row_no)
-            if with_threshold and not (w > 0 and h > 0):
-                raise MalformedRow("detection box needs positive w and h", row_no)
-            if w < 0 or h < 0:
-                raise MalformedRow("box needs non-negative w and h", row_no)
-            boxes.append(BBox(fields[0], fields[1], x, y, w, h, threshold))
+    for row_no, fields in read_rows(path, 7 if with_threshold else 6, "box row"):
+        try:
+            x, y, w, h = (float(v) for v in fields[2:6])
+            threshold = int(fields[6]) if with_threshold else None
+        except ValueError:
+            raise MalformedRow("non-numeric box geometry", row_no) from None
+        if not all(map(math.isfinite, (x, y, w, h))):
+            raise MalformedRow("non-finite box geometry", row_no)
+        if with_threshold and not (w > 0 and h > 0):
+            raise MalformedRow("detection box needs positive w and h", row_no)
+        if w < 0 or h < 0:
+            raise MalformedRow("box needs non-negative w and h", row_no)
+        boxes.append(BBox(fields[0], fields[1], x, y, w, h, threshold))
     return boxes
 
 

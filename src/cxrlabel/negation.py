@@ -18,7 +18,7 @@ from cxrlabel.errors import (
     MissingGraph,
     RuleParseError,
     UnknownDirection,
-    open_input,
+    read_rows,
 )
 from cxrlabel.lexicon import ConceptMention
 from cxrlabel.reports import DependencyGraph, Edge
@@ -180,50 +180,41 @@ def load_rules(path) -> RuleSet:
     """
     rules: list[Rule] = []
     seen_ids: set[str] = set()
-    with open_input(path) as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 6:
-                raise RuleParseError("rule needs 6 fields", line_no)
-            rule_id, polarity, triggers, path, endpoint, scope = fields
-            if rule_id in seen_ids:
-                raise RuleParseError(f"duplicate rule id {rule_id!r}", line_no)
-            seen_ids.add(rule_id)
-            try:
-                rule_polarity = RulePolarity(polarity)
-            except ValueError:
-                raise RuleParseError(
-                    f"unknown polarity {polarity!r}", line_no
-                ) from None
-            if triggers == "*":
-                trigger_phrases: tuple[tuple[str, ...], ...] = ()
-            else:
-                trigger_phrases = tuple(
-                    tuple(phrase.split()) for phrase in triggers.lower().split("|")
-                )
-                if any(not phrase for phrase in trigger_phrases):
-                    raise RuleParseError("empty trigger phrase", line_no)
-            steps = (
-                ()
-                if path == "-"
-                else tuple(_parse_step(tok, line_no) for tok in path.split())
+    for line_no, fields in read_rows(path, 6, "rule", RuleParseError):
+        rule_id, polarity, triggers, path, endpoint, scope = fields
+        if rule_id in seen_ids:
+            raise RuleParseError(f"duplicate rule id {rule_id!r}", line_no)
+        seen_ids.add(rule_id)
+        try:
+            rule_polarity = RulePolarity(polarity)
+        except ValueError:
+            raise RuleParseError(f"unknown polarity {polarity!r}", line_no) from None
+        if triggers == "*":
+            trigger_phrases: tuple[tuple[str, ...], ...] = ()
+        else:
+            trigger_phrases = tuple(
+                tuple(phrase.split()) for phrase in triggers.lower().split("|")
             )
-            if endpoint not in ("DISEASE", "ANY"):
-                raise RuleParseError(f"unknown endpoint {endpoint!r}", line_no)
-            try:
-                rule_scope = Scope(scope)
-            except ValueError:
-                raise RuleParseError(f"unknown scope {scope!r}", line_no) from None
-            try:
-                rules.append(
-                    Rule(rule_id, rule_polarity, trigger_phrases, steps,
-                         endpoint, rule_scope)
-                )
-            except RuleParseError as err:
-                raise RuleParseError(str(err), line_no) from None
+            if any(not phrase for phrase in trigger_phrases):
+                raise RuleParseError("empty trigger phrase", line_no)
+        steps = (
+            ()
+            if path == "-"
+            else tuple(_parse_step(tok, line_no) for tok in path.split())
+        )
+        if endpoint not in ("DISEASE", "ANY"):
+            raise RuleParseError(f"unknown endpoint {endpoint!r}", line_no)
+        try:
+            rule_scope = Scope(scope)
+        except ValueError:
+            raise RuleParseError(f"unknown scope {scope!r}", line_no) from None
+        try:
+            rules.append(
+                Rule(rule_id, rule_polarity, trigger_phrases, steps,
+                     endpoint, rule_scope)
+            )
+        except RuleParseError as err:
+            raise RuleParseError(str(err), line_no) from None
     return RuleSet(rules)
 
 

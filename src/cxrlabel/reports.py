@@ -19,7 +19,7 @@ from cxrlabel.errors import (
     EmptyReport,
     MalformedRecord,
     TokenCountMismatch,
-    open_input,
+    read_lines,
 )
 
 SECTION_TAGS = ("comparison", "indication", "findings", "impression", "other")
@@ -282,35 +282,33 @@ def load_corpus(path) -> Corpus:
     """
     reports: list[RadiologyReport] = []
     seen: set[str] = set()
-    with open_input(path) as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) < 3:
-                raise MalformedRecord(
-                    "record needs report_id, patient_id and one section", line_no
-                )
-            report_id, patient_id = fields[0].strip(), fields[1].strip()
-            if not report_id:
-                raise MalformedRecord("missing report_id", line_no)
-            if not patient_id:
-                raise MalformedRecord("missing patient_id", line_no)
-            if report_id in seen:
-                raise DuplicateReportId(report_id, line_no)
-            seen.add(report_id)
-            sections: dict[str, str] = {}
-            for pair in fields[2:]:
-                tag, sep, text = pair.partition("=")
-                if not sep:
-                    raise MalformedRecord(f"section field {pair!r} lacks '='", line_no)
-                if tag not in SECTION_TAGS:
-                    raise MalformedRecord(f"unknown section tag {tag!r}", line_no)
-                if tag in sections:
-                    raise MalformedRecord(f"duplicate section tag {tag!r}", line_no)
-                sections[tag] = text
-            reports.append(RadiologyReport(report_id, patient_id, sections))
+    for line_no, line in read_lines(path):
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) < 3:
+            raise MalformedRecord(
+                "record needs report_id, patient_id and one section", line_no
+            )
+        report_id, patient_id = fields[0].strip(), fields[1].strip()
+        if not report_id:
+            raise MalformedRecord("missing report_id", line_no)
+        if not patient_id:
+            raise MalformedRecord("missing patient_id", line_no)
+        if report_id in seen:
+            raise DuplicateReportId(report_id, line_no)
+        seen.add(report_id)
+        sections: dict[str, str] = {}
+        for pair in fields[2:]:
+            tag, sep, text = pair.partition("=")
+            if not sep:
+                raise MalformedRecord(f"section field {pair!r} lacks '='", line_no)
+            if tag not in SECTION_TAGS:
+                raise MalformedRecord(f"unknown section tag {tag!r}", line_no)
+            if tag in sections:
+                raise MalformedRecord(f"duplicate section tag {tag!r}", line_no)
+            sections[tag] = text
+        reports.append(RadiologyReport(report_id, patient_id, sections))
     return Corpus(tuple(reports))
 
 
@@ -378,28 +376,26 @@ def load_dependency_file(path) -> dict[SentenceRef, DependencyGraph]:
         header = None
         rows = []
 
-    with open_input(path) as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                flush()
-                continue
-            fields = line.split("\t")
-            if fields[0] == "#sent":
-                flush()
-                if len(fields) != 5:
-                    raise MalformedRecord("sentence header needs 5 fields", line_no)
-                try:
-                    index = int(fields[3])
-                    n_tokens = int(fields[4])
-                except ValueError:
-                    raise MalformedRecord("non-integer index/count", line_no) from None
-                header = (SentenceRef(fields[1], fields[2], index), n_tokens, line_no)
-                continue
-            if header is None:
-                raise MalformedRecord("token row before any #sent header", line_no)
-            if len(fields) != 4:
-                raise MalformedRecord("token row needs 4 fields", line_no)
-            rows.append((line_no, fields))
+    for line_no, line in read_lines(path):
+        if not line.strip():
+            flush()
+            continue
+        fields = line.split("\t")
+        if fields[0] == "#sent":
+            flush()
+            if len(fields) != 5:
+                raise MalformedRecord("sentence header needs 5 fields", line_no)
+            try:
+                index = int(fields[3])
+                n_tokens = int(fields[4])
+            except ValueError:
+                raise MalformedRecord("non-integer index/count", line_no) from None
+            header = (SentenceRef(fields[1], fields[2], index), n_tokens, line_no)
+            continue
+        if header is None:
+            raise MalformedRecord("token row before any #sent header", line_no)
+        if len(fields) != 4:
+            raise MalformedRecord("token row needs 4 fields", line_no)
+        rows.append((line_no, fields))
     flush()
     return graphs

@@ -590,7 +590,24 @@ class TestLabelCommand:
         mentions.write_text("r02\tfindings\t0\t4\t6\tC0032285\tPneumonia\n")
         code, _, _ = run_label(tmp_path, "--external-mentions", str(mentions))
         assert code == 2
-        assert "error: mention " in capsys.readouterr().err
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == "error: mention r02/findings/0 [4,6]: span ends past 5 tokens"
+
+    @pytest.mark.parametrize("row, error", [
+        ("C0032326\tPneumothorax\tbogus\tpneumothorax",
+         "row 3: unknown semantic type 'bogus'"),
+        ("C0032285\tPneumonia\tdsyn\tpneumonia",
+         "row 3: duplicate lexicon entry (C0032285, 'pneumonia')"),
+    ], ids=["semantic-type", "duplicate"])
+    def test_lexicon_row_errors_name_their_row(self, tmp_path, capsys, row, error):
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text(
+            f"C0032285\tPneumonia\tdsyn\tpneumonia\n# comment\n{row}\n"
+        )
+        last = last_error_line(
+            capsys, [*command_argv("label", tmp_path), "--lexicon", str(lexicon)]
+        )
+        assert last == f"error: {error}"
 
     def test_each_report_is_split_once(self, tmp_path, monkeypatch):
         calls = []

@@ -67,6 +67,45 @@ class TestEntryValidation:
         assert len(lex) == 2
 
 
+class TestLoadLexicon:
+    def write(self, tmp_path, *rows):
+        path = tmp_path / "lexicon.tsv"
+        path.write_text(
+            "C0032285\tPneumonia\tdsyn\tpneumonia\n# comment\n"
+            + "".join(row + "\n" for row in rows),
+            encoding="utf-8",
+        )
+        return path
+
+    def test_unknown_semantic_type_names_its_row(self, tmp_path):
+        path = self.write(tmp_path, "C0032326\tPneumothorax\tbogus\tpneumothorax")
+        with pytest.raises(MalformedRow) as err:
+            load_lexicon(path)
+        assert str(err.value) == "row 3: unknown semantic type 'bogus'"
+        assert err.value.row_no == 3
+
+    def test_repeated_entry_names_its_row(self, tmp_path):
+        # The phrase is compared lowercased, as the lexicon matches it.
+        path = self.write(tmp_path, "C0032285\tPneumonia\tdsyn\tPneumonia")
+        with pytest.raises(DuplicateEntry) as err:
+            load_lexicon(path)
+        assert str(err.value) == (
+            "row 3: duplicate lexicon entry (C0032285, 'pneumonia')"
+        )
+        assert (err.value.cui, err.value.phrase, err.value.row_no) == (
+            "C0032285", "pneumonia", 3
+        )
+
+    def test_repeated_entry_is_named_before_a_later_bad_row(self, tmp_path):
+        path = self.write(
+            tmp_path,
+            "C0032285\tPneumonia\tdsyn\tpneumonia",
+            "C0032326\tPneumothorax\tbogus\tpneumothorax",
+        )
+        with pytest.raises(DuplicateEntry, match="^row 3: "):
+            load_lexicon(path)
+
+
 class TestMatching:
     def test_longest_phrase_wins(self):
         sentence = make_sentence("small pleural effusion on the left")
@@ -220,8 +259,10 @@ class TestExternalMentions:
         bad = ConceptMention(
             SentenceRef("r1", "findings", 0), 1, 5, "C0013687", "Effusion"
         )
-        with pytest.raises(SpanOutOfRange):
+        with pytest.raises(SpanOutOfRange) as err:
             attach_mentions(corpus, [bad])
+        assert str(err.value) == "mention r1/findings/0 [1,5]: span ends past 1 tokens"
+        assert err.value.mention == bad
 
     def test_attach_rejects_unknown_sentence(self):
         corpus = Corpus((RadiologyReport("r1", "p1", {"findings": "effusion"}),))

@@ -967,6 +967,25 @@ class TestFileFormats:
             load_heatmaps(path)
         assert str(err.value) == "row 4: non-numeric score"
 
+    @pytest.mark.parametrize("later, error", [
+        ("1", "row 3: expected 2 scores per row"),
+        ("1 x", "row 3: non-numeric score"),
+        ("1 1", "row 2: non-finite score"),
+    ])
+    def test_short_or_non_numeric_row_is_named_before_a_non_finite_one(
+        self, tmp_path, later, error
+    ):
+        # Within one block every row is parsed before any is checked for
+        # non-finite scores; a map of another size reads on its own path.
+        path = tmp_path / "heatmaps.tsv"
+        path.write_text(
+            f"i1\tMass\t2\t64\nnan 1\n{later}\ni2\tMass\t1\t64\n0.5\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedRow) as err:
+            load_heatmaps(path)
+        assert str(err.value) == error
+
     def test_box_round_trip(self, tmp_path):
         boxes = [
             BBox("i1", "Mass", 10, 20, 30, 40, threshold=60),
