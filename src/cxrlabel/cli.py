@@ -348,7 +348,7 @@ def cmd_eval_loc(args, config: RunConfig) -> int:
     gts = load_boxes(_require(args.gt, "gt"))
     grid = None if args.t is None else (args.t,)
     results = localization_sweep(detections, gts, args.mode, grid, args.n_images)
-    classes = sorted({b.label for b in detections} | {b.label for b in gts})
+    classes = sorted(set(detections.labels) | set(gts.labels))
     with open(args.out, "w", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["mode", "T", "metric", *classes])

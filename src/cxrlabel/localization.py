@@ -37,7 +37,7 @@ class Heatmap:
         object.__setattr__(self, "grid", grid)
         if grid.ndim != 2 or grid.shape[0] != grid.shape[1] or grid.shape[0] < 1:
             raise MalformedRow(f"heatmap grid must be square, got {grid.shape}")
-        if not np.all(np.isfinite(grid)):
+        if not np.isfinite(grid).all():
             raise CxrLabelError("heatmap grid contains non-finite values")
         if not self.image_dim > 0:
             raise MalformedRow(f"image_dim must be > 0, got {self.image_dim}")
@@ -64,6 +64,64 @@ class BBox:
     @property
     def area(self) -> float:
         return self.w * self.h
+
+
+@dataclass(frozen=True, eq=False)
+class BoxTable:
+    """Box rows as arrays: the image id and class of each row, an (N, 4)
+    float64 array of x, y, w, h, and an (N,) int array of thresholds
+    (None for ground-truth boxes). Iterating yields each row as a BBox:
+    the BBox itself for a table built from BBoxes."""
+
+    image_ids: list[str]
+    labels: list[str]
+    xywh: np.ndarray
+    thresholds: Optional[np.ndarray] = None
+    boxes: Optional[list[BBox]] = None
+
+    @classmethod
+    def from_boxes(cls, boxes: Iterable[BBox]) -> "BoxTable":
+        """The table of `boxes`; it has thresholds when every box has one."""
+        boxes = list(boxes)
+        thresholds = [box.threshold for box in boxes]
+        xywh = np.array([(box.x, box.y, box.w, box.h) for box in boxes], dtype=float)
+        return cls([box.image_id for box in boxes], [box.label for box in boxes],
+                   xywh.reshape(-1, 4),
+                   None if None in thresholds else _int_array(thresholds), boxes)
+
+    def __len__(self) -> int:
+        return len(self.image_ids)
+
+    def __getitem__(self, k: int) -> BBox:
+        if self.boxes is not None:
+            return self.boxes[k]
+        threshold = None if self.thresholds is None else self.thresholds.item(k)
+        return BBox(self.image_ids[k], self.labels[k], *self.xywh[k].tolist(),
+                    threshold)
+
+    def __iter__(self):
+        if self.boxes is not None:
+            return iter(self.boxes)
+        thresholds = ([None] * len(self) if self.thresholds is None
+                      else self.thresholds.tolist())
+        return (BBox(image_id, label, *geometry, threshold)
+                for image_id, label, geometry, threshold in zip(
+                    self.image_ids, self.labels, self.xywh.tolist(), thresholds))
+
+
+def box_table(boxes) -> BoxTable:
+    """`boxes` if it is a BoxTable, else the table of its BBoxes."""
+    if isinstance(boxes, BoxTable):
+        return boxes
+    return BoxTable.from_boxes(boxes)
+
+
+def _int_array(values: list[int]) -> np.ndarray:
+    """`values` as int64, or as Python ints when one does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 def normalize_heatmap(heatmap) -> np.ndarray:
@@ -311,6 +369,37 @@ def iobb(gt: BBox, det: BBox) -> float:
 OVERLAP_MEASURES = {"iou": iou, "iobb": iobb}
 
 
+def pair_overlaps(gts: BoxTable, gt_rows: np.ndarray, dets: BoxTable,
+                  det_rows: np.ndarray, mode: str) -> np.ndarray:
+    """`OVERLAP_MEASURES[mode](gts[g], dets[d])` of each pair (g, d) of
+    `zip(gt_rows, det_rows)`, in one numpy pass and equal bit for bit:
+    min and max pick their operand as the builtins do (so NaN and signed
+    zeros come out the same), and every other operation runs in the same
+    order. Raises ZeroAreaDetection for the first pair the scalar measure
+    raises for, with its text."""
+    gt, det = gts.xywh[gt_rows], dets.xywh[det_rows]
+    gx, gy, gw, gh = gt.T
+    dx, dy, dw, dh = det.T
+    with np.errstate(all="ignore"):
+        gx1, dx1 = gx + gw, dx + dw
+        gy1, dy1 = gy + gh, dy + dh
+        width = np.where(dx1 < gx1, dx1, gx1) - np.where(dx > gx, dx, gx)
+        height = np.where(dy1 < gy1, dy1, gy1) - np.where(dy > gy, dy, gy)
+        inter = np.where((width <= 0) | (height <= 0), 0.0, width * height)
+        det_area = dw * dh
+        if mode == "iobb":
+            bad = np.flatnonzero(det_area <= 0)
+            if len(bad):
+                raise ZeroAreaDetection(
+                    f"detection {dets[det_rows[bad[0]]]} has zero area"
+                )
+            return inter / det_area
+        union = gw * gh + det_area - inter
+        if (union <= 0).any():
+            raise ZeroAreaDetection("both boxes have zero area")
+        return inter / union
+
+
 # --- file formats ---
 
 def load_heatmaps(path) -> list[Heatmap]:
@@ -512,16 +601,43 @@ def _parse_grid_rows(block: list[str], size: int, row_no: int) -> np.ndarray:
     return grid
 
 
-def load_boxes(path, with_threshold: bool = False) -> list[BBox]:
+def load_boxes(path, with_threshold: bool = False) -> BoxTable:
     """Read box rows: image_id, class, x, y, w, h, plus a trailing
-    threshold column for detection files."""
+    threshold column for detection files.
+
+    The rows are read in one pass and parsed column by column with
+    float() and int(); the finiteness and sign checks run once over the
+    array. When a row fails, `_load_boxes_by_row` reads the file again and
+    raises the first bad row's error.
+    """
+    width = 7 if with_threshold else 6
+    try:
+        rows = [fields for _, fields in read_rows(path, width, "box row")]
+        columns = list(zip(*rows)) or [()] * width
+        xywh = np.array([list(map(float, column)) for column in columns[2:6]]).T
+        thresholds = (_int_array(list(map(int, columns[6])))
+                      if with_threshold else None)
+    except (CxrLabelError, ValueError):
+        return BoxTable.from_boxes(_load_boxes_by_row(path, with_threshold))
+    extents = xywh[:, 2:]
+    if not (np.isfinite(xywh).all()
+            and (extents > 0 if with_threshold else extents >= 0).all()):
+        return BoxTable.from_boxes(_load_boxes_by_row(path, with_threshold))
+    return BoxTable(list(columns[0]), list(columns[1]), xywh, thresholds)
+
+
+def _load_boxes_by_row(path, with_threshold: bool) -> list[BBox]:
+    """`load_boxes` one row at a time, raising the first bad row's error."""
     boxes: list[BBox] = []
     for row_no, fields in read_rows(path, 7 if with_threshold else 6, "box row"):
         try:
             x, y, w, h = (float(v) for v in fields[2:6])
-            threshold = int(fields[6]) if with_threshold else None
         except ValueError:
             raise MalformedRow("non-numeric box geometry", row_no) from None
+        try:
+            threshold = int(fields[6]) if with_threshold else None
+        except ValueError:
+            raise MalformedRow("non-integer detection threshold", row_no) from None
         if not all(map(math.isfinite, (x, y, w, h))):
             raise MalformedRow("non-finite box geometry", row_no)
         if with_threshold and not (w > 0 and h > 0):

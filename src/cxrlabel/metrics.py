@@ -26,7 +26,13 @@ from cxrlabel.labeling import (
     Status,
     label_table,
 )
-from cxrlabel.localization import BBox, OVERLAP_MEASURES
+from cxrlabel.localization import (
+    OVERLAP_MEASURES,
+    BBox,
+    BoxTable,
+    box_table,
+    pair_overlaps,
+)
 
 # Threshold grids swept by the localization evaluation.
 T_GRID_IOBB = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -199,16 +205,35 @@ def localization_eval(
     return localization_sweep(detections, gts, mode, (threshold,), n_images)[0]
 
 
+def _group_pairs(gt_group: np.ndarray, det_group: np.ndarray,
+                 n_gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gt row and detection row of every pair in one group: group by
+    group, detection by detection within a group, and each detection with
+    its group's gts, rows in input order. `n_gt` counts each group's gts."""
+    gt_rows = np.argsort(gt_group, kind="stable")
+    det_rows = np.argsort(det_group, kind="stable")
+    per_det = n_gt[det_group[det_rows]]
+    first_gt = np.repeat((np.cumsum(n_gt) - n_gt)[det_group[det_rows]], per_det)
+    within = np.arange(per_det.sum()) - np.repeat(np.cumsum(per_det) - per_det,
+                                                  per_det)
+    return gt_rows[first_gt + within], np.repeat(det_rows, per_det)
+
+
 def localization_sweep(
-    detections: Iterable[BBox],
-    gts: Iterable[BBox],
+    detections: BoxTable | Iterable[BBox],
+    gts: BoxTable | Iterable[BBox],
     mode: str,
     grid: Optional[Iterable[float]] = None,
     n_images: Optional[int] = None,
 ) -> list[LocEvalResult]:
     """`localization_eval` at each threshold of the grid (the mode's
-    T_GRID_* by default). Each (gt, detection) pair of a (class, image)
-    group is measured once, and every threshold matches on those overlaps.
+    T_GRID_* by default).
+
+    Every (gt, detection) pair of a (class, image) group is measured in
+    one `pair_overlaps` pass. A group with at most one gt matches in
+    closed form: its gt is matched when some detection overlaps it by more
+    than the threshold, and its other detections are unmatched. Groups
+    with more gts go through `_greedy_match` on their rows of the overlaps.
     """
     if grid is None:
         grid = T_GRID_IOBB if mode == "iobb" else T_GRID_IOU
@@ -219,35 +244,58 @@ def localization_sweep(
         raise MalformedRow(f"unknown overlap mode {mode!r}")
     # Checked before any overlap is measured, as at every threshold.
     _check_threshold(grid[0])
-    measure = OVERLAP_MEASURES[mode]
-    detections = list(detections)
-    gts = list(gts)
+    detections = box_table(detections)
+    gts = box_table(gts)
     if n_images is None:
-        n_images = len({b.image_id for b in detections} | {b.image_id for b in gts})
+        n_images = len(set(detections.image_ids) | set(gts.image_ids))
     elif n_images < 1:
         raise MalformedRow(f"image count {n_images} below 1")
-    classes = sorted({b.label for b in detections} | {b.label for b in gts})
+    classes = sorted(set(detections.labels) | set(gts.labels))
 
-    # (class, image) -> (gts, detections), each in input order
-    groups: dict[tuple[str, str], tuple[list[BBox], list[BBox]]] = {}
-    for side, boxes in enumerate((gts, detections)):
-        for box in boxes:
-            groups.setdefault((box.label, box.image_id), ([], []))[side].append(box)
-    total_gt: dict[str, int] = {c: 0 for c in classes}
-    scored = []  # (class, overlap of each detection with each gt) per group
-    for (cls, _), (image_gts, image_dets) in groups.items():
-        total_gt[cls] += len(image_gts)
-        scored.append(
-            (cls, [[measure(gt, det) for gt in image_gts] for det in image_dets])
-        )
+    # The (class, image) groups, numbered in first-seen order, gts first.
+    groups: dict[tuple[str, str], int] = {}
+    gt_group, det_group = (
+        np.array([groups.setdefault(key, len(groups))
+                  for key in zip(table.labels, table.image_ids)], dtype=np.intp)
+        for table in (gts, detections)
+    )
+    column = {c: k for k, c in enumerate(classes)}
+    group_class = np.array([column[c] for c, _ in groups], dtype=np.intp)
+    n_gt = np.bincount(gt_group, minlength=len(groups))
+    n_det = np.bincount(det_group, minlength=len(groups))
+
+    gt_rows, det_rows = _group_pairs(gt_group, det_group, n_gt)
+    overlap = pair_overlaps(gts, gt_rows, detections, det_rows, mode)
+
+    # The best overlap of each one-gt group, ignoring NaN (which matches at
+    # no threshold); -inf for every other group.
+    pair_group = det_group[det_rows]
+    single = n_gt[pair_group] == 1
+    best = np.full(len(groups), -np.inf)
+    np.fmax.at(best, pair_group[single], overlap[single])
+    closed = n_gt <= 1
+    closed_dets = np.bincount(group_class[det_group[closed[det_group]]],
+                              minlength=len(classes))
+    # The class and overlap[d][g] of each group with two or more gts; the
+    # pairs of a group are contiguous.
+    pair_end = np.cumsum(n_gt * n_det)
+    multi = [
+        (classes[group_class[g]],
+         overlap[pair_end[g] - n_gt[g] * n_det[g]:pair_end[g]]
+         .reshape(n_det[g], n_gt[g]).tolist())
+        for g in np.flatnonzero(~closed).tolist()
+    ]
+    total_gt = dict(zip(classes, np.bincount(group_class[gt_group],
+                                             minlength=len(classes)).tolist()))
 
     results = []
     for threshold in grid:
         _check_threshold(threshold)
-        matched: dict[str, int] = {c: 0 for c in classes}
-        unmatched_det: dict[str, int] = {c: 0 for c in classes}
-        for cls, overlap in scored:
-            hit, miss = _greedy_match(overlap, threshold)
+        hits = np.bincount(group_class[best > threshold], minlength=len(classes))
+        matched = dict(zip(classes, hits.tolist()))
+        unmatched_det = dict(zip(classes, (closed_dets - hits).tolist()))
+        for cls, rows in multi:
+            hit, miss = _greedy_match(rows, threshold)
             matched[cls] += hit
             unmatched_det[cls] += miss
         acc = {

@@ -27,7 +27,7 @@ def _region(values) -> np.ndarray:
     region = np.asarray(values, dtype=float).ravel()
     if region.size == 0:
         raise EmptyRegion("pooling region has no cells")
-    if not np.all(np.isfinite(region)):
+    if not np.isfinite(region).all():
         raise CxrLabelError("pooling region contains non-finite values")
     return region
 

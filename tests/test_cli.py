@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cxrlabel import negation, reports
+from cxrlabel import localization, negation, reports
 from cxrlabel.cli import _roc_block, main
 from cxrlabel.errors import CxrLabelError
 from cxrlabel.labeling import (
@@ -343,6 +343,18 @@ class TestExitCodes:
         ])
         assert last == (
             f"error: line {len(lines) + 2}: duplicate sentence r01/findings/0"
+        )
+
+    def test_huge_deps_token_count_exits_two_at_its_header(self, tmp_path, capsys):
+        deps = tmp_path / "deps.tsv"
+        deps.write_text("#sent\tR\tfindings\t0\t2000000000\n1\tNo\t0\t-\n")
+        last = last_error_line(capsys, [
+            "label", "--corpus", CORPUS, "--deps", str(deps),
+            "--out-tsv", str(tmp_path / "a"), "--out-csv", str(tmp_path / "b"),
+        ])
+        assert last == (
+            "error: line 1: sentence R/findings/0: rows cover positions [1], "
+            "expected 1..2000000000"
         )
 
     def test_unwritable_output_exits_two(self, tmp_path, capsys):
@@ -1055,6 +1067,32 @@ class TestEvalLocCommand:
         assert acc[3:] == ["0.500000", "NA"]
         afp = lines[2].split(",")
         assert afp[3:] == ["0.000000", "0.500000"]
+
+
+    def test_valid_files_build_no_bbox(self, tmp_path):
+        dets, gt = self.write_inputs(tmp_path)
+        dets.write_text(dets.read_text() + "i2\tc\t20\t20\t5\t5\t180\n")
+        with mock.patch.object(localization.BBox, "__post_init__") as built:
+            for mode in ("iobb", "iou"):
+                assert main([
+                    "eval-loc", "--dets", str(dets), "--gt", str(gt),
+                    "--mode", mode, "--out", str(tmp_path / f"{mode}.csv"),
+                ]) == 0
+        built.assert_not_called()
+        assert (tmp_path / "iou.csv").read_text().splitlines()[1] == (
+            "iou,0.1,Acc,1.000000"
+        )
+
+    def test_non_integer_threshold_exits_two(self, tmp_path, capsys):
+        dets, gt = self.write_inputs(tmp_path)
+        dets.write_text("i1\tMass\t0\t0\t10\t10\t6.5\n")
+        out = tmp_path / "loc.csv"
+        last = last_error_line(capsys, [
+            "eval-loc", "--dets", str(dets), "--gt", str(gt), "--mode", "iobb",
+            "--out", str(out),
+        ])
+        assert last == "error: row 1: non-integer detection threshold"
+        assert not out.exists()
 
 
 class TestStatsCommand:

@@ -24,7 +24,9 @@ from cxrlabel.errors import (
 from cxrlabel.localization import (
     DEFAULT_THRESHOLDS,
     BBox,
+    BoxTable,
     Heatmap,
+    _load_boxes_by_row,
     _parse_grid_rows,
     boxes_from_heatmap,
     boxes_from_heatmaps,
@@ -34,6 +36,7 @@ from cxrlabel.localization import (
     load_boxes,
     load_heatmaps,
     normalize_heatmap,
+    pair_overlaps,
     write_boxes,
 )
 
@@ -457,6 +460,77 @@ def pixel_cells(box: BBox):
     return {(px, py) for px in range(x, x + w) for py in range(y, y + h)}
 
 
+# Coordinates and extents where the overlap arithmetic is delicate:
+# signed zeros, subnormals, infinities, NaN and values near overflow.
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+                  1.0, 0.5, 3.0, 1e308, -1e308, math.inf, -math.inf, math.nan]
+COORDS = st.sampled_from(SPECIAL_FLOATS) | st.floats(allow_nan=True)
+EXTENTS = (st.sampled_from([v for v in SPECIAL_FLOATS if not v < 0])
+           | st.floats(min_value=0.0))
+
+
+@st.composite
+def edge_boxes(draw, count):
+    return [BBox("i", "c", draw(COORDS), draw(COORDS), draw(EXTENTS), draw(EXTENTS),
+                 draw(st.none() | st.integers(0, 255)))
+            for _ in range(count)]
+
+
+def float_bits(values) -> list:
+    """The bits of each value, and "nan" for a NaN: where two NaNs meet,
+    which one x86 passes on depends on the operand order the compiler
+    chose, in CPython's float arithmetic and in numpy's loops alike."""
+    values = np.asarray(values, dtype=np.float64)
+    return [bits if value == value else "nan"
+            for value, bits in zip(values.tolist(), values.view(np.uint64).tolist())]
+
+
+# Cells a mutated box file may hold: what float() or int() reads and
+# numpy would not, non-finite and signed values, and nothing at all.
+BOX_TOKENS = ["", "-1", "0", "-0", "x", "+1", "1_0", " 5 ", "6.5", "nan", "inf",
+              "-inf", "1e400", "\u0661", str(10**12), str(10**30)]
+
+
+@st.composite
+def box_files(draw):
+    """A box file (ground truth or detections) of up to six valid rows
+    after up to three edits: a cell set to one of BOX_TOKENS, a field
+    added or dropped, a row repeated, or a blank or comment line."""
+    with_threshold = draw(st.booleans())
+    value = st.integers(0, 50).map(str) | st.floats(0.5, 50).map(repr)
+    rows = [
+        [draw(st.sampled_from(["i1", "i2"])), draw(st.sampled_from(["A", "B"])),
+         draw(value), draw(value), draw(value), draw(value)]
+        + ([str(draw(st.integers(0, 255)))] if with_threshold else [])
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        if not rows:
+            break
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        edit = draw(st.sampled_from(["token", "token", "token", "add", "drop",
+                                     "repeat", "blank", "comment"]))
+        if edit == "token" and len(row) > 2:
+            row[draw(st.integers(2, len(row) - 1))] = draw(st.sampled_from(BOX_TOKENS))
+        elif edit == "add":
+            row.append(draw(st.sampled_from(BOX_TOKENS)))
+        elif edit == "drop" and row:
+            del row[draw(st.integers(0, len(row) - 1))]
+        elif edit == "repeat":
+            rows.append(list(row))
+        else:
+            rows.insert(draw(st.integers(0, len(rows))),
+                        [] if edit == "blank" else ["# note"])
+    return "".join("\t".join(row) + "\n" for row in rows), with_threshold
+
+
+def boxes_or_error(read, path, with_threshold):
+    try:
+        return list(read(path, with_threshold))
+    except CxrLabelError as err:
+        return type(err), str(err)
+
+
 class TestNormalize:
     def test_linear_map_with_half_up_rounding(self):
         grid = np.array([[0.0, 0.5], [1.0, 0.25]])
@@ -789,6 +863,30 @@ class TestOverlapMeasures:
             BBox("i", "c", 0, 0, -1, 5)
 
 
+    @settings(max_examples=500, deadline=None)
+    @given(gts=st.integers(1, 4).flatmap(edge_boxes),
+           dets=st.integers(1, 4).flatmap(edge_boxes),
+           mode=st.sampled_from(["iobb", "iou"]))
+    @example(gts=[BBox("i", "c", -0.0, 0.0, 0.0, 5e-324)],
+             dets=[BBox("i", "c", 0.0, -0.0, 5e-324, 1e308)], mode="iou")
+    @example(gts=[BBox("i", "c", 0.0, 0.0, 0.0, math.inf)],
+             dets=[BBox("i", "c", 0.0, 0.0, 0.0, math.nan)], mode="iou")
+    def test_pair_overlaps_equal_scalar_measures_bitwise(self, gts, dets, mode):
+        measure = localization.OVERLAP_MEASURES[mode]
+        pairs = [(g, d) for d in range(len(dets)) for g in range(len(gts))]
+        try:
+            expected = float_bits([measure(gts[g], dets[d]) for g, d in pairs])
+        except ZeroAreaDetection as err:
+            expected = str(err)
+        g, d = (np.array(rows, dtype=np.intp) for rows in zip(*pairs))
+        try:
+            got = float_bits(pair_overlaps(BoxTable.from_boxes(gts), g,
+                                           BoxTable.from_boxes(dets), d, mode))
+        except ZeroAreaDetection as err:
+            got = str(err)
+        assert got == expected
+
+
 class TestFileFormats:
     def test_heatmap_round_trip(self, tmp_path):
         grids = [
@@ -995,7 +1093,7 @@ class TestFileFormats:
         write_boxes(boxes, buf, with_threshold=True)
         path = tmp_path / "boxes.tsv"
         path.write_text(buf.getvalue(), encoding="utf-8")
-        assert load_boxes(path, with_threshold=True) == boxes
+        assert list(load_boxes(path, with_threshold=True)) == boxes
 
     def test_gt_boxes_have_six_fields(self, tmp_path):
         path = tmp_path / "gt.tsv"
@@ -1011,3 +1109,71 @@ class TestFileFormats:
             "# header\n\ni1\tMass\t1\t2\t3\t4\n", encoding="utf-8"
         )
         assert len(load_boxes(path)) == 1
+
+
+class TestBoxTable:
+    def test_iterates_and_indexes_as_boxes(self):
+        boxes = [BBox("i1", "Mass", 10.0, 20.0, 30.0, 40.0, threshold=60),
+                 BBox("i2", "Nodule", 0.5, 0.0, 5.0, 5.0, threshold=180)]
+        table = BoxTable.from_boxes(boxes)
+        assert len(table) == 2
+        assert list(table) == boxes
+        assert table[1] == boxes[1]
+        assert table.thresholds.tolist() == [60, 180]
+        assert table.xywh.shape == (2, 4)
+        gt = BoxTable.from_boxes([BBox("i1", "Mass", 1.0, 2.0, 3.0, 4.0)])
+        assert gt.thresholds is None
+        assert list(gt) == [BBox("i1", "Mass", 1.0, 2.0, 3.0, 4.0)]
+        assert len(BoxTable.from_boxes([])) == 0
+
+    def test_reader_returns_columns(self, tmp_path):
+        path = tmp_path / "dets.tsv"
+        path.write_text("i1\tMass\t1\t2\t3\t4\t60\n# c\ni2\tA\t0.5\t0\t1e1\t1\t180\n")
+        table = load_boxes(path, with_threshold=True)
+        assert isinstance(table, BoxTable)
+        assert table.image_ids == ["i1", "i2"]
+        assert table.labels == ["Mass", "A"]
+        assert table.xywh.dtype == np.float64
+        assert table.xywh.tolist() == [[1, 2, 3, 4], [0.5, 0, 10, 1]]
+        assert table.thresholds.tolist() == [60, 180]
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("# no rows\n")
+        assert load_boxes(empty).xywh.shape == (0, 4)
+        assert len(load_boxes(empty, with_threshold=True).thresholds) == 0
+
+    @pytest.mark.parametrize("row, error", [
+        ("i1\tMass\t0\t0\t10\t10\t6.5", "row 1: non-integer detection threshold"),
+        ("i1\tMass\tx\t0\t10\t10\t6.5", "row 1: non-numeric box geometry"),
+        ("i1\tMass\tnan\t0\t10\t10\tx", "row 1: non-integer detection threshold"),
+    ])
+    def test_non_integer_threshold_is_named(self, tmp_path, row, error):
+        path = tmp_path / "dets.tsv"
+        path.write_text(f"{row}\n", encoding="utf-8")
+        with pytest.raises(MalformedRow) as err:
+            load_boxes(path, with_threshold=True)
+        assert str(err.value) == error
+
+    def test_threshold_past_int64_is_kept(self, tmp_path):
+        path = tmp_path / "dets.tsv"
+        path.write_text(f"i1\tMass\t0\t0\t10\t10\t{10**30}\n", encoding="utf-8")
+        (box,) = load_boxes(path, with_threshold=True)
+        assert box.threshold == 10**30
+
+    def test_first_bad_row_is_named_in_file_order(self, tmp_path):
+        # A wrong field count after a bad cell is not the error reported.
+        path = tmp_path / "dets.tsv"
+        path.write_text("i1\tA\t0\t0\t10\t10\t60\ni1\tA\t0\t0\t0\t10\t60\n"
+                        "i1\tA\t0\t0\t10\n", encoding="utf-8")
+        with pytest.raises(MalformedRow) as err:
+            load_boxes(path, with_threshold=True)
+        assert str(err.value) == "row 2: detection box needs positive w and h"
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=box_files())
+    def test_reader_equals_row_loop(self, tmp_path_factory, case):
+        text, with_threshold = case
+        path = tmp_path_factory.getbasetemp() / "mutated_boxes.tsv"
+        path.write_text(text, encoding="utf-8")
+        assert (boxes_or_error(load_boxes, path, with_threshold)
+                == boxes_or_error(_load_boxes_by_row, path, with_threshold))
+

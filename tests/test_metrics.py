@@ -9,20 +9,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import auc_by_pairs, optimal_match_count
+from cxrlabel import metrics
 from cxrlabel.errors import (
+    CxrLabelError,
     DegenerateLabels,
     IdSetMismatch,
     MalformedRow,
     ZeroAreaDetection,
 )
 from cxrlabel.labeling import LabelConfig, LabelTable, ReportLabels, Status
-from cxrlabel.localization import OVERLAP_MEASURES, BBox, iobb, iou
+from cxrlabel.localization import (
+    OVERLAP_MEASURES,
+    BBox,
+    BoxTable,
+    iobb,
+    iou,
+    pair_overlaps,
+)
 from cxrlabel.metrics import (
     NORMAL_ROW,
     T_GRID_IOBB,
     T_GRID_IOU,
     TOTAL_ROW,
     ClassScore,
+    LocEvalResult,
     _greedy_match,
     localization_eval,
     localization_sweep,
@@ -258,6 +268,75 @@ def box_lists(detection: bool):
     return st.lists(box, max_size=10)
 
 
+@st.composite
+def grouped_boxes(draw):
+    """(detections, gts) over three images and two classes, each list in
+    a drawn order, with at most three gts per (class, image) group. Gts
+    may have no area, and so may the detections of some draws."""
+    coord = st.integers(0, 12).map(float)
+    gt_extent = st.integers(0, 8).map(float)
+    det_extent = st.integers(0 if draw(st.booleans()) else 1, 8).map(float)
+    dets, gts = [], []
+    for image in ("i1", "i2", "i3"):
+        for cls in ("A", "B"):
+            gts += [BBox(image, cls, draw(coord), draw(coord), draw(gt_extent),
+                         draw(gt_extent)) for _ in range(draw(st.integers(0, 3)))]
+            dets += [BBox(image, cls, draw(coord), draw(coord), draw(det_extent),
+                          draw(det_extent), draw(st.sampled_from([60, 180])))
+                     for _ in range(draw(st.integers(0, 4)))]
+    return draw(st.permutations(dets)), draw(st.permutations(gts))
+
+
+def sweep_by_pairs(detections, gts, mode, grid, n_images=None):
+    """Reference sweep: every same-group (gt, detection) pair measured
+    with the scalar measure, detection by detection, and every group
+    matched by `_greedy_match` at every threshold."""
+    grid = list(grid)
+    if not grid:
+        return []
+    if mode not in OVERLAP_MEASURES:
+        raise MalformedRow(f"unknown overlap mode {mode!r}")
+    metrics._check_threshold(grid[0])
+    if n_images is None:
+        n_images = len({b.image_id for b in detections} | {b.image_id for b in gts})
+    elif n_images < 1:
+        raise MalformedRow(f"image count {n_images} below 1")
+    classes = sorted({b.label for b in detections} | {b.label for b in gts})
+    groups = {}
+    for side, boxes in enumerate((gts, detections)):
+        for box in boxes:
+            groups.setdefault((box.label, box.image_id), ([], []))[side].append(box)
+    total_gt = Counter({c: 0 for c in classes})
+    scored = []
+    for (cls, _), (image_gts, image_dets) in groups.items():
+        total_gt[cls] += len(image_gts)
+        scored.append((cls, [[OVERLAP_MEASURES[mode](gt, det) for gt in image_gts]
+                             for det in image_dets]))
+    results = []
+    for threshold in grid:
+        metrics._check_threshold(threshold)
+        matched = {c: 0 for c in classes}
+        unmatched = {c: 0 for c in classes}
+        for cls, overlap in scored:
+            hit, miss = _greedy_match(overlap, threshold)
+            matched[cls] += hit
+            unmatched[cls] += miss
+        results.append(LocEvalResult(
+            mode, threshold,
+            {c: matched[c] / total_gt[c] for c in classes if total_gt[c]},
+            {c: unmatched[c] / n_images for c in classes},
+            matched, dict(total_gt), unmatched, n_images,
+        ))
+    return results
+
+
+def sweep_or_error(sweep, *args):
+    try:
+        return sweep(*args)
+    except CxrLabelError as err:
+        return type(err), str(err)
+
+
 def greedy_match(gts, dets, threshold, measure):
     """`_greedy_match` on the overlap of every (detection, gt) pair."""
     return _greedy_match([[measure(gt, det) for gt in gts] for det in dets], threshold)
@@ -419,6 +498,8 @@ class TestLocalizationEval:
         ]
 
     def test_sweep_measures_each_pair_once(self):
+        # One pair_overlaps pass per sweep, over exactly the same-group
+        # pairs, each value bit-equal to the scalar measure.
         rng = np.random.default_rng(8)
 
         def boxes(count):
@@ -430,20 +511,48 @@ class TestLocalizationEval:
             ]
 
         gts, dets = boxes(12), boxes(30)
-        calls = Counter()
+        pairs = [(g, d) for g, gt in enumerate(gts) for d, det in enumerate(dets)
+                 if (gt.label, gt.image_id) == (det.label, det.image_id)]
+        assert pairs
+        for mode, grid in (("iobb", T_GRID_IOBB), ("iou", T_GRID_IOU)):
+            calls = []
 
-        def counted(gt, det):
-            calls[id(gt), id(det)] += 1
-            return iobb(gt, det)
+            def recorded(gt_table, gt_rows, det_table, det_rows, mode):
+                values = pair_overlaps(gt_table, gt_rows, det_table, det_rows, mode)
+                calls.append((gt_rows.tolist(), det_rows.tolist(), values))
+                return values
 
-        with mock.patch.dict(OVERLAP_MEASURES, {"iobb": counted}):
-            sweep = localization_sweep(dets, gts, "iobb")
-        assert len(sweep) == len(T_GRID_IOBB)
-        pairs = sum((g.label, g.image_id) == (d.label, d.image_id)
-                    for g in gts for d in dets)
-        assert pairs > 0
-        assert len(calls) == pairs
-        assert set(calls.values()) == {1}
+            with mock.patch.object(metrics, "pair_overlaps", recorded):
+                sweep = localization_sweep(dets, gts, mode)
+            assert len(sweep) == len(grid)
+            ((gt_rows, det_rows, values),) = calls
+            assert sorted(zip(gt_rows, det_rows)) == pairs
+            expected = [OVERLAP_MEASURES[mode](gts[g], dets[d])
+                        for g, d in zip(gt_rows, det_rows)]
+            assert values.view(np.uint64).tolist() == (
+                np.array(expected).view(np.uint64).tolist()
+            )
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        boxes=grouped_boxes(),
+        mode=st.sampled_from(["iobb", "iou"]),
+        grid=st.lists(st.sampled_from([0.1, 0.25, 1 / 3, 0.5, 0.75, 0.9])
+                      | st.floats(0.01, 0.99), min_size=1, max_size=6),
+        n_images=st.none() | st.integers(1, 5),
+    )
+    def test_sweep_equals_scalar_reference(self, boxes, mode, grid, n_images):
+        dets, gts = boxes
+        args = (mode, grid, n_images)
+        got = sweep_or_error(localization_sweep, dets, gts, *args)
+        assert got == sweep_or_error(sweep_by_pairs, dets, gts, *args)
+        tables = (BoxTable.from_boxes(dets), BoxTable.from_boxes(gts))
+        assert sweep_or_error(localization_sweep, *tables, *args) == got
+        for result in got if isinstance(got, list) else ():
+            for counts in (result.matched, result.total_gt, result.unmatched_det):
+                assert {type(v) for v in counts.values()} <= {int}
+            for rates in (result.acc, result.afp):
+                assert {type(v) for v in rates.values()} <= {float}
 
     def test_sweep_errors(self):
         dets, gts = self.fixture()

@@ -9,7 +9,6 @@ raises NotUtf8 naming the path and the line.
 """
 
 import ast
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -41,12 +40,12 @@ TSV_LOADERS = {
         RuleParseError, "rule needs 6 fields",
     ),
     "boxes": (
-        load_boxes,
+        lambda path: list(load_boxes(path)),
         "i1\tMass\t0\t0\t10\t10",
         MalformedRow, "box row needs 6 fields",
     ),
     "detections": (
-        partial(load_boxes, with_threshold=True),
+        lambda path: list(load_boxes(path, with_threshold=True)),
         "i1\tMass\t0\t0\t10\t10\t60",
         MalformedRow, "box row needs 7 fields",
     ),

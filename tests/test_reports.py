@@ -1,13 +1,17 @@
 """Report parsing, sentence splitting, and the two text file formats."""
 
+import re
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cxrlabel.errors import (
     BadHeadIndex,
+    CxrLabelError,
     DuplicateReportId,
     EmptyReport,
     MalformedRecord,
@@ -28,6 +32,52 @@ from cxrlabel.reports import (
 )
 
 from conftest import make_graph, make_sentence, serialize_dependency_graphs
+
+DEPS_LINES = (
+    Path(__file__).parent / "data" / "labeled_deps.tsv"
+).read_text(encoding="utf-8").splitlines()
+
+# One sentence whose header claims two billion tokens.
+HUGE_COUNT = "#sent\tr1\tfindings\t0\t2000000000\n1\tNo\t0\t-\n"
+
+DEPS_TOKENS = ["", "-1", "0", "x", "+1", "1_0", str(10**12)]
+
+
+@st.composite
+def mutated_deps(draw) -> str:
+    """The fixture dependency file after one to three line edits: a line
+    deleted, duplicated or swapped with another, a field set to one of
+    DEPS_TOKENS, or a tab added or dropped."""
+    lines = list(DEPS_LINES)
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(
+            ["delete", "duplicate", "swap", "field", "field", "add_tab", "drop_tab"]
+        ))
+        if edit == "delete":
+            del lines[k]
+        elif edit == "duplicate":
+            lines.insert(k, lines[k])
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[k], lines[j] = lines[j], lines[k]
+        elif edit == "field":
+            fields = lines[k].split("\t")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(
+                st.sampled_from(DEPS_TOKENS)
+            )
+            lines[k] = "\t".join(fields)
+        elif edit == "add_tab":
+            at = draw(st.integers(0, len(lines[k])))
+            lines[k] = lines[k][:at] + "\t" + lines[k][at:]
+        else:
+            tabs = [m.start() for m in re.finditer("\t", lines[k])]
+            if tabs:
+                at = draw(st.sampled_from(tabs))
+                lines[k] = lines[k][:at] + lines[k][at + 1:]
+        if not lines:
+            break
+    return "".join(line + "\n" for line in lines)
 
 
 class TestTokenize:
@@ -312,6 +362,24 @@ class TestDependencyFile:
             load_dependency_file(path)
         assert str(caught.value) == message
 
+    def test_huge_token_count_is_rejected_in_bounded_memory(self, tmp_path):
+        # The coverage check counts the rows' positions instead of building
+        # the set 1..n_tokens.
+        path = tmp_path / "deps.tsv"
+        path.write_text(HUGE_COUNT, encoding="utf-8")
+        tracemalloc.start()
+        try:
+            with pytest.raises(TokenCountMismatch) as caught:
+                load_dependency_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(caught.value) == (
+            "line 1: sentence r1/findings/0: rows cover positions [1], "
+            "expected 1..2000000000"
+        )
+        assert peak < 1 << 20
+
     def test_head_outside_range_rejected(self, tmp_path):
         path = tmp_path / "deps.tsv"
         path.write_text(
@@ -367,3 +435,15 @@ class TestDependencyFile:
         again = load_dependency_file(path)
         assert frozenset(again[ref].edges) == frozenset(graph.edges)
         assert again[ref].surfaces == graph.surfaces
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=mutated_deps())
+    @example(text=HUGE_COUNT)
+    @example(text="\n".join(DEPS_LINES).replace("\t0\t7", "\t0\t" + str(10**12), 1))
+    def test_mutated_file_loads_or_names_its_line(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "mutated_deps.tsv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            load_dependency_file(path)
+        except CxrLabelError as err:
+            assert re.match(r"(line|row) \d+: ", str(err)), str(err)
