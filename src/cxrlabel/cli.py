@@ -17,8 +17,6 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from cxrlabel.errors import (
     CxrLabelError,
     DegenerateLabels,
@@ -32,6 +30,7 @@ from cxrlabel.labeling import (
     write_labels_tsv,
     write_labels_wide_csv,
 )
+from cxrlabel.lazy import np
 from cxrlabel.lexicon import (
     Lexicon,
     default_lexicon,

@@ -193,8 +193,11 @@ def read_rows(path, width: int, what: str, error=MalformedRow):
     """Yield (line_no, fields) for each row of a TSV file: each line that
     holds more than whitespace and does not start with "#", split at tabs.
     A row of other than `width` fields raises `error("<what> needs <width>
-    fields", line_no)`."""
-    for line_no, line in read_lines(path):
+    fields", line_no)`. Lines break as in `read_lines`; the file is read
+    and checked as UTF-8 whole, before the first row."""
+    text = read_input(path).decode("utf-8")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, line in enumerate(lines, start=1):
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.split("\t")

@@ -18,9 +18,8 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from cxrlabel.errors import MalformedRecord, MissingGraph, read_input
+from cxrlabel.lazy import np
 from cxrlabel.lexicon import (
     NORMAL_CONCEPT,
     ConceptMention,

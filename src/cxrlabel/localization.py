@@ -12,8 +12,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-import numpy as np
-
 from cxrlabel.errors import (
     CxrLabelError,
     MalformedRow,
@@ -21,6 +19,7 @@ from cxrlabel.errors import (
     read_input,
     read_rows,
 )
+from cxrlabel.lazy import np
 
 DEFAULT_THRESHOLDS = (60, 180)
 

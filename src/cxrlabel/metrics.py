@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-import numpy as np
-
 from cxrlabel.errors import (
     DegenerateLabels,
     IdSetMismatch,
@@ -26,6 +24,7 @@ from cxrlabel.labeling import (
     Status,
     label_table,
 )
+from cxrlabel.lazy import np
 from cxrlabel.localization import (
     OVERLAP_MEASURES,
     BBox,

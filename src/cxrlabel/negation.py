@@ -227,7 +227,9 @@ def default_rules() -> RuleSet:
 
 def propagate_conjuncts(graph: DependencyGraph) -> DependencyGraph:
     """Fixpoint closure over coordination: (h -L-> a) and (a -conj_*-> b)
-    imply (h -L-> b) for non-conj L. Original edges are retained."""
+    imply (h -L-> b) for non-conj L. Original edges are retained.
+    A graph the closure adds nothing to, with its edges in canonical
+    (sorted, unique) order, is returned as it is."""
     edges = set(graph.edges)
     changed = True
     while changed:
@@ -244,7 +246,10 @@ def propagate_conjuncts(graph: DependencyGraph) -> DependencyGraph:
                 if new.head != new.dependent and new not in edges:
                     edges.add(new)
                     changed = True
-    return graph.with_edges(edges)
+    canonical = tuple(sorted(edges))
+    if canonical == graph.edges:
+        return graph
+    return graph.with_edges(canonical)
 
 
 def mention_head(graph: DependencyGraph, mention: ConceptMention) -> int:

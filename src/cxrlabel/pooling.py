@@ -9,8 +9,6 @@ per-class prediction weights.
 
 from __future__ import annotations
 
-import numpy as np
-
 from cxrlabel.errors import (
     CxrLabelError,
     DegenerateBatch,
@@ -18,6 +16,7 @@ from cxrlabel.errors import (
     EmptyRegion,
     NonPositiveR,
 )
+from cxrlabel.lazy import np
 
 # Scores are clamped to [EPS, 1-EPS] before any log.
 CLAMP_EPS = 1e-7

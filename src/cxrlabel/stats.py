@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from cxrlabel.errors import EmptyCorpus, MalformedRecord
 from cxrlabel.labeling import (
     LabelConfig,
@@ -20,6 +18,7 @@ from cxrlabel.labeling import (
     Status,
     label_table,
 )
+from cxrlabel.lazy import np
 
 PARTITIONS = ("train", "val", "test")
 DEFAULT_FRACTIONS = (0.7, 0.1, 0.2)

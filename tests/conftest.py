@@ -2,7 +2,8 @@
 mutated CSV tables, the records of a label table, the writers of the
 round-trip tests, the independent AUC and box-matching oracles, the
 per-point ROC writer that the `--roc-out` renderer is checked against,
-and the corpus-wide label pipeline that `label_all` is checked against."""
+the corpus-wide label pipeline that `label_all` is checked against, and
+the line-by-line row reader that `errors.read_rows` is checked against."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from typing import Iterable
 from hypothesis import strategies as st
 
 from cxrlabel.cli import _csv_cell
-from cxrlabel.errors import MissingGraph, SpanOutOfRange
+from cxrlabel.errors import MalformedRow, MissingGraph, SpanOutOfRange, read_lines
 from cxrlabel.labeling import STATUSES, ReportLabels, Status, polarize_corpus
 from cxrlabel.lexicon import NORMAL_CONCEPT, match_concepts, merge_mention_sets
 from cxrlabel.localization import Heatmap
@@ -347,3 +348,15 @@ def _label_report_filtered(report, graphs, polarized_mentions, config):
     else:
         status = Status.NORMAL
     return ReportLabels(report.report_id, tuple(y), status)
+
+
+def read_rows_by_lines(path, width: int, what: str, error=MalformedRow):
+    """`errors.read_rows` as two generator layers over `read_lines`: the
+    reference its one-pass reader is checked against."""
+    for line_no, line in read_lines(path):
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise error(f"{what} needs {width} fields", line_no)
+        yield line_no, fields

@@ -161,6 +161,20 @@ class TestConjunctPropagation:
         closed = propagate_conjuncts(graph)
         assert frozenset(closed.edges) == frozenset(graph.edges)
 
+    def test_closed_canonical_graph_is_returned_as_is(self):
+        sentence = make_sentence("a b c")
+        graph = make_graph(sentence, [(1, 2, "dobj"), (2, 3, "amod")])
+        assert propagate_conjuncts(graph) is graph
+
+    def test_unsorted_or_duplicate_edges_are_canonicalized(self):
+        sentence = make_sentence("a b c")
+        canonical = (Edge(1, 2, "dobj"), Edge(2, 3, "amod"))
+        for edges in (canonical[::-1], canonical + canonical[:1]):
+            graph = DependencyGraph(sentence.ref, 3, ("a", "b", "c"), edges)
+            closed = propagate_conjuncts(graph)
+            assert closed is not graph
+            assert closed.edges == canonical
+
     @given(
         n=st.integers(min_value=2, max_value=6),
         raw=st.lists(

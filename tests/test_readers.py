@@ -12,14 +12,24 @@ import ast
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cxrlabel
 from cxrlabel.cli import _load_config_file
-from cxrlabel.errors import MalformedRow, NotUtf8, RuleParseError
+from cxrlabel.errors import (
+    CxrLabelError,
+    MalformedRow,
+    NotUtf8,
+    RuleParseError,
+    read_rows,
+)
 from cxrlabel.lexicon import load_external_mentions, load_lexicon
 from cxrlabel.localization import load_boxes
 from cxrlabel.negation import load_rules
 from cxrlabel.reports import load_corpus, load_dependency_file
+
+from conftest import read_rows_by_lines
 
 # Each TSV loader: a reader returning comparable contents, one valid row,
 # the error class of a wrong field count and the reason it gives.
@@ -89,6 +99,54 @@ class TestSharedTsvFormat:
         with pytest.raises(NotUtf8) as err:
             read(path)
         assert str(err.value) == f"{path}: line 3: not valid UTF-8"
+
+
+# Pieces of TSV bytes: every line break, tabs, comment and blank
+# characters, line separators that universal newlines do not break at,
+# valid multi-byte UTF-8 and bytes that are not UTF-8.
+TSV_PIECES = [
+    b"\n", b"\r\n", b"\r", b"\t", b"#", b" ", b"a", b"1", b"\x0b", b"\x0c",
+    b"\x1c", "\x85".encode(), " ".encode(), "é".encode(), b"\xe9",
+    b"\xc3", b"\x00",
+]
+
+
+def rows_or_error(read, path, width):
+    try:
+        return list(read(path, width, "row"))
+    except CxrLabelError as err:
+        return err
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pieces=st.lists(st.sampled_from(TSV_PIECES), max_size=40),
+    width=st.integers(1, 3),
+)
+def test_read_rows_equals_line_reader(tmp_path_factory, pieces, width):
+    path = tmp_path_factory.getbasetemp() / "read_rows.tsv"
+    path.write_bytes(b"".join(pieces))
+    new = rows_or_error(read_rows, path, width)
+    old = rows_or_error(read_rows_by_lines, path, width)
+    if isinstance(old, list):
+        assert new == old
+    elif isinstance(new, NotUtf8) and isinstance(old, MalformedRow):
+        # The line reader decodes as it goes, so a bad byte it reaches
+        # late (a truncated sequence at the end) lets an earlier row's
+        # error come first; the whole-file check puts the bad byte first.
+        assert old.row_no < new.line_no
+    else:
+        assert (type(new), str(new)) == (type(old), str(old))
+
+
+def test_bad_byte_wins_over_an_earlier_row_error(tmp_path):
+    # The whole file is checked before the first row, so a bad byte comes
+    # first even past the line reader's first decoded block.
+    path = tmp_path / "rows.tsv"
+    path.write_bytes(b"a\tb\n" + b"a\n" * 10_000 + b"caf\xe9\n")
+    with pytest.raises(NotUtf8) as err:
+        list(read_rows(path, 1, "row"))
+    assert str(err.value) == f"{path}: line 10002: not valid UTF-8"
 
 
 # The readers with their own line rules, each with two valid lines.
