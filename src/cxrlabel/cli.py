@@ -40,6 +40,7 @@ from cxrlabel.lexicon import (
 from cxrlabel.localization import (
     DEFAULT_THRESHOLDS,
     BBox,
+    BoxTable,
     Heatmap,
     boxes_from_heatmap,
     boxes_from_heatmaps,
@@ -334,12 +335,20 @@ def cmd_auc(args, config: RunConfig) -> int:
 def cmd_localize(args, config: RunConfig) -> int:
     heatmaps = load_heatmaps(_require(args.heatmaps, "heatmaps"))
     boxes = boxes_from_heatmaps(heatmaps, config.thresholds)
-    boxes.sort(
-        key=lambda b: (b.image_id, b.label, b.threshold, b.y, b.x, b.w, b.h)
-    )
     with open(args.out, "w", encoding="utf-8") as handle:
-        write_boxes(boxes, handle, with_threshold=True)
+        write_boxes(boxes.take(_box_order(boxes)), handle, with_threshold=True)
     return 0
+
+
+def _box_order(boxes: BoxTable) -> np.ndarray:
+    """The rows of a detection table by (image_id, class, threshold, y,
+    x, w, h), ties in table order: one stable lexsort. The (image_id,
+    class) keys are ranked with Python's string order, which numpy strings
+    do not keep (they drop trailing NULs)."""
+    keys = list(zip(boxes.image_ids, boxes.labels))
+    rank = {key: k for k, key in enumerate(sorted(set(keys)))}
+    x, y, w, h = boxes.xywh.T
+    return np.lexsort((h, w, x, y, boxes.thresholds, [rank[key] for key in keys]))
 
 
 def cmd_eval_loc(args, config: RunConfig) -> int:

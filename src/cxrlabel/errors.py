@@ -190,17 +190,26 @@ class EmptyCorpus(CxrLabelError):
 # --- TSV rows; after the error classes, as MalformedRow is the default ---
 
 def read_rows(path, width: int, what: str, error=MalformedRow):
-    """Yield (line_no, fields) for each row of a TSV file: each line that
+    """The (line_no, fields) of each row of a TSV file: each line that
     holds more than whitespace and does not start with "#", split at tabs.
-    A row of other than `width` fields raises `error("<what> needs <width>
-    fields", line_no)`. Lines break as in `read_lines`; the file is read
-    and checked as UTF-8 whole, before the first row."""
+    Lines break as in `read_lines`; the file is read and checked as UTF-8
+    whole, and its rows are split in one pass. A row of other than `width`
+    fields raises `error("<what> needs <width> fields", line_no)` only once
+    the rows before it have been taken, so a caller's own check of an
+    earlier row comes first."""
     text = read_input(path).decode("utf-8")
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
+    rows = [(line_no, line.split("\t")) for line_no, line in enumerate(lines, start=1)
+            if line and not line.isspace() and line[0] != "#"]
+    if {len(fields) for _, fields in rows} <= {width}:
+        return rows
+    return _rows_up_to_error(rows, width, what, error)
+
+
+def _rows_up_to_error(rows, width: int, what: str, error):
+    """Yield `rows` up to the first of other than `width` fields, and
+    raise its error there."""
+    for line_no, fields in rows:
         if len(fields) != width:
             raise error(f"{what} needs {width} fields", line_no)
         yield line_no, fields

@@ -45,6 +45,16 @@ class Heatmap:
     def size(self) -> int:
         return self.grid.shape[0]
 
+    @classmethod
+    def _checked(cls, image_id: str, label: str, grid: np.ndarray,
+                 image_dim: float) -> "Heatmap":
+        """The Heatmap of a finite, square float64 grid and a dim > 0,
+        which the caller has already checked: `__post_init__` is not run."""
+        heatmap = object.__new__(cls)
+        vars(heatmap).update(image_id=image_id, label=label, grid=grid,
+                             image_dim=image_dim)
+        return heatmap
+
 
 @dataclass(frozen=True)
 class BBox:
@@ -97,6 +107,14 @@ class BoxTable:
         threshold = None if self.thresholds is None else self.thresholds.item(k)
         return BBox(self.image_ids[k], self.labels[k], *self.xywh[k].tolist(),
                     threshold)
+
+    def take(self, rows: np.ndarray) -> "BoxTable":
+        """The table of rows `rows` (an int array), in that order."""
+        picked = rows.tolist()
+        return BoxTable([self.image_ids[k] for k in picked],
+                        [self.labels[k] for k in picked], self.xywh[rows],
+                        None if self.thresholds is None else self.thresholds[rows],
+                        None if self.boxes is None else [self.boxes[k] for k in picked])
 
     def __iter__(self):
         if self.boxes is not None:
@@ -280,7 +298,7 @@ def boxes_from_heatmap(
     with f = image_dim / S. The union over thresholds is returned as-is:
     nested or duplicate boxes are not merged.
     """
-    return boxes_from_heatmaps([heatmap], thresholds)
+    return list(boxes_from_heatmaps([heatmap], thresholds))
 
 
 # At most this many cells are normalized, or bytes of grid rows decoded,
@@ -291,11 +309,13 @@ _NORMALIZE_CELLS = 1 << 16
 
 def boxes_from_heatmaps(
     heatmaps: Iterable[Heatmap], thresholds: Iterable[int] = DEFAULT_THRESHOLDS
-) -> list[BBox]:
-    """`boxes_from_heatmap` of each map, concatenated in map order.
+) -> BoxTable:
+    """The table of `boxes_from_heatmap` of each map, concatenated in map
+    order.
 
     The maps of one size are thresholded at every threshold into one bool
-    stack and labelled together, over the mask cells only.
+    stack and labelled together, over the mask cells only; the boxes are
+    columns from the region extents on, and no BBox is built.
     """
     heatmaps = list(heatmaps)
     thresholds = sorted(set(thresholds))
@@ -307,7 +327,10 @@ def boxes_from_heatmaps(
     by_size: dict[int, list[int]] = {}
     for k, heatmap in enumerate(heatmaps):
         by_size.setdefault(heatmap.size, []).append(k)
-    per_map: list[list[BBox]] = [[] for _ in heatmaps]
+    # The map, the threshold index and the x, y, w, h of each box, per size.
+    owners = [np.zeros(0, dtype=np.intp)]
+    levels_of = [np.zeros(0, dtype=np.intp)]
+    geometry = [np.zeros((0, 4))]
     for size, members in by_size.items():
         padded = np.zeros((len(members), len(thresholds), size + 2, size + 2),
                           dtype=bool)
@@ -333,12 +356,19 @@ def boxes_from_heatmaps(
         y = np.maximum(0.0, y)
         w = np.minimum(w, dim - x)
         h = np.minimum(h, dim - y)
-        for m, t, *geometry in zip(member.tolist(), level.tolist(), x.tolist(),
-                                   y.tolist(), w.tolist(), h.tolist()):
-            k = members[m]
-            per_map[k].append(BBox(heatmaps[k].image_id, heatmaps[k].label,
-                                   *geometry, threshold=thresholds[t]))
-    return [box for boxes in per_map for box in boxes]
+        owners.append(np.array(members)[member])
+        levels_of.append(level)
+        geometry.append(np.stack((x, y, w, h), axis=1))
+    # Each size's boxes are in map order already; a stable sort merges the
+    # sizes and keeps each map's boxes in their order.
+    owner = np.concatenate(owners)
+    order = np.argsort(owner, kind="stable")
+    index = owner[order].tolist()
+    image_ids = [heatmap.image_id for heatmap in heatmaps]
+    labels = [heatmap.label for heatmap in heatmaps]
+    return BoxTable([image_ids[k] for k in index], [labels[k] for k in index],
+                    np.concatenate(geometry)[order],
+                    np.array(thresholds)[np.concatenate(levels_of)[order]])
 
 
 def _intersection(a: BBox, b: BBox) -> float:
@@ -411,6 +441,12 @@ def load_heatmaps(path) -> list[Heatmap]:
     parsed with one `loadtxt` otherwise. A size whose rows do not all
     parse to finite values is parsed again block by block with float(),
     so the error reported is the first in the file.
+
+    Each size's grid stack is checked once: the byte decoder yields only
+    finite values, the `loadtxt` stack passes a shape test and a finite
+    min and max, and the per-row parser rejects a non-finite row; every
+    stack is (n, S, S) float64, and the header scan has checked each dim.
+    So each Heatmap is built without re-running its checks.
     """
     lines = _Lines(read_input(path))
     headers, header_error = _read_headers(lines)
@@ -437,7 +473,7 @@ def load_heatmaps(path) -> list[Heatmap]:
         grid = grids.get(i)
         if grid is None:
             grid = _parse_grid_rows(lines[i + 1:i + 1 + size], size, i + 2)
-        heatmaps.append(Heatmap(image_id, label, grid, image_dim))
+        heatmaps.append(Heatmap._checked(image_id, label, grid, image_dim))
     if header_error is not None:
         raise header_error
     return heatmaps
@@ -647,10 +683,24 @@ def _load_boxes_by_row(path, with_threshold: bool) -> list[BBox]:
     return boxes
 
 
-def write_boxes(boxes: Iterable[BBox], handle, with_threshold: bool = False):
-    for box in boxes:
-        row = [box.image_id, box.label] + [f"{v:g}" for v in
-                                           (box.x, box.y, box.w, box.h)]
-        if with_threshold:
-            row.append(str(box.threshold if box.threshold is not None else 0))
-        handle.write("\t".join(row) + "\n")
+def write_boxes(boxes: BoxTable | Iterable[BBox], handle,
+                with_threshold: bool = False):
+    """Write one tab-separated row per box: image id, class, and x, y, w,
+    h by `:g`, then with `with_threshold` the threshold (0 for None). The
+    cells are formatted column by column and written in one piece.
+
+    Boxes from heatmaps have their edges on the cell grid, so a few values
+    fill every row: each distinct float, told apart by its bits (so -0.0
+    is not 0.0), is formatted once."""
+    table = box_table(boxes)
+    bits = np.ascontiguousarray(table.xywh, dtype=float).ravel().view(np.int64)
+    values, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array([f"{v:g}" for v in values.view(float).tolist()], dtype=object)
+    cells = texts[inverse].tolist()
+    columns = [table.image_ids, table.labels, *(cells[k::4] for k in range(4))]
+    if with_threshold:
+        thresholds = (table.thresholds.tolist() if table.thresholds is not None
+                      else [box.threshold for box in table])
+        columns.append([str(0 if t is None else t) for t in thresholds])
+    if len(table):
+        handle.write("\n".join(map("\t".join, zip(*columns))) + "\n")

@@ -9,6 +9,8 @@ per-class prediction weights.
 
 from __future__ import annotations
 
+import math
+
 from cxrlabel.errors import (
     CxrLabelError,
     DegenerateBatch,
@@ -22,36 +24,43 @@ from cxrlabel.lazy import np
 CLAMP_EPS = 1e-7
 
 
-def _region(values) -> np.ndarray:
+def _region(values) -> tuple[np.ndarray, float, float]:
+    """The cells of a pooling region as a flat float array, with their
+    least and greatest values; one min/max pair also shows that every cell
+    is finite, as NaN and +-inf carry through to one of them."""
     region = np.asarray(values, dtype=float).ravel()
     if region.size == 0:
         raise EmptyRegion("pooling region has no cells")
-    if not np.isfinite(region).all():
+    lo, hi = region.min(), region.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise CxrLabelError("pooling region contains non-finite values")
-    return region
+    return region, lo, hi
 
 
 def lse_pool(values, r: float) -> float:
     """Stable shifted log-sum-exp pool over the region.
 
     Computes x* + (1/r) * log((1/S) * sum(exp(r * (x - x*)))) with
-    x* = max(|x|); every exponent is <= 0 because x <= max(|x|), so the
-    sum never overflows.
+    x* = max(|x|) = |max(max x, -min x)|; every exponent is <= 0 because
+    x <= max(|x|), so the sum never overflows.
     """
     if not r > 0:
         raise NonPositiveR(f"r must be > 0, got {r}")
-    region = _region(values)
-    shift = np.max(np.abs(region))
-    total = np.sum(np.exp(r * (region - shift)))
-    return float(shift + np.log(total / region.size) / r)
+    region, lo, hi = _region(values)
+    # abs() turns the -0.0 of an all-zero region into the 0.0 max(|x|) is.
+    shift = abs(max(hi, -lo))
+    terms = region - shift
+    np.multiply(terms, r, out=terms)
+    np.exp(terms, out=terms)
+    return float(shift + np.log(terms.sum() / region.size) / r)
 
 
 def avg_pool(values) -> float:
-    return float(np.mean(_region(values)))
+    return float(np.mean(_region(values)[0]))
 
 
 def max_pool(values) -> float:
-    return float(np.max(_region(values)))
+    return float(_region(values)[2])
 
 
 def _pair(y, f) -> tuple[np.ndarray, np.ndarray]:

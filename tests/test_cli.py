@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cxrlabel import localization, negation, reports
-from cxrlabel.cli import _roc_block, main
+from cxrlabel.cli import _box_order, _roc_block, main
 from cxrlabel.errors import CxrLabelError
 from cxrlabel.labeling import (
     _read_scores_by_row,
@@ -969,6 +969,40 @@ class TestLocalizeCommand:
         last = self.last_error_line(tmp_path, capsys, text)
         assert last == "error: row 6: duplicate heatmap for image 'img1', class 'Mass'"
         assert not (tmp_path / "b.tsv").exists()
+
+
+    def test_rows_build_no_bbox(self, tmp_path):
+        out = tmp_path / "boxes.tsv"
+        with mock.patch.object(localization.BBox, "__post_init__") as built:
+            assert main(["localize", "--heatmaps", str(self.write_heatmap(tmp_path)),
+                         "--out", str(out)]) == 0
+        built.assert_not_called()
+        assert len(out.read_text().splitlines()) == 2
+
+    def test_ids_with_trailing_nuls_sort_as_python_strings(self, tmp_path):
+        grid = "0 0 0 0\n0 1 1 0\n0 1 1 0\n0 0 0 0\n"
+        maps = tmp_path / "maps.tsv"
+        maps.write_text("".join(f"{image_id}\tMass\t4\t64\n{grid}"
+                                for image_id in ("a\0\0", "a\0", "a", "")))
+        out = tmp_path / "boxes.tsv"
+        assert main(["localize", "--heatmaps", str(maps), "--out", str(out)]) == 0
+        ids = [line.split("\t")[0] for line in out.read_text().splitlines()]
+        assert ids == ["", "", "a", "a", "a\0", "a\0", "a\0\0", "a\0\0"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["a", "a\0", "", "b", "\0"]),
+        st.sampled_from(["A", "A\0", "B"]),
+        *[st.sampled_from([0.0, -0.0, 1.5, 16.0, 1e300])] * 4,
+        st.sampled_from([0, 60, 180, 255]),
+    ), max_size=30))
+    def test_row_order_equals_python_sort_ties_included(self, rows):
+        table = localization.BoxTable.from_boxes(
+            localization.BBox(*row) for row in rows)
+        expected = sorted(range(len(rows)), key=lambda k: (
+            rows[k][0], rows[k][1], rows[k][6], rows[k][3], rows[k][2],
+            rows[k][4], rows[k][5]))
+        assert _box_order(table).tolist() == expected
 
 
 class TestEvalLocCommand:

@@ -739,7 +739,8 @@ class TestBoxesFromHeatmaps:
     def test_equals_flood_fill_reference_map_by_map(self, maps, thresholds):
         expected = [boxes_by_fill(heatmap, thresholds) for heatmap in maps]
         batched = boxes_from_heatmaps(maps, thresholds)
-        assert batched == [box for boxes in expected for box in boxes]
+        assert isinstance(batched, BoxTable)
+        assert list(batched) == [box for boxes in expected for box in boxes]
         for heatmap, boxes in zip(maps, expected):
             assert boxes_from_heatmap(heatmap, thresholds) == boxes
             intgrid = normalize_heatmap(heatmap)
@@ -754,7 +755,7 @@ class TestBoxesFromHeatmaps:
     def test_long_geodesic_paths(self, shape, size):
         heatmap = Heatmap("i1", "Mass", shape(size), 1000.0)
         thresholds = (0, 60, 255)
-        assert boxes_from_heatmaps([heatmap], thresholds) == boxes_by_fill(
+        assert list(boxes_from_heatmaps([heatmap], thresholds)) == boxes_by_fill(
             heatmap, thresholds
         )
         intgrid = normalize_heatmap(heatmap)
@@ -922,6 +923,39 @@ class TestFileFormats:
         path.write_text("i1\tMass\t2\t64\n1_0 \u0661\u0662\n0 1\n", encoding="utf-8")
         (heatmap,) = load_heatmaps(path)
         assert heatmap.grid.tolist() == [[10.0, 12.0], [0.0, 1.0]]
+
+    def test_loaded_maps_are_not_checked_again_one_by_one(self, tmp_path):
+        # One size per grid reader: the byte decoder, loadtxt and the
+        # per-row parser.
+        path = tmp_path / "heatmaps.tsv"
+        path.write_text(
+            "i1\tA\t2\t64\n0.5000 1.2500\n9.0000 0.0625\n"
+            "i1\tB\t1\t8.5\n-5e-1\n"
+            "i2\tA\t3\t64\n1_0 2 3\n4 5 6\n7 8 9\n",
+            encoding="utf-8",
+        )
+        with mock.patch.object(Heatmap, "__post_init__") as check:
+            maps = load_heatmaps(path)
+        check.assert_not_called()
+        assert [(m.image_id, m.label, m.image_dim) for m in maps] == [
+            ("i1", "A", 64.0), ("i1", "B", 8.5), ("i2", "A", 64.0)
+        ]
+        for heatmap in maps:
+            rebuilt = Heatmap(heatmap.image_id, heatmap.label, heatmap.grid,
+                              heatmap.image_dim)
+            assert heatmap.grid.dtype == rebuilt.grid.dtype == np.float64
+            assert np.array_equal(heatmap.grid, rebuilt.grid)
+            assert heatmap.size == heatmap.grid.shape[1]
+        assert maps[2].grid.tolist() == [[10, 2, 3], [4, 5, 6], [7, 8, 9]]
+
+    def test_direct_construction_keeps_every_check(self):
+        with pytest.raises(CxrLabelError, match="non-finite"):
+            Heatmap("i", "c", np.array([[0.0, np.nan], [1.0, 2.0]]), 64)
+        with pytest.raises(MalformedRow, match="must be square"):
+            Heatmap("i", "c", np.zeros((2, 3)), 64)
+        with pytest.raises(MalformedRow, match="image_dim must be > 0"):
+            Heatmap("i", "c", np.zeros((2, 2)), 0)
+        assert Heatmap("i", "c", [[1, 2], [3, 4]], 64).grid.dtype == np.float64
 
     @settings(max_examples=400, deadline=None)
     @given(text=heatmap_texts())
@@ -1109,6 +1143,59 @@ class TestFileFormats:
             "# header\n\ni1\tMass\t1\t2\t3\t4\n", encoding="utf-8"
         )
         assert len(load_boxes(path)) == 1
+
+
+def write_boxes_by_row(boxes, handle, with_threshold=False):
+    """The row-at-a-time writer `write_boxes` replaced."""
+    for box in boxes:
+        row = [box.image_id, box.label] + [f"{v:g}" for v in
+                                           (box.x, box.y, box.w, box.h)]
+        if with_threshold:
+            row.append(str(box.threshold if box.threshold is not None else 0))
+        handle.write("\t".join(row) + "\n")
+
+
+BOX_VALUES = st.one_of(
+    st.floats(0, 1e9, allow_nan=False), st.integers(0, 10**6),
+    st.sampled_from([0.0, -0.0, 1e-7, 333.3333333, 123456.5, 1e16]),
+)
+
+
+class TestWriteBoxes:
+    @given(st.lists(st.tuples(st.sampled_from(["i1", "i\u00e9", ""]),
+                              st.sampled_from(["Mass", "A b"]),
+                              BOX_VALUES, BOX_VALUES, BOX_VALUES, BOX_VALUES,
+                              st.sampled_from([None, 0, 60, 255])), max_size=8))
+    def test_equals_row_writer_for_boxes_and_tables(self, rows):
+        boxes = [BBox(*row) for row in rows]
+        for with_threshold in (False, True):
+            expected = io.StringIO()
+            write_boxes_by_row(boxes, expected, with_threshold)
+            for given_boxes in (boxes, iter(boxes), BoxTable.from_boxes(boxes),
+                                BoxTable.from_boxes(boxes).take(
+                                    np.arange(len(boxes)))):
+                got = io.StringIO()
+                write_boxes(given_boxes, got, with_threshold)
+                assert got.getvalue() == expected.getvalue()
+
+    def test_table_from_heatmaps_writes_as_its_boxes(self):
+        maps = [Heatmap("i2", "Mass", np.eye(5), 1000),
+                Heatmap("i1", "Mass", np.arange(9.0).reshape(3, 3), 333.3)]
+        table = boxes_from_heatmaps(maps)
+        assert table.boxes is None
+        expected, got = io.StringIO(), io.StringIO()
+        write_boxes_by_row(list(table), expected, with_threshold=True)
+        write_boxes(table, got, with_threshold=True)
+        assert got.getvalue() == expected.getvalue()
+        assert "333.3\t" in got.getvalue()
+
+    def test_take_reorders_every_column(self):
+        table = boxes_from_heatmaps([Heatmap("i1", "A", np.eye(4), 64),
+                                     Heatmap("i2", "B", np.ones((2, 2)), 8)])
+        assert len(table) == 2
+        rows = np.array([1, 0, 1])
+        assert list(table.take(rows)) == [list(table)[k] for k in rows]
+        assert len(table.take(np.array([], dtype=np.intp))) == 0
 
 
 class TestBoxTable:

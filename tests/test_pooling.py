@@ -107,6 +107,35 @@ class TestLsePool:
         with pytest.raises(CxrLabelError):
             lse_pool([1.0, float("nan")], 1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("pool", [lambda v: lse_pool(v, 1.0), avg_pool, max_pool])
+    def test_every_non_finite_cell_rejected(self, pool, bad):
+        with pytest.raises(CxrLabelError, match="non-finite"):
+            pool(np.array([[1.0, 2.0], [bad, -3.0]]))
+
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                 max_size=12),
+        st.sampled_from([1e-300, 1e-6, 0.5, 1, 4.0, 1e3, 1e300]),
+    )
+    def test_equals_the_two_pass_form_bit_for_bit(self, region, r):
+        # The isfinite-then-abs form lse_pool had before it found the
+        # finiteness and the shift with one min/max pair.
+        values = np.array(region)
+        with np.errstate(all="ignore"):
+            shift = np.max(np.abs(values))
+            total = np.sum(np.exp(r * (values - shift)))
+            expected = float(shift + np.log(total / values.size) / r)
+            got = lse_pool(values, r)
+        assert np.array_equal(values, np.array(region))  # the input is untouched
+        assert math.copysign(1, got) == math.copysign(1, expected)
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
+        assert max_pool(values) == max(region)
+
+    def test_signed_zero_regions_shift_by_positive_zero(self):
+        for region in ([-0.0], [0.0, -0.0], [-0.0, -0.0, 0.0]):
+            assert math.copysign(1, lse_pool(region, 2.0)) == 1.0
+
     def test_matrix_region_flattens(self):
         grid = [[1.0, 2.0], [3.0, 4.0]]
         assert lse_pool(grid, 1.0) == lse_pool([1.0, 2.0, 3.0, 4.0], 1.0)

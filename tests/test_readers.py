@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import cxrlabel
 from cxrlabel.cli import _load_config_file
 from cxrlabel.errors import (
+    BadCui,
     CxrLabelError,
     MalformedRow,
     NotUtf8,
@@ -61,6 +62,19 @@ TSV_LOADERS = {
     ),
 }
 
+# Each TSV loader: a row of the right field count that fails the
+# loader's own check, with its error class and reason.
+OWN_CHECKS = {
+    "lexicon": ("bad\tPneumonia\tdsyn\tpneumonia", BadCui, "bad CUI 'bad'"),
+    "mentions": ("r1\tfindings\t0\tx\t2\tC0032285\tPneumonia", MalformedRow,
+                 "non-integer index/span"),
+    "rules": ("n1\tnegation\tno\tup:*\tDISEASE\tendpoint", RuleParseError,
+              "duplicate rule id 'n1'"),
+    "boxes": ("i1\tMass\tx\t0\t10\t10", MalformedRow, "non-numeric box geometry"),
+    "detections": ("i1\tMass\t0\t0\t10\t10\tx", MalformedRow,
+                   "non-integer detection threshold"),
+}
+
 # Skipped lines before the valid row: a comment, an empty line, and a
 # whitespace-only line that holds a tab.
 SKIPPED = ["# comment", "", " \t "]
@@ -92,6 +106,15 @@ class TestSharedTsvFormat:
         assert type(err.value) is error
         label = "line" if error is RuleParseError else "row"
         assert str(err.value) == f"{label} 5: {reason}"
+
+    def test_own_check_of_an_earlier_row_wins(self, tmp_path, loader, end):
+        read, row, _, _ = TSV_LOADERS[loader]
+        bad, error, reason = OWN_CHECKS[loader]
+        path = write_lines(tmp_path / "bad.tsv", [row, bad, "short"], end)
+        with pytest.raises(error) as err:
+            read(path)
+        label = "line" if error is RuleParseError else "row"
+        assert (type(err.value), str(err.value)) == (error, f"{label} 2: {reason}")
 
     def test_bad_byte_names_path_and_line(self, tmp_path, loader, end):
         read, row, _, _ = TSV_LOADERS[loader]
