@@ -1,4 +1,4 @@
-"""Golden digests of the localization commands.
+"""Golden digests of the localization and evaluation commands.
 
 `localize`, `eval-loc --mode iobb` and `eval-loc --mode iou` run in
 process on three inputs:
@@ -8,10 +8,22 @@ process on three inputs:
   sizes that the byte decoder declines, so `loadtxt` reads them;
 - "bad_cell": that file with one cell made "nan", so every step fails.
 
+`auc --roc-out`, `eval-nlp`, `stats` and `split` run in process on four
+inputs built from the benchmark's `make_evaluate` tables and corpus:
+- "evaluate": the files as generated, which the one-pass readers read;
+- "evaluate_crlf": every file with `\r\n` line ends and one id of each
+  CSV quoted, so the per-row `csv` parsers read them;
+- "evaluate_bad_corpus": one corpus line with an unknown section tag, so
+  `split` fails naming that line;
+- "evaluate_bad_label": one gold row with a `2` cell, so `auc`,
+  `eval-nlp` and `stats` fail naming that line.
+
 The SHA-256 of each input, and of each step's exit code, stdout, stderr
-and output files, must equal `data/golden.json`. `run_case` wrote that
-file before the localize path was moved onto arrays; it is rewritten
-only for an intended change of output.
+and output files, must equal `data/golden.json`. `run_case` wrote the
+localization digests before the localize path was moved onto arrays, and
+the evaluation digests before the corpus and label readers were rewritten
+to read their files once; the file is rewritten only for an intended
+change of output.
 """
 
 import contextlib
@@ -28,17 +40,66 @@ from cxrlabel import cli
 DATA = Path(__file__).parent / "data"
 GENERATE = runpy.run_path(str(Path(__file__).parent.parent / "bench" / "generate.py"))
 SEED = 4
-CASES = ("generated", "sci", "bad_cell")
+LOCALIZE_CASES = ("generated", "sci", "bad_cell")
+EVALUATE_CASES = ("evaluate", "evaluate_crlf", "evaluate_bad_corpus",
+                  "evaluate_bad_label")
+CASES = LOCALIZE_CASES + EVALUATE_CASES
 # The line of data/heatmaps_sci.tsv (from 0) whose first cell "bad_cell"
 # turns into nan: a grid row of the fourth map.
 BAD_LINE = 18
+EVALUATE_ROWS = 600
+# At this seed some ROC rates fall exactly halfway between two millionths,
+# so the digests also pin how `--roc-out` rounds such a tie.
+EVALUATE_SEED = 29
+# The line (from 0) that each evaluate case edits: a corpus line past the
+# first 8 KB, a gold row, and the row of each CSV whose id is quoted.
+BAD_CORPUS_LINE = 401
+BAD_LABEL_LINE = 300
+QUOTED_LINE = 7
 
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def edit_lines(path: Path, edit, end: str = "\n") -> None:
+    """Rewrite `path` with `edit` applied to its list of lines, joined by `end`."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    edit(lines)
+    path.write_bytes(end.join(lines).encode("utf-8"))
+
+
+def make_evaluate_inputs(case: str, directory: Path) -> dict[str, Path]:
+    inputs = dict(GENERATE["make_evaluate"](DATA, directory, EVALUATE_SEED,
+                                            rows=EVALUATE_ROWS).files)
+
+    def quote_id(lines):
+        report_id, _, rest = lines[QUOTED_LINE].partition(",")
+        lines[QUOTED_LINE] = f'"{report_id}",{rest}'
+
+    def unknown_tag(lines):
+        report_id, patient_id, first, *rest = lines[BAD_CORPUS_LINE].split("\t")
+        first = "summary=" + first.partition("=")[2]
+        lines[BAD_CORPUS_LINE] = "\t".join([report_id, patient_id, first, *rest])
+
+    def two_cell(lines):
+        report_id, _, rest = lines[BAD_LABEL_LINE].partition(",")
+        lines[BAD_LABEL_LINE] = f"{report_id},2,{rest.partition(',')[2]}"
+
+    if case == "evaluate_crlf":
+        for name in ("gold", "pred", "scores"):
+            edit_lines(inputs[name], quote_id, "\r\n")
+        edit_lines(inputs["corpus"], lambda lines: None, "\r\n")
+    elif case == "evaluate_bad_corpus":
+        edit_lines(inputs["corpus"], unknown_tag)
+    elif case == "evaluate_bad_label":
+        edit_lines(inputs["gold"], two_cell)
+    return inputs
+
+
 def make_inputs(case: str, directory: Path) -> dict[str, Path]:
+    if case in EVALUATE_CASES:
+        return make_evaluate_inputs(case, directory)
     if case == "generated":
         return dict(GENERATE["make_localize"](directory, SEED).files)
     inputs = {"heatmaps": DATA / "heatmaps_sci.tsv", "gt": DATA / "gt_sci.tsv"}
@@ -50,9 +111,7 @@ def make_inputs(case: str, directory: Path) -> dict[str, Path]:
     return inputs
 
 
-def run_case(case: str, directory: Path) -> dict:
-    """The digests of the inputs and of every step of `case`."""
-    inputs = make_inputs(case, directory)
+def localize_steps(inputs: dict[str, Path], directory: Path) -> list:
     dets = directory / "dets.tsv"
     steps = [("localize", ["localize", "--heatmaps", str(inputs["heatmaps"]),
                            "--out", str(dets)], [dets])]
@@ -61,6 +120,32 @@ def run_case(case: str, directory: Path) -> dict:
         steps.append((f"eval-loc-{mode}",
                       ["eval-loc", "--dets", str(dets), "--gt", str(inputs["gt"]),
                        "--mode", mode, "--out", str(table)], [table]))
+    return steps
+
+
+def evaluate_steps(inputs: dict[str, Path], directory: Path) -> list:
+    i = {name: str(path) for name, path in inputs.items()}
+    o = {name: directory / name for name in (
+        "auc.csv", "roc.csv", "prf1.csv", "counts.csv", "matrix.csv", "split.tsv")}
+    return [
+        ("auc", ["auc", "--scores", i["scores"], "--labels", i["gold"],
+                 "--out", str(o["auc.csv"]), "--roc-out", str(o["roc.csv"])],
+         [o["auc.csv"], o["roc.csv"]]),
+        ("eval-nlp", ["eval-nlp", "--pred", i["pred"], "--gold", i["gold"],
+                      "--out", str(o["prf1.csv"])], [o["prf1.csv"]]),
+        ("stats", ["stats", "--labels", i["gold"], "--out-counts",
+                   str(o["counts.csv"]), "--out-matrix", str(o["matrix.csv"])],
+         [o["counts.csv"], o["matrix.csv"]]),
+        ("split", ["split", "--corpus", i["corpus"], "--out", str(o["split.tsv"])],
+         [o["split.tsv"]]),
+    ]
+
+
+def run_case(case: str, directory: Path) -> dict:
+    """The digests of the inputs and of every step of `case`."""
+    inputs = make_inputs(case, directory)
+    make_steps = evaluate_steps if case in EVALUATE_CASES else localize_steps
+    steps = make_steps(inputs, directory)
     record = {"inputs": {name: sha(path.read_bytes())
                          for name, path in sorted(inputs.items())}}
     for step, argv, outputs in steps:
@@ -99,3 +184,19 @@ def test_cases_cover_both_grid_readers_and_an_error(tmp_path):
     for size in (3, 4, 5):
         starts = localization.np.array([i for _, _, s, _, i in headers if s == size])
         assert localization._fixed_width_grids(lines, starts, size) is None
+
+
+def test_evaluate_cases_cover_both_readers_and_each_error(tmp_path):
+    golden = json.loads((DATA / "golden.json").read_text(encoding="utf-8"))
+    steps = ("auc", "eval-nlp", "stats", "split")
+    for case in ("evaluate", "evaluate_crlf"):
+        assert [golden[case][step]["rc"] for step in steps] == [0, 0, 0, 0]
+    assert [golden["evaluate_bad_corpus"][step]["rc"] for step in steps] == [0, 0, 0, 2]
+    assert [golden["evaluate_bad_label"][step]["rc"] for step in steps] == [2, 2, 2, 0]
+    # Each crlf CSV holds a carriage return and a quote, either of which
+    # sends it to the per-row parser.
+    inputs = make_inputs("evaluate_crlf", tmp_path)
+    for name in ("gold", "pred", "scores"):
+        data = inputs[name].read_bytes()  # a header, then the rows
+        assert data.count(b"\r\n") == EVALUATE_ROWS + 1 and data.count(b'"') == 2
+    assert inputs["corpus"].read_bytes().count(b"\r\n") == EVALUATE_ROWS
