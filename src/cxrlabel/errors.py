@@ -4,9 +4,10 @@ Every error raised by this package derives from CxrLabelError so callers
 (and the CLI) can tell pipeline failures apart from programming errors.
 Location arguments (line_no, row_no) are optional: loaders supply them,
 in-memory constructors do not. Loaders read their files only through
-`read_input` (the bytes), `read_lines` (numbered lines) or `read_rows`
-(the tab-separated rows of a TSV file); each turns a file that is not
-UTF-8 into a located error.
+`read_input` (the bytes), `read_lines` (numbered lines, as a stream),
+`read_all_lines` (every line, as a list) or `read_rows` (the
+tab-separated rows of a TSV file); each turns a file that is not UTF-8
+into a located error.
 """
 
 
@@ -60,6 +61,15 @@ def read_lines(path):
     except UnicodeDecodeError:
         read_input(path)
         raise
+
+
+def read_all_lines(path) -> list[str]:
+    r"""Every line of `path`, line k at index k - 1, without its line
+    break; lines break as in `read_lines`, and a final line break leaves
+    an empty last line. The file is read and checked as UTF-8 whole, so a
+    bad byte raises NotUtf8 before any line is looked at."""
+    text = read_input(path).decode("utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 # --- report corpus ingestion ---
@@ -192,13 +202,11 @@ class EmptyCorpus(CxrLabelError):
 def read_rows(path, width: int, what: str, error=MalformedRow):
     """The (line_no, fields) of each row of a TSV file: each line that
     holds more than whitespace and does not start with "#", split at tabs.
-    Lines break as in `read_lines`; the file is read and checked as UTF-8
-    whole, and its rows are split in one pass. A row of other than `width`
-    fields raises `error("<what> needs <width> fields", line_no)` only once
-    the rows before it have been taken, so a caller's own check of an
-    earlier row comes first."""
-    text = read_input(path).decode("utf-8")
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    The lines are those of `read_all_lines`, split in one pass. A row of
+    other than `width` fields raises `error("<what> needs <width> fields",
+    line_no)` only once the rows before it have been taken, so a caller's
+    own check of an earlier row comes first."""
+    lines = read_all_lines(path)
     rows = [(line_no, line.split("\t")) for line_no, line in enumerate(lines, start=1)
             if line and not line.isspace() and line[0] != "#"]
     if {len(fields) for _, fields in rows} <= {width}:

@@ -323,11 +323,12 @@ def read_labels_wide_csv(
 ) -> tuple[LabelTable, LabelConfig]:
     """Read the wide CSV back; infers the label config when not given.
 
-    A file of plain cells is read in one pass over its lines; any other
+    A file of plain cells is decoded from its bytes in one pass; any other
     goes through the per-row csv parser, which names the bad line.
     """
-    text = read_input(path).decode("utf-8")
-    return _read_labels_plain(text, config) or _read_labels_by_row(text, config)
+    data = read_input(path)
+    return (_read_labels_plain(data, config)
+            or _read_labels_by_row(data.decode("utf-8"), config))
 
 
 def read_scores_csv(path) -> tuple[list[str], list[str], np.ndarray]:
@@ -387,27 +388,61 @@ def _plain_rows(text: str, check_header):
     return checked, ids, rests
 
 
-def _read_labels_plain(text: str, config: Optional[LabelConfig]):
-    """The table and config of `text` when it has plain lines and each row
-    has 0/1 cells that agree with its known status; None otherwise."""
-    plain = _plain_rows(text, lambda header: _labels_config(header, config))
-    if plain is None:
+def _read_labels_plain(data: bytes, config: Optional[LabelConfig]):
+    """The table and config of the label CSV `data`, decoded from its bytes,
+    when it is not empty, has no quote or carriage return, no id twice, and
+    each row after the header is an id, a comma, C cells of 0 or 1 each
+    followed by a comma, then a status that agrees with those cells; None
+    otherwise."""
+    if not data or b'"' in data or b"\r" in data:
         return None
-    config, ids, rests = plain
-    width = 2 * config.C  # each rest is "d,d,...,d," and then its status
-    codes = [_STATUS_CODE.get(rest[width:]) for rest in rests]
-    joined = "".join(rest[:width] for rest in rests)
-    if None in codes or not joined.isascii():
+    if not data.endswith(b"\n"):
+        data += b"\n"  # the last row reads the same without it
+    codes = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(codes == ord("\n"))
+    header = data[:ends[0]].decode("utf-8").split(",")
+    config = _labels_config(header, config)
+    starts, ends = ends[:-1] + 1, ends[1:]  # of the rows after the header
+    commas = np.flatnonzero(codes == ord(","))
+    first = np.searchsorted(commas, starts)  # the first comma of each row
+    if len(starts) and first[-1] == len(commas):
         return None
-    pairs = np.frombuffer(joined.encode(), dtype=np.uint8)
-    pairs = pairs.reshape(len(ids), config.C, 2)
+    first = commas[first]
+    width = 2 * config.C  # each row's "d,d,...,d," block
+    block = first + 1
+    # The statuses differ in length: tell each row's by its length, then
+    # check its bytes.
+    lengths = ends - block - width
+    status = np.full(len(starts), -1, dtype=np.int8)
+    for code, name in enumerate(STATUSES):
+        rows = np.flatnonzero(lengths == len(name.value))
+        expected = np.frombuffer(name.value.encode(), dtype=np.uint8)
+        if len(rows) and (_windows(codes, len(expected))[block[rows] + width]
+                          != expected).any():
+            return None
+        status[rows] = code
+    if (status < 0).any():
+        return None
+    pairs = _windows(codes, width)[block].reshape(len(starts), config.C, 2)
     y = pairs[..., 0] - ord("0")  # any byte other than 0 or 1 wraps above 1
     if (pairs[..., 1] != ord(",")).any() or (y > 1).any():
         return None
-    table = LabelTable(ids, y.astype(np.int8), np.array(codes, dtype=np.int8))
+    # Each id and its comma, gathered into one slice "id,id,...,id,".
+    sizes = block - starts
+    offsets = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+    ids = codes[np.arange(len(offsets)) + offsets].tobytes().decode("utf-8")
+    ids = ids.split(",")[:-1]
+    if len(set(ids)) != len(ids):
+        return None
+    table = LabelTable(ids, y.astype(np.int8), status)
     if (table.y.any(axis=1) != table.has_status(Status.TARGET_FINDINGS)).any():
         return None
     return table, config
+
+
+def _windows(codes: np.ndarray, width: int) -> np.ndarray:
+    """The view of `codes` whose row i is `codes[i:i + width]`."""
+    return np.lib.stride_tricks.sliding_window_view(codes, width)
 
 
 def _read_scores_plain(text: str):

@@ -19,6 +19,7 @@ from cxrlabel.errors import (
     EmptyReport,
     MalformedRecord,
     TokenCountMismatch,
+    read_all_lines,
     read_lines,
 )
 
@@ -79,6 +80,19 @@ class RadiologyReport:
         for tag in self.sections:
             if tag not in SECTION_TAGS:
                 raise MalformedRecord(f"unknown section tag {tag!r}")
+
+    @classmethod
+    def _checked(cls, report_id: str, patient_id: str,
+                 sections: dict[str, str]) -> "RadiologyReport":
+        """The report of a non-empty id and non-empty sections of known
+        tags, which the caller has already checked: `__post_init__` is not
+        run."""
+        report = object.__new__(cls)
+        fields = report.__dict__
+        fields["report_id"] = report_id
+        fields["patient_id"] = patient_id
+        fields["sections"] = sections
+        return report
 
     @cached_property
     def sentences(self) -> tuple["Sentence", ...]:
@@ -202,6 +216,14 @@ class Corpus:
                     f"graph has {graph.n_tokens} tokens, sentence has {n}", ref
                 )
 
+    @classmethod
+    def _checked(cls, reports: tuple[RadiologyReport, ...]) -> "Corpus":
+        """The graph-less corpus of `reports`, whose ids the caller has
+        already found unique: `__post_init__` is not run."""
+        corpus = object.__new__(cls)
+        vars(corpus).update(reports=reports, graphs={})
+        return corpus
+
     def sentences(self) -> list[Sentence]:
         return [s for r in self.reports for s in r.sentences]
 
@@ -278,12 +300,14 @@ def load_corpus(path) -> Corpus:
     """Load the one-record-per-line corpus format.
 
     Fields are tab-separated: report_id, patient_id, then one "tag=text"
-    pair per populated section.
+    pair per populated section. Empty and "#" lines are skipped. The file
+    is read whole, and each record is checked once, here: the reports and
+    the corpus are built without checking them again.
     """
     reports: list[RadiologyReport] = []
     seen: set[str] = set()
-    for line_no, line in read_lines(path):
-        if not line or line.startswith("#"):
+    for line_no, line in enumerate(read_all_lines(path), start=1):
+        if not line or line[0] == "#":
             continue
         fields = line.split("\t")
         if len(fields) < 3:
@@ -308,8 +332,8 @@ def load_corpus(path) -> Corpus:
             if tag in sections:
                 raise MalformedRecord(f"duplicate section tag {tag!r}", line_no)
             sections[tag] = text
-        reports.append(RadiologyReport(report_id, patient_id, sections))
-    return Corpus(tuple(reports))
+        reports.append(RadiologyReport._checked(report_id, patient_id, sections))
+    return Corpus._checked(tuple(reports))
 
 
 def load_dependency_file(path) -> dict[SentenceRef, DependencyGraph]:

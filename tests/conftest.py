@@ -3,7 +3,8 @@ mutated CSV tables, the records of a label table, the writers of the
 round-trip tests, the independent AUC and box-matching oracles, the
 per-point ROC writer that the `--roc-out` renderer is checked against,
 the corpus-wide label pipeline that `label_all` is checked against, and
-the line-by-line row reader that `errors.read_rows` is checked against."""
+the line-by-line readers that `errors.read_rows` and `reports.load_corpus`
+are checked against."""
 
 from __future__ import annotations
 
@@ -13,13 +14,22 @@ from typing import Iterable
 from hypothesis import strategies as st
 
 from cxrlabel.cli import _csv_cell
-from cxrlabel.errors import MalformedRow, MissingGraph, SpanOutOfRange, read_lines
+from cxrlabel.errors import (
+    DuplicateReportId,
+    MalformedRecord,
+    MalformedRow,
+    MissingGraph,
+    SpanOutOfRange,
+    read_lines,
+)
 from cxrlabel.labeling import STATUSES, ReportLabels, Status, polarize_corpus
 from cxrlabel.lexicon import NORMAL_CONCEPT, match_concepts, merge_mention_sets
 from cxrlabel.localization import Heatmap
 from cxrlabel.metrics import roc_points
 from cxrlabel.negation import Polarity
 from cxrlabel.reports import (
+    SECTION_TAGS,
+    Corpus,
     DependencyGraph,
     Edge,
     RadiologyReport,
@@ -360,3 +370,39 @@ def read_rows_by_lines(path, width: int, what: str, error=MalformedRow):
         if len(fields) != width:
             raise error(f"{what} needs {width} fields", line_no)
         yield line_no, fields
+
+
+def load_corpus_by_lines(path) -> Corpus:
+    """`reports.load_corpus` as a generator of lines, with each report and
+    the corpus checked again by their constructors: the reference its
+    one-read loader is checked against."""
+    reports: list[RadiologyReport] = []
+    seen: set[str] = set()
+    for line_no, line in read_lines(path):
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) < 3:
+            raise MalformedRecord(
+                "record needs report_id, patient_id and one section", line_no
+            )
+        report_id, patient_id = fields[0].strip(), fields[1].strip()
+        if not report_id:
+            raise MalformedRecord("missing report_id", line_no)
+        if not patient_id:
+            raise MalformedRecord("missing patient_id", line_no)
+        if report_id in seen:
+            raise DuplicateReportId(report_id, line_no)
+        seen.add(report_id)
+        sections: dict[str, str] = {}
+        for pair in fields[2:]:
+            tag, sep, text = pair.partition("=")
+            if not sep:
+                raise MalformedRecord(f"section field {pair!r} lacks '='", line_no)
+            if tag not in SECTION_TAGS:
+                raise MalformedRecord(f"unknown section tag {tag!r}", line_no)
+            if tag in sections:
+                raise MalformedRecord(f"duplicate section tag {tag!r}", line_no)
+            sections[tag] = text
+        reports.append(RadiologyReport(report_id, patient_id, sections))
+    return Corpus(tuple(reports))

@@ -63,21 +63,26 @@ RULES = default_rules()
 LABEL_TOKENS = [
     "0", "1", "2", "01", " 1", "1 ", "+1", "-0", "", "x", "1_0", "\u0661",
     "NORMAL", "TARGET_FINDINGS", "OTHER_FINDINGS_ONLY", "normal", "HEALTHY",
-    "r0", "r1",
+    "NORMAl", "TARGET_FINDINGs", "OTHER_FINDINGS_0NLY",
+    "r0", "r1", "\u00e9", "\u753b", "r 0",
 ]
 
 
 @st.composite
 def label_csv_cases(draw):
-    """A mutated wide label CSV and the config (or None) to read it with."""
+    """A mutated wide label CSV and the config (or None) to read it with.
+    A quarter of the tables are header-only; ids may be non-ASCII, hold a
+    space or be empty, so that bytes and characters differ in the id column."""
     classes = draw(st.sampled_from([X8_CLASSES, X14_CLASSES, ("A", "B", "C"), ("A",)]))
     rows = [["report_id", *classes, "status"]]
-    for i in range(draw(st.integers(0, 6))):
+    for i in range(draw(st.sampled_from([0, 0, 1, 2, 3, 4, 5, 6]))):
         y = draw(st.lists(st.sampled_from("01"), min_size=len(classes),
                           max_size=len(classes)))
         status = "TARGET_FINDINGS" if "1" in y else draw(
             st.sampled_from(["NORMAL", "OTHER_FINDINGS_ONLY"]))
-        rows.append([f"r{i}", *y, status])
+        report_id = draw(st.sampled_from(
+            [f"r{i}", f"r{i}", f"\u00e9{i}", f"\u753b{i}", f"r {i}", ""]))
+        rows.append([report_id, *y, status])
     text = draw(mutated_csv(rows, LABEL_TOKENS))
     config = draw(st.sampled_from([None, LabelConfig("given", classes), CONFIG_X8]))
     return text, config
@@ -396,6 +401,10 @@ class TestLabelTables:
          "status TARGET_FINDINGS inconsistent with vector for r1"),
         ("r1,1,0,NORMAL", "status NORMAL inconsistent with vector for r1"),
         ("r0,1,1,TARGET_FINDINGS", "duplicate report id 'r0'"),
+        # A status of the right length with one byte off.
+        ("r1,0,0,NORMAl", "'NORMAl' is not a valid Status"),
+        ("r1,1,0,TARGET_FINDINGs", "'TARGET_FINDINGs' is not a valid Status"),
+        ("r1,0,0,OTHER_FINDINGS_0NLY", "'OTHER_FINDINGS_0NLY' is not a valid Status"),
     ])
     def test_bad_row_named_by_its_line(self, tmp_path, row, reason):
         path = tmp_path / "labels.csv"

@@ -4,6 +4,7 @@ import re
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,7 +32,12 @@ from cxrlabel.reports import (
     tokenize,
 )
 
-from conftest import make_graph, make_sentence, serialize_dependency_graphs
+from conftest import (
+    load_corpus_by_lines,
+    make_graph,
+    make_sentence,
+    serialize_dependency_graphs,
+)
 
 DEPS_LINES = (
     Path(__file__).parent / "data" / "labeled_deps.tsv"
@@ -41,6 +47,54 @@ DEPS_LINES = (
 HUGE_COUNT = "#sent\tr1\tfindings\t0\t2000000000\n1\tNo\t0\t-\n"
 
 DEPS_TOKENS = ["", "-1", "0", "x", "+1", "1_0", str(10**12)]
+
+CORPUS_LINES = [
+    "# comment",
+    "r1\tp1\tfindings=Lungs are clear.\timpression=Normal.",
+    "r2\tp1\tindication=Cough, a=b.\tfindings=Small effusion.",
+    "r3\tp2\tother=Chest two views.",
+    " r4 \tp3 \tcomparison=\tfindings=No change.",
+]
+
+# Corpus cells: empty and whitespace ids, known and unknown tags, pairs
+# with and without "=", and non-ASCII text.
+CORPUS_TOKENS = [
+    "", " ", "\x0b", "r1", "p1", "findings", "findings=", "impression=Clear.",
+    "other=a=b", "history=Cough.", "Findings=x", " findings=x", "=x",
+    "other=\u00e9\u753b", "#r5",
+]
+
+
+@st.composite
+def mutated_corpus(draw) -> str:
+    """The corpus lines above after up to four edits: a tab field dropped,
+    added or replaced by one of CORPUS_TOKENS, an id or pair copied from
+    another line, a blank, whitespace or "#" line added; then "\n", "\r\n"
+    or lone "\r" line ends, with or without a final one."""
+    lines = [line.split("\t") for line in CORPUS_LINES]
+    for _ in range(draw(st.integers(0, 4))):
+        fields = lines[draw(st.integers(0, len(lines) - 1))]
+        at = draw(st.integers(0, len(fields)))
+        edit = draw(st.sampled_from(
+            ["drop", "add", "token", "token", "copy_id", "copy_pair", "line"]
+        ))
+        other = lines[draw(st.integers(0, len(lines) - 1))]
+        if edit == "drop" and fields:
+            del fields[min(at, len(fields) - 1)]
+        elif edit == "add":
+            fields.insert(at, draw(st.sampled_from(CORPUS_TOKENS)))
+        elif edit == "token" and fields:
+            fields[min(at, len(fields) - 1)] = draw(st.sampled_from(CORPUS_TOKENS))
+        elif edit == "copy_id" and fields and other:
+            fields[0] = other[0]
+        elif edit == "copy_pair" and len(other) > 2:
+            fields.insert(at, other[draw(st.integers(2, len(other) - 1))])
+        elif edit == "line":
+            lines.insert(draw(st.integers(0, len(lines))),
+                         [draw(st.sampled_from(["", " ", "\t", "#", "# x\ty"]))])
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join("\t".join(fields) for fields in lines)
+    return text + end if draw(st.booleans()) else text
 
 
 @st.composite
@@ -228,6 +282,50 @@ class TestCorpusFile:
         path.write_text("r1\tp1\tfindings\n", encoding="utf-8")
         with pytest.raises(MalformedRecord):
             load_corpus(path)
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=mutated_corpus())
+    def test_loader_equals_per_line_reference(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "mutated_corpus.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            expected = load_corpus_by_lines(path)
+        except CxrLabelError as err:
+            with pytest.raises(type(err)) as raised:
+                load_corpus(path)
+            assert type(raised.value) is type(err) and str(raised.value) == str(err)
+            return
+        corpus = load_corpus(path)
+        assert corpus.reports == expected.reports and corpus.graphs == {}
+        assert [vars(r) for r in corpus.reports] == [vars(r) for r in expected.reports]
+
+    def test_loaded_reports_are_not_checked_again(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("\n".join(CORPUS_LINES) + "\n", encoding="utf-8")
+        with mock.patch.object(RadiologyReport, "__post_init__") as report_check, \
+                mock.patch.object(Corpus, "__post_init__") as corpus_check:
+            corpus = load_corpus(path)
+        report_check.assert_not_called()
+        corpus_check.assert_not_called()
+        assert [r.report_id for r in corpus.reports] == ["r1", "r2", "r3", "r4"]
+        assert corpus.reports[3].sections == {"comparison": "", "findings": "No change."}
+        assert corpus.reports == load_corpus_by_lines(path).reports
+        # A loaded report splits into sentences like a constructed one.
+        r1 = corpus.reports[0]
+        rebuilt = RadiologyReport(r1.report_id, r1.patient_id, r1.sections)
+        assert r1.sentences == rebuilt.sentences
+
+    @pytest.mark.parametrize("build, reason", [
+        (lambda: RadiologyReport("", "p1", {"findings": "x"}), "empty report_id"),
+        (lambda: RadiologyReport("r1", "p1", {}), "report 'r1' has no sections"),
+        (lambda: RadiologyReport("r1", "p1", {"history": "x"}),
+         "unknown section tag 'history'"),
+        (lambda: Corpus((RadiologyReport("r1", "p1", {"findings": "x"}),) * 2),
+         "duplicate report id 'r1'"),
+    ])
+    def test_direct_construction_keeps_every_check(self, build, reason):
+        with pytest.raises(CxrLabelError, match=f"^{re.escape(reason)}$"):
+            build()
 
 
 class TestDependencyGraph:
