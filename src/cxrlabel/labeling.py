@@ -391,9 +391,9 @@ def _plain_rows(text: str, check_header):
 def _read_labels_plain(data: bytes, config: Optional[LabelConfig]):
     """The table and config of the label CSV `data`, decoded from its bytes,
     when it is not empty, has no quote or carriage return, no id twice, and
-    each row after the header is an id, a comma, C cells of 0 or 1 each
-    followed by a comma, then a status that agrees with those cells; None
-    otherwise."""
+    each row after the header is an id without a comma, a comma, C cells of
+    0 or 1 each followed by a comma, then a status that agrees with those
+    cells; None otherwise."""
     if not data or b'"' in data or b"\r" in data:
         return None
     if not data.endswith(b"\n"):
@@ -403,41 +403,46 @@ def _read_labels_plain(data: bytes, config: Optional[LabelConfig]):
     header = data[:ends[0]].decode("utf-8").split(",")
     config = _labels_config(header, config)
     starts, ends = ends[:-1] + 1, ends[1:]  # of the rows after the header
-    commas = np.flatnonzero(codes == ord(","))
-    first = np.searchsorted(commas, starts)  # the first comma of each row
-    if len(starts) and first[-1] == len(commas):
-        return None
-    first = commas[first]
     width = 2 * config.C  # each row's "d,d,...,d," block
-    block = first + 1
-    # The statuses differ in length: tell each row's by its length, then
-    # check its bytes.
-    lengths = ends - block - width
+    # Each status ends in a byte of its own: tell each row's status by its
+    # last byte, and so where its block starts; then check the status's bytes.
+    last = codes[ends - 1]
     status = np.full(len(starts), -1, dtype=np.int8)
-    for code, name in enumerate(STATUSES):
-        rows = np.flatnonzero(lengths == len(name.value))
-        expected = np.frombuffer(name.value.encode(), dtype=np.uint8)
-        if len(rows) and (_windows(codes, len(expected))[block[rows] + width]
-                          != expected).any():
-            return None
+    block = ends - width
+    values = [(code, name.value.encode()) for code, name in enumerate(STATUSES)]
+    for code, value in values:
+        rows = last == value[-1]
         status[rows] = code
-    if (status < 0).any():
+        block[rows] -= len(value)
+    if (status < 0).any() or (block <= starts).any():
         return None
+    for code, value in values:
+        rows = np.flatnonzero(status == code)
+        if len(rows) and (_windows(codes, len(value))[block[rows] + width]
+                          != np.frombuffer(value, dtype=np.uint8)).any():
+            return None
     pairs = _windows(codes, width)[block].reshape(len(starts), config.C, 2)
     y = pairs[..., 0] - ord("0")  # any byte other than 0 or 1 wraps above 1
-    if (pairs[..., 1] != ord(",")).any() or (y > 1).any():
+    if ((pairs[..., 1] != ord(",")).any() or (y > 1).any()
+            or (codes[block - 1] != ord(",")).any()):
         return None
-    # Each id and its comma, gathered into one slice "id,id,...,id,".
-    sizes = block - starts
-    offsets = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
-    ids = codes[np.arange(len(offsets)) + offsets].tobytes().decode("utf-8")
+    y = y.astype(np.int8)
+    # numpy reduces along contiguous rows far faster than along a short axis.
+    found = np.ascontiguousarray(y.T).any(axis=0)
+    if (found != (status == STATUSES.index(Status.TARGET_FINDINGS))).any():
+        return None
+    # Each id and the comma after it, gathered by one mask into
+    # "id,id,...,id,": the bytes from each row's start to its block. A row
+    # whose id holds a comma splits into more than one id.
+    edges = np.empty(2 * len(starts) + 2, dtype=np.intp)
+    edges[0], edges[1:-1:2], edges[2:-1:2], edges[-1] = 0, starts, block, len(codes)
+    keep = np.zeros(len(edges) - 1, dtype=bool)
+    keep[1::2] = True
+    ids = codes[np.repeat(keep, np.diff(edges))].tobytes().decode("utf-8")
     ids = ids.split(",")[:-1]
-    if len(set(ids)) != len(ids):
+    if len(ids) != len(starts) or len(set(ids)) != len(ids):
         return None
-    table = LabelTable(ids, y.astype(np.int8), status)
-    if (table.y.any(axis=1) != table.has_status(Status.TARGET_FINDINGS)).any():
-        return None
-    return table, config
+    return LabelTable(ids, y, status), config
 
 
 def _windows(codes: np.ndarray, width: int) -> np.ndarray:

@@ -296,16 +296,22 @@ def split_sentences(report: RadiologyReport) -> list[Sentence]:
     return sentences
 
 
+# Each known tag keyed by itself, so that every loaded report shares it.
+_TAGS = {tag: tag for tag in SECTION_TAGS}
+
+
 def load_corpus(path) -> Corpus:
     """Load the one-record-per-line corpus format.
 
     Fields are tab-separated: report_id, patient_id, then one "tag=text"
     pair per populated section. Empty and "#" lines are skipped. The file
     is read whole, and each record is checked once, here: the reports and
-    the corpus are built without checking them again.
+    the corpus are built without checking them again. Every section dict
+    is keyed by the shared strings of SECTION_TAGS.
     """
     reports: list[RadiologyReport] = []
     seen: set[str] = set()
+    checked = RadiologyReport._checked
     for line_no, line in enumerate(read_all_lines(path), start=1):
         if not line or line[0] == "#":
             continue
@@ -327,12 +333,14 @@ def load_corpus(path) -> Corpus:
             tag, sep, text = pair.partition("=")
             if not sep:
                 raise MalformedRecord(f"section field {pair!r} lacks '='", line_no)
-            if tag not in SECTION_TAGS:
+            known = _TAGS.get(tag)
+            if known is None:
                 raise MalformedRecord(f"unknown section tag {tag!r}", line_no)
+            tag = known
             if tag in sections:
                 raise MalformedRecord(f"duplicate section tag {tag!r}", line_no)
             sections[tag] = text
-        reports.append(RadiologyReport._checked(report_id, patient_id, sections))
+        reports.append(checked(report_id, patient_id, sections))
     return Corpus._checked(tuple(reports))
 
 

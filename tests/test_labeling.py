@@ -64,16 +64,17 @@ LABEL_TOKENS = [
     "0", "1", "2", "01", " 1", "1 ", "+1", "-0", "", "x", "1_0", "\u0661",
     "NORMAL", "TARGET_FINDINGS", "OTHER_FINDINGS_ONLY", "normal", "HEALTHY",
     "NORMAl", "TARGET_FINDINGs", "OTHER_FINDINGS_0NLY",
-    "r0", "r1", "\u00e9", "\u753b", "r 0",
+    "r0", "r1", "\u00e9", "\u753b", "r 0", "L", "S", "Y", ",NORMAL",
 ]
 
 
 @st.composite
 def label_csv_cases(draw):
     """A mutated wide label CSV and the config (or None) to read it with.
-    A quarter of the tables are header-only; ids may be non-ASCII, hold a
+    A quarter of the tables are header-only and some have no classes, so
+    that a file can be shorter than a status; ids may be non-ASCII, hold a
     space or be empty, so that bytes and characters differ in the id column."""
-    classes = draw(st.sampled_from([X8_CLASSES, X14_CLASSES, ("A", "B", "C"), ("A",)]))
+    classes = draw(st.sampled_from([X8_CLASSES, X14_CLASSES, ("A", "B", "C"), ("A",), ()]))
     rows = [["report_id", *classes, "status"]]
     for i in range(draw(st.sampled_from([0, 0, 1, 2, 3, 4, 5, 6]))):
         y = draw(st.lists(st.sampled_from("01"), min_size=len(classes),

@@ -172,6 +172,16 @@ def test_bad_byte_wins_over_an_earlier_row_error(tmp_path):
     assert str(err.value) == f"{path}: line 10002: not valid UTF-8"
 
 
+def test_corpus_bad_byte_wins_over_an_earlier_record_error(tmp_path):
+    # The corpus is read whole too: its bad byte comes before the unknown
+    # tag of line 1, which a line reader would reach first.
+    path = tmp_path / "corpus.tsv"
+    path.write_bytes(b"r1\tp1\thistory=x\n" + b"# pad\n" * 10_000 + b"caf\xe9\n")
+    with pytest.raises(NotUtf8) as err:
+        load_corpus(path)
+    assert str(err.value) == f"{path}: line 10002: not valid UTF-8"
+
+
 # The readers with their own line rules, each with two valid lines.
 LINE_READERS = {
     "corpus": (load_corpus, ["r1\tp1\tfindings=No effusion.", "# comment"]),

@@ -19,6 +19,7 @@ from cxrlabel.errors import (
     TokenCountMismatch,
 )
 from cxrlabel.reports import (
+    SECTION_TAGS,
     Corpus,
     DependencyGraph,
     Edge,
@@ -309,6 +310,9 @@ class TestCorpusFile:
         corpus_check.assert_not_called()
         assert [r.report_id for r in corpus.reports] == ["r1", "r2", "r3", "r4"]
         assert corpus.reports[3].sections == {"comparison": "", "findings": "No change."}
+        # Every section dict is keyed by the shared tag strings.
+        shared = {id(tag) for tag in SECTION_TAGS}
+        assert all(id(tag) in shared for r in corpus.reports for tag in r.sections)
         assert corpus.reports == load_corpus_by_lines(path).reports
         # A loaded report splits into sentences like a constructed one.
         r1 = corpus.reports[0]
