@@ -18,12 +18,25 @@ inputs built from the benchmark's `make_evaluate` tables and corpus:
 - "evaluate_bad_label": one gold row with a `2` cell, so `auc`,
   `eval-nlp` and `stats` fail naming that line.
 
+`label` runs in process on five inputs, and `selftest` on none:
+- "label_fixtures": the fixture corpus and parses, labelled plain, with
+  `--propagate`, with `--label-set x14` and with `--external-mentions`;
+- "label_generated": the benchmark's `make_label` inputs at one seed,
+  five copies of the fixtures, with `--propagate`; they hold the
+  fixture's token of two heads;
+- "label_crlf": that deps file with `\r\n` line ends;
+- "label_ws_sep": that deps file with one blank separator line made
+  whitespace-only and no final line break;
+- "label_bad_head": that deps file with one head out of range, so
+  `label` fails naming that row.
+
 The SHA-256 of each input, and of each step's exit code, stdout, stderr
 and output files, must equal `data/golden.json`. `run_case` wrote the
 localization digests before the localize path was moved onto arrays, and
 the evaluation digests before the corpus and label readers were rewritten
-to read their files once; the file is rewritten only for an intended
-change of output.
+to read their files once, and the label digests before sentences and
+parses were built as string columns; the file is rewritten only for an
+intended change of output.
 """
 
 import contextlib
@@ -43,7 +56,9 @@ SEED = 4
 LOCALIZE_CASES = ("generated", "sci", "bad_cell")
 EVALUATE_CASES = ("evaluate", "evaluate_crlf", "evaluate_bad_corpus",
                   "evaluate_bad_label")
-CASES = LOCALIZE_CASES + EVALUATE_CASES
+LABEL_CASES = ("label_fixtures", "label_generated", "label_crlf", "label_ws_sep",
+               "label_bad_head", "selftest")
+CASES = LOCALIZE_CASES + EVALUATE_CASES + LABEL_CASES
 # The line of data/heatmaps_sci.tsv (from 0) whose first cell "bad_cell"
 # turns into nan: a grid row of the fourth map.
 BAD_LINE = 18
@@ -56,6 +71,18 @@ EVALUATE_SEED = 29
 BAD_CORPUS_LINE = 401
 BAD_LABEL_LINE = 300
 QUOTED_LINE = 7
+LABEL_SEED = 3
+LABEL_COPIES = 5
+# The deps line (from 0) that "label_bad_head" gives head 99: a token row
+# of a block past the first hundred lines.
+BAD_HEAD_LINE = 150
+# External mentions of the fixture corpus: a new one, one equal to an
+# internal hit, and one inside an internal hit of the same category.
+EXTERNAL_MENTIONS = (
+    "r02\tfindings\t0\t1\t1\tC0032285\tPneumonia\n"
+    "r03\tfindings\t0\t1\t1\tC0018800\tCardiomegaly\n"
+    "r01\tfindings\t0\t6\t6\tC0013687\tEffusion\n"
+)
 
 
 def sha(data: bytes) -> str:
@@ -97,9 +124,40 @@ def make_evaluate_inputs(case: str, directory: Path) -> dict[str, Path]:
     return inputs
 
 
+def make_label_inputs(case: str, directory: Path) -> dict[str, Path]:
+    if case == "selftest":
+        return {}
+    if case == "label_fixtures":
+        mentions = directory / "mentions.tsv"
+        mentions.write_text(EXTERNAL_MENTIONS, encoding="utf-8")
+        return {"corpus": DATA / "labeled_corpus.tsv",
+                "deps": DATA / "labeled_deps.tsv", "mentions": mentions}
+    files = GENERATE["make_label"](DATA, directory, LABEL_SEED,
+                                   copies=LABEL_COPIES).files
+    inputs = {"corpus": files["corpus"], "deps": files["deps"]}
+
+    def whitespace_separator(lines):
+        lines[lines.index("")] = " \t"
+        lines.pop()  # the empty string after the final line break
+
+    def bad_head(lines):
+        position, surface, _, deprel = lines[BAD_HEAD_LINE].split("\t")
+        lines[BAD_HEAD_LINE] = "\t".join([position, surface, "99", deprel])
+
+    if case == "label_crlf":
+        edit_lines(inputs["deps"], lambda lines: None, "\r\n")
+    elif case == "label_ws_sep":
+        edit_lines(inputs["deps"], whitespace_separator)
+    elif case == "label_bad_head":
+        edit_lines(inputs["deps"], bad_head)
+    return inputs
+
+
 def make_inputs(case: str, directory: Path) -> dict[str, Path]:
     if case in EVALUATE_CASES:
         return make_evaluate_inputs(case, directory)
+    if case in LABEL_CASES:
+        return make_label_inputs(case, directory)
     if case == "generated":
         return dict(GENERATE["make_localize"](directory, SEED).files)
     inputs = {"heatmaps": DATA / "heatmaps_sci.tsv", "gt": DATA / "gt_sci.tsv"}
@@ -141,10 +199,34 @@ def evaluate_steps(inputs: dict[str, Path], directory: Path) -> list:
     ]
 
 
+def label_steps(inputs: dict[str, Path], directory: Path) -> list:
+    if not inputs:
+        return [("selftest", ["selftest"], [])]
+    if "mentions" in inputs:
+        variants = [("label", []), ("label-propagate", ["--propagate"]),
+                    ("label-x14", ["--label-set", "x14"]),
+                    ("label-external", ["--external-mentions",
+                                        str(inputs["mentions"])])]
+    else:
+        variants = [("label-propagate", ["--propagate"])]
+    steps = []
+    for step, extra in variants:
+        tsv, csv = directory / f"{step}.tsv", directory / f"{step}.csv"
+        steps.append((step, ["label", "--corpus", str(inputs["corpus"]),
+                             "--deps", str(inputs["deps"]), "--out-tsv", str(tsv),
+                             "--out-csv", str(csv), *extra], [tsv, csv]))
+    return steps
+
+
 def run_case(case: str, directory: Path) -> dict:
     """The digests of the inputs and of every step of `case`."""
     inputs = make_inputs(case, directory)
-    make_steps = evaluate_steps if case in EVALUATE_CASES else localize_steps
+    if case in LABEL_CASES:
+        make_steps = label_steps
+    elif case in EVALUATE_CASES:
+        make_steps = evaluate_steps
+    else:
+        make_steps = localize_steps
     steps = make_steps(inputs, directory)
     record = {"inputs": {name: sha(path.read_bytes())
                          for name, path in sorted(inputs.items())}}
@@ -200,3 +282,21 @@ def test_evaluate_cases_cover_both_readers_and_each_error(tmp_path):
         data = inputs[name].read_bytes()  # a header, then the rows
         assert data.count(b"\r\n") == EVALUATE_ROWS + 1 and data.count(b'"') == 2
     assert inputs["corpus"].read_bytes().count(b"\r\n") == EVALUATE_ROWS
+
+
+def test_label_cases_cover_each_deps_layout_and_an_error(tmp_path):
+    golden = json.loads((DATA / "golden.json").read_text(encoding="utf-8"))
+    step = "label-propagate"
+    outputs = {case: {k: v for k, v in golden[case][step].items()}
+               for case in ("label_generated", "label_crlf", "label_ws_sep")}
+    assert outputs["label_generated"]["rc"] == 0
+    assert outputs["label_crlf"] == outputs["label_ws_sep"] == outputs["label_generated"]
+    assert golden["label_bad_head"][step]["rc"] == 2
+    assert golden["selftest"]["selftest"]["rc"] == 0
+    deps = make_inputs("label_ws_sep", tmp_path)["deps"].read_bytes()
+    assert b"\n \t\n" in deps and not deps.endswith(b"\n")
+    # The generated parses hold the fixture's token of two heads.
+    blocks = make_inputs("label_generated", tmp_path)["deps"].read_text().split("\n\n")
+    positions = [[row.split("\t")[0] for row in block.split("\n")[1:] if row]
+                 for block in blocks]
+    assert any(len(set(p)) < len(p) for p in positions)
