@@ -5,9 +5,9 @@ Every error raised by this package derives from CxrLabelError so callers
 Location arguments (line_no, row_no) are optional: loaders supply them,
 in-memory constructors do not. Loaders read their files only through
 `read_input` (the bytes), `read_lines` (numbered lines, as a stream),
-`read_all_lines` (every line, as a list) or `read_rows` (the
-tab-separated rows of a TSV file); each turns a file that is not UTF-8
-into a located error.
+`read_all_text` (the text, line breaks made `\n`), `read_all_lines`
+(every line, as a list) or `read_rows` (the tab-separated rows of a TSV
+file); each turns a file that is not UTF-8 into a located error.
 """
 
 
@@ -63,13 +63,19 @@ def read_lines(path):
         raise
 
 
-def read_all_lines(path) -> list[str]:
-    r"""Every line of `path`, line k at index k - 1, without its line
-    break; lines break as in `read_lines`, and a final line break leaves
-    an empty last line. The file is read and checked as UTF-8 whole, so a
-    bad byte raises NotUtf8 before any line is looked at."""
+def read_all_text(path) -> str:
+    r"""The text of `path` with each `\r\n` and lone `\r` made `\n`, so
+    that its lines break as in `read_lines`. The file is read and checked
+    as UTF-8 whole, so a bad byte raises NotUtf8 before any line is looked
+    at."""
     text = read_input(path).decode("utf-8")
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_all_lines(path) -> list[str]:
+    r"""Every line of `read_all_text(path)`, line k at index k - 1, without
+    its line break; a final line break leaves an empty last line."""
+    return read_all_text(path).split("\n")
 
 
 # --- report corpus ingestion ---

@@ -15,11 +15,10 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from cxrlabel.errors import MalformedRecord, MissingGraph, read_input
-from cxrlabel.lazy import np
+from cxrlabel.lazy import lazy_property, np
 from cxrlabel.lexicon import (
     NORMAL_CONCEPT,
     ConceptMention,
@@ -74,7 +73,7 @@ class LabelConfig:
     def C(self) -> int:
         return len(self.classes)
 
-    @cached_property
+    @lazy_property
     def column(self) -> dict[str, int]:
         """The column of each class."""
         return {name: k for k, name in enumerate(self.classes)}

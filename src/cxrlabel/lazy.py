@@ -1,4 +1,5 @@
-"""numpy, loaded on its first attribute read instead of at import.
+"""Things computed on first use: numpy, and the lazy attributes of the
+package's records.
 
 Report mining (`label`) never touches an array, and importing numpy
 costs more than the rest of a CLI start. So when numpy is not loaded
@@ -10,6 +11,13 @@ No other module of this package may state `import numpy` or `from numpy
 import ...`: the import statement reads `__spec__`, which loads a lazy
 module at once. Before Python 3.13 `LazyLoader` is not thread-safe, so
 the first numeric call must not race another thread's.
+
+`lazy_property` computes an attribute on its first read and stores it in
+the instance `__dict__`, where every later read finds it without calling
+the descriptor. It is `functools.cached_property` without the lock that
+Python 3.11 takes on each first read (3.12 dropped it): two threads that
+race may both compute the value, and the last one stored wins, which is
+harmless for the pure, deterministic values it holds here.
 """
 
 import importlib.util
@@ -29,6 +37,26 @@ def _lazy_module(name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+class lazy_property:
+    """A read-only attribute computed once per instance by `func` and
+    stored in the instance `__dict__`; works on frozen dataclasses, which
+    block only `__setattr__`. Read on the class, it is the descriptor."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 np = _lazy_module("numpy")

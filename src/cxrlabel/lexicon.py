@@ -110,11 +110,11 @@ class Lexicon:
         return {entry.category for entry in self.entries}
 
     def longest_match(
-        self, lowered: list[str], start: int
+        self, lowered: tuple[str, ...], start: int
     ) -> Optional[LexiconEntry]:
         for entry in self._index.get(lowered[start], ()):
             end = start + len(entry.phrase)
-            if end <= len(lowered) and tuple(lowered[start:end]) == entry.phrase:
+            if end <= len(lowered) and lowered[start:end] == entry.phrase:
                 return entry
         return None
 
@@ -151,27 +151,31 @@ def default_lexicon() -> Lexicon:
 def match_concepts(sentence: Sentence, lexicon: Lexicon) -> list[ConceptMention]:
     """Greedy left-to-right, longest-phrase-first, case-insensitive matching.
 
-    Matched spans never overlap; every hit carries source=internal.
+    Matched spans never overlap; every hit carries source=internal. Only
+    the positions whose word starts some phrase are tried, and none inside
+    the last hit.
     """
-    lowered = [token.lowered for token in sentence.tokens]
+    lowered = sentence.lowered
+    index = lexicon._index
     mentions: list[ConceptMention] = []
-    i = 0
-    while i < len(lowered):
+    end = 0  # the first position past the last hit
+    for i in [i for i, word in enumerate(lowered) if word in index]:
+        if i < end:
+            continue
         entry = lexicon.longest_match(lowered, i)
         if entry is None:
-            i += 1
             continue
+        end = i + len(entry.phrase)
         mentions.append(
             ConceptMention(
                 sentence_ref=sentence.ref,
                 start=i + 1,
-                end=i + len(entry.phrase),
+                end=end,
                 cui=entry.cui,
                 category=entry.category,
                 source=Source.INTERNAL,
             )
         )
-        i += len(entry.phrase)
     return mentions
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 from cxrlabel.errors import (
@@ -20,8 +19,9 @@ from cxrlabel.errors import (
     MalformedRecord,
     TokenCountMismatch,
     read_all_lines,
-    read_lines,
+    read_all_text,
 )
+from cxrlabel.lazy import lazy_property
 
 SECTION_TAGS = ("comparison", "indication", "findings", "impression", "other")
 
@@ -94,7 +94,7 @@ class RadiologyReport:
         fields["sections"] = sections
         return report
 
-    @cached_property
+    @lazy_property
     def sentences(self) -> tuple["Sentence", ...]:
         """The report split once; every corpus holding it shares the split."""
         return tuple(split_sentences(self))
@@ -102,17 +102,41 @@ class RadiologyReport:
 
 @dataclass(frozen=True)
 class Sentence:
+    """A sentence as two string columns: the surface of each token and
+    its lowercase form, token k at index k - 1."""
+
     report_id: str
     section: str
     index: int
-    tokens: tuple[Token, ...]
+    surfaces: tuple[str, ...]
+    lowered: tuple[str, ...]
 
-    @cached_property
+    @classmethod
+    def _checked(cls, report_id: str, section: str, index: int,
+                 surfaces: tuple[str, ...], lowered: tuple[str, ...]) -> "Sentence":
+        """The sentence of these fields, set without the frozen
+        dataclass's per-field `__setattr__` calls."""
+        sentence = object.__new__(cls)
+        fields = sentence.__dict__
+        fields["report_id"] = report_id
+        fields["section"] = section
+        fields["index"] = index
+        fields["surfaces"] = surfaces
+        fields["lowered"] = lowered
+        return sentence
+
+    @property
+    def tokens(self) -> tuple[Token, ...]:
+        """The tokens, built from the columns on each read."""
+        return tuple(map(Token, range(1, len(self.surfaces) + 1),
+                         self.surfaces, self.lowered))
+
+    @lazy_property
     def ref(self) -> SentenceRef:
         return SentenceRef(self.report_id, self.section, self.index)
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.surfaces)
 
 
 @dataclass(frozen=True)
@@ -140,11 +164,26 @@ class DependencyGraph:
             if edge.head == edge.dependent:
                 raise BadHeadIndex(f"self-loop at token {edge.head}")
 
-    @cached_property
-    def lowered(self) -> tuple[str, ...]:
-        return tuple(s.lower() for s in self.surfaces)
+    @classmethod
+    def _checked(cls, sentence_ref: SentenceRef, n_tokens: int,
+                 surfaces: tuple[str, ...], edges: tuple[Edge, ...]
+                 ) -> "DependencyGraph":
+        """The graph of `n_tokens` >= 1 tokens, `n_tokens` surfaces and
+        edges between positions in range with no self-loop, which the
+        caller has already checked: `__post_init__` is not run."""
+        graph = object.__new__(cls)
+        fields = graph.__dict__
+        fields["sentence_ref"] = sentence_ref
+        fields["n_tokens"] = n_tokens
+        fields["surfaces"] = surfaces
+        fields["edges"] = edges
+        return graph
 
-    @cached_property
+    @lazy_property
+    def lowered(self) -> tuple[str, ...]:
+        return tuple(map(str.lower, self.surfaces))
+
+    @lazy_property
     def out_adjacency(self) -> dict[int, list[Edge]]:
         """Edges by head position, each list in `edges` order."""
         adjacency: dict[int, list[Edge]] = {}
@@ -152,7 +191,7 @@ class DependencyGraph:
             adjacency.setdefault(edge.head, []).append(edge)
         return adjacency
 
-    @cached_property
+    @lazy_property
     def in_adjacency(self) -> dict[int, list[Edge]]:
         """Edges by dependent position, each list in `edges` order."""
         adjacency: dict[int, list[Edge]] = {}
@@ -202,6 +241,11 @@ class Corpus:
             if report.report_id in seen:
                 raise DuplicateReportId(report.report_id)
             seen.add(report.report_id)
+        self._check_graphs()
+
+    def _check_graphs(self):
+        """Each graph is stored under its own ref, names a sentence of a
+        report, and has that sentence's token count."""
         sentences = {s.ref: s for s in self.sentences()} if self.graphs else {}
         for ref, graph in self.graphs.items():
             if graph.sentence_ref != ref:
@@ -217,20 +261,26 @@ class Corpus:
                 )
 
     @classmethod
-    def _checked(cls, reports: tuple[RadiologyReport, ...]) -> "Corpus":
-        """The graph-less corpus of `reports`, whose ids the caller has
-        already found unique: `__post_init__` is not run."""
+    def _checked(cls, reports: tuple[RadiologyReport, ...],
+                 graphs: dict[SentenceRef, DependencyGraph]) -> "Corpus":
+        """The corpus of `reports`, whose ids the caller has already found
+        unique, and of `graphs`, which the caller checks: `__post_init__`
+        is not run."""
         corpus = object.__new__(cls)
-        vars(corpus).update(reports=reports, graphs={})
+        vars(corpus).update(reports=reports, graphs=graphs)
         return corpus
 
     def sentences(self) -> list[Sentence]:
         return [s for r in self.reports for s in r.sentences]
 
     def with_graphs(self, graphs: dict[SentenceRef, DependencyGraph]) -> "Corpus":
+        """This corpus with `graphs` added. The reports were checked when
+        this corpus was built, so only the graphs are checked."""
         merged = dict(self.graphs)
         merged.update(graphs)
-        return Corpus(self.reports, merged)
+        corpus = Corpus._checked(self.reports, merged)
+        corpus._check_graphs()
+        return corpus
 
 
 def _match_header(line: str) -> Optional[tuple[str, str]]:
@@ -277,21 +327,18 @@ def _sentence_chunks(text: str) -> list[str]:
     return [chunk for chunk in chunks if chunk]
 
 
-def tokenize(chunk: str) -> tuple[Token, ...]:
-    surfaces = _TOKEN_RE.findall(chunk)
-    return tuple(
-        Token(i + 1, surface, surface.lower()) for i, surface in enumerate(surfaces)
-    )
-
-
 def split_sentences(report: RadiologyReport) -> list[Sentence]:
+    """The sentences of each section in order, each numbered from 0 within
+    its section; a chunk with no token makes no sentence."""
     sentences: list[Sentence] = []
+    report_id, checked, findall = report.report_id, Sentence._checked, _TOKEN_RE.findall
     for tag, text in report.sections.items():
         index = 0
         for chunk in _sentence_chunks(text):
-            tokens = tokenize(chunk)
-            if tokens:
-                sentences.append(Sentence(report.report_id, tag, index, tokens))
+            surfaces = tuple(findall(chunk))
+            if surfaces:
+                lowered = tuple(map(str.lower, surfaces))
+                sentences.append(checked(report_id, tag, index, surfaces, lowered))
                 index += 1
     return sentences
 
@@ -341,7 +388,20 @@ def load_corpus(path) -> Corpus:
                 raise MalformedRecord(f"duplicate section tag {tag!r}", line_no)
             sections[tag] = text
         reports.append(checked(report_id, patient_id, sections))
-    return Corpus._checked(tuple(reports))
+    return Corpus._checked(tuple(reports), {})
+
+
+# A block read whole: a "#sent" header of integer index and count, rows
+# of four tab-separated fields with integer position and head, then an
+# empty line or the end of the text. The rows are group 5.
+_PLAIN_BLOCK = re.compile(
+    r"#sent\t([^\t\n]*)\t([^\t\n]*)\t([0-9]+)\t([0-9]+)\n"
+    r"((?:[0-9]+\t[^\t\n]*\t[0-9]+\t[^\t\n]*\n)+)"
+    r"(?:\n|\Z)"
+)
+# (position, head, deprel) of each row of a plain block other than the
+# rows "<position><TAB><surface><TAB>0<TAB>-" of a token with no edge.
+_EDGE_ROW = re.compile(r"^([0-9]+)\t[^\t\n]*\t(?!0\t-\n)([0-9]+)\t([^\t\n]*)\n", re.M)
 
 
 def load_dependency_file(path) -> dict[SentenceRef, DependencyGraph]:
@@ -352,71 +412,131 @@ def load_dependency_file(path) -> dict[SentenceRef, DependencyGraph]:
     deprel". A position may repeat to give a token several heads; head 0
     with deprel "-" declares a token that hangs off no edge, while head 0
     with a real label is a virtual-root edge.
+
+    The file is read whole, with line breaks as in `read_all_lines`, and
+    decoded block by block while `_PLAIN_BLOCK` tiles it. A plain block
+    whose positions are "1".."n" once each and in order, and which passes
+    every check, is taken as columns of one split; any other plain block
+    goes through the per-row checks of `_add_graph`. From the first point
+    the pattern does not tile, the rest of the file is read line by line.
+    Each graph is built once, unchecked, from rows already checked.
     """
+    text = read_all_text(path)
     graphs: dict[SentenceRef, DependencyGraph] = {}
+    numerals: list[str] = []  # "1", "2", ..., as long as the longest block
+    checked = DependencyGraph._checked
+    match = _PLAIN_BLOCK.match
+    pos = counted = 0  # the text is tiled up to pos, its lines counted up to counted
+    line_no = 1  # the line at counted
+    while block := match(text, pos):
+        report_id, section, index, count, body = block.groups()
+        ref = SentenceRef(report_id, section, int(index))
+        cells = body[:-1].replace("\n", "\t").split("\t")
+        positions = cells[0::4]
+        n = len(positions)
+        if n > len(numerals):
+            numerals.extend(map(str, range(len(numerals) + 1, n + 1)))
+        edges = None
+        if int(count) == n and ref not in graphs and positions == numerals[:n]:
+            edges = _plain_edges(body, n)
+        if edges is None:
+            line_no += text.count("\n", counted, block.start())
+            counted = block.start()
+            rows = [(line_no + k, line.split("\t"))
+                    for k, line in enumerate(body[:-1].split("\n"), start=1)]
+            _add_graph(graphs, ref, int(count), line_no, rows)
+        else:
+            graphs[ref] = checked(ref, n, tuple(cells[1::4]), edges)
+        pos = block.end()
+    if pos < len(text):
+        line_no += text.count("\n", counted, pos)
+        _load_lines(graphs, text[pos:].split("\n"), line_no)
+    return graphs
+
+
+def _plain_edges(body: str, n: int) -> Optional[tuple[Edge, ...]]:
+    """The sorted edges of `body`, the rows of a plain block whose
+    positions are "1".."n" in order; None when a row gives deprel "-" a
+    head other than "0", or has a head past n or equal to its position."""
+    if body.count("\t0\t-\n") == n:  # every row is a token with no edge
+        return ()
+    edges = []
+    for position, head, deprel in _EDGE_ROW.findall(body):
+        head = int(head)
+        if deprel == "-" or head > n or head == int(position):
+            return None
+        edges.append(Edge(head, int(position), deprel))
+    edges.sort()
+    return tuple(edges)
+
+
+def _add_graph(graphs: dict[SentenceRef, DependencyGraph], ref: SentenceRef,
+               n_tokens: int, header_line: int, rows: list[tuple[int, list[str]]]):
+    """Check the (row_no, four fields) rows of the sentence `ref`, whose
+    header on `header_line` declares `n_tokens`, and add its graph."""
+    if ref in graphs:
+        raise MalformedRecord(f"duplicate sentence {ref}", header_line)
+    surfaces: dict[int, str] = {}
+    edges: set[Edge] = set()
+    for row_no, (position, surface, head, deprel) in rows:
+        try:
+            pos = int(position)
+            head_pos = int(head)
+        except ValueError:
+            raise BadHeadIndex(
+                f"non-integer position/head {position!r}/{head!r}", row_no
+            ) from None
+        if not (1 <= pos <= n_tokens):
+            raise BadHeadIndex(f"position {pos} outside 1..{n_tokens}", row_no)
+        if not (0 <= head_pos <= n_tokens):
+            raise BadHeadIndex(f"head {head_pos} outside 0..{n_tokens}", row_no)
+        if head_pos == pos:
+            raise BadHeadIndex(f"self-loop at token {pos}", row_no)
+        if pos in surfaces and surfaces[pos] != surface:
+            raise TokenCountMismatch(
+                f"conflicting surfaces for position {pos}", ref, row_no
+            )
+        surfaces[pos] = surface
+        if deprel == "-":
+            if head_pos != 0:
+                raise MalformedRecord("deprel '-' requires head 0", row_no)
+        else:
+            edges.add(Edge(head_pos, pos, deprel))
+    if n_tokens < 1:
+        raise TokenCountMismatch("graph declares no tokens", ref, header_line)
+    # Every position is in 1..n_tokens, so they cover it when there are
+    # n_tokens of them; no set of n_tokens positions is built.
+    if len(surfaces) != n_tokens:
+        raise TokenCountMismatch(
+            f"rows cover positions {sorted(surfaces)}, expected 1..{n_tokens}",
+            ref,
+            header_line,
+        )
+    graphs[ref] = DependencyGraph._checked(
+        ref,
+        n_tokens,
+        tuple(surfaces[i] for i in range(1, n_tokens + 1)),
+        _canonical_edges(edges),
+    )
+
+
+def _load_lines(graphs: dict[SentenceRef, DependencyGraph], lines: list[str],
+                first_line: int):
+    """Add the graphs of `lines`, the first of them line `first_line` of
+    the file, checking each line as it is read."""
     header: Optional[tuple[SentenceRef, int, int]] = None  # ref, n_tokens, line
     rows: list[tuple[int, list[str]]] = []
-
-    def flush():
-        nonlocal header, rows
-        if header is None:
-            return
-        ref, n_tokens, header_line = header
-        if ref in graphs:
-            raise MalformedRecord(f"duplicate sentence {ref}", header_line)
-        surfaces: dict[int, str] = {}
-        edges: set[Edge] = set()
-        for row_no, fields in rows:
-            position, surface, head, deprel = fields
-            try:
-                pos = int(position)
-                head_pos = int(head)
-            except ValueError:
-                raise BadHeadIndex(
-                    f"non-integer position/head {position!r}/{head!r}", row_no
-                ) from None
-            if not (1 <= pos <= n_tokens):
-                raise BadHeadIndex(f"position {pos} outside 1..{n_tokens}", row_no)
-            if not (0 <= head_pos <= n_tokens):
-                raise BadHeadIndex(f"head {head_pos} outside 0..{n_tokens}", row_no)
-            if head_pos == pos:
-                raise BadHeadIndex(f"self-loop at token {pos}", row_no)
-            if pos in surfaces and surfaces[pos] != surface:
-                raise TokenCountMismatch(
-                    f"conflicting surfaces for position {pos}", ref, row_no
-                )
-            surfaces[pos] = surface
-            if deprel == "-":
-                if head_pos != 0:
-                    raise MalformedRecord("deprel '-' requires head 0", row_no)
-            else:
-                edges.add(Edge(head_pos, pos, deprel))
-        if n_tokens < 1:
-            raise TokenCountMismatch("graph declares no tokens", ref, header_line)
-        # Every position is in 1..n_tokens, so they cover it when there
-        # are n_tokens of them; no set of n_tokens positions is built.
-        if len(surfaces) != n_tokens:
-            raise TokenCountMismatch(
-                f"rows cover positions {sorted(surfaces)}, expected 1..{n_tokens}",
-                ref,
-                header_line,
-            )
-        graphs[ref] = DependencyGraph(
-            ref,
-            n_tokens,
-            tuple(surfaces[i] for i in range(1, n_tokens + 1)),
-            _canonical_edges(edges),
-        )
-        header = None
-        rows = []
-
-    for line_no, line in read_lines(path):
+    for line_no, line in enumerate(lines, start=first_line):
         if not line.strip():
-            flush()
+            if header is not None:
+                _add_graph(graphs, *header, rows)
+            header, rows = None, []
             continue
         fields = line.split("\t")
         if fields[0] == "#sent":
-            flush()
+            if header is not None:
+                _add_graph(graphs, *header, rows)
+            header, rows = None, []
             if len(fields) != 5:
                 raise MalformedRecord("sentence header needs 5 fields", line_no)
             try:
@@ -431,5 +551,5 @@ def load_dependency_file(path) -> dict[SentenceRef, DependencyGraph]:
         if len(fields) != 4:
             raise MalformedRecord("token row needs 4 fields", line_no)
         rows.append((line_no, fields))
-    flush()
-    return graphs
+    if header is not None:
+        _add_graph(graphs, *header, rows)

@@ -2,9 +2,11 @@
 mutated CSV tables, the records of a label table, the writers of the
 round-trip tests, the independent AUC and box-matching oracles, the
 per-point ROC writer that the `--roc-out` renderer is checked against,
-the corpus-wide label pipeline that `label_all` is checked against, and
-the line-by-line readers that `errors.read_rows` and `reports.load_corpus`
-are checked against."""
+the corpus-wide label pipeline that `label_all` is checked against, the
+line-by-line readers that `errors.read_rows`, `reports.load_corpus` and
+`reports.load_dependency_file` are checked against, and the tokenizer
+and per-position concept matcher that the sentence columns and
+`lexicon.match_concepts` are checked against."""
 
 from __future__ import annotations
 
@@ -15,15 +17,23 @@ from hypothesis import strategies as st
 
 from cxrlabel.cli import _csv_cell
 from cxrlabel.errors import (
+    BadHeadIndex,
     DuplicateReportId,
     MalformedRecord,
     MalformedRow,
     MissingGraph,
     SpanOutOfRange,
+    TokenCountMismatch,
     read_lines,
 )
 from cxrlabel.labeling import STATUSES, ReportLabels, Status, polarize_corpus
-from cxrlabel.lexicon import NORMAL_CONCEPT, match_concepts, merge_mention_sets
+from cxrlabel.lexicon import (
+    NORMAL_CONCEPT,
+    ConceptMention,
+    Source,
+    match_concepts,
+    merge_mention_sets,
+)
 from cxrlabel.localization import Heatmap
 from cxrlabel.metrics import roc_points
 from cxrlabel.negation import Polarity
@@ -35,6 +45,9 @@ from cxrlabel.reports import (
     RadiologyReport,
     Sentence,
     SentenceRef,
+    Token,
+    _canonical_edges,
+    _TOKEN_RE,
     split_sentences,
 )
 
@@ -406,3 +419,122 @@ def load_corpus_by_lines(path) -> Corpus:
             sections[tag] = text
         reports.append(RadiologyReport(report_id, patient_id, sections))
     return Corpus(tuple(reports))
+
+
+def tokenize(chunk: str) -> tuple[Token, ...]:
+    """The tokens of one sentence chunk, built one `Token` at a time: the
+    tokenizer the sentence columns replaced."""
+    surfaces = _TOKEN_RE.findall(chunk)
+    return tuple(
+        Token(i + 1, surface, surface.lower()) for i, surface in enumerate(surfaces)
+    )
+
+
+def match_concepts_by_position(sentence: Sentence, lexicon) -> list[ConceptMention]:
+    """`lexicon.match_concepts` trying `longest_match` at every position:
+    the greedy matcher that visits only candidate starts is checked
+    against it."""
+    lowered = sentence.lowered
+    mentions: list[ConceptMention] = []
+    i = 0
+    while i < len(lowered):
+        entry = lexicon.longest_match(lowered, i)
+        if entry is None:
+            i += 1
+            continue
+        mentions.append(
+            ConceptMention(
+                sentence_ref=sentence.ref,
+                start=i + 1,
+                end=i + len(entry.phrase),
+                cui=entry.cui,
+                category=entry.category,
+                source=Source.INTERNAL,
+            )
+        )
+        i += len(entry.phrase)
+    return mentions
+
+
+def load_dependency_file_by_lines(path) -> dict[SentenceRef, DependencyGraph]:
+    """`reports.load_dependency_file` as one loop over `read_lines`, with
+    each graph checked again by its constructor: the reference the
+    block-by-block loader is checked against."""
+    graphs: dict[SentenceRef, DependencyGraph] = {}
+    header = None  # ref, n_tokens, line
+    rows: list[tuple[int, list[str]]] = []
+
+    def flush():
+        nonlocal header, rows
+        if header is None:
+            return
+        ref, n_tokens, header_line = header
+        if ref in graphs:
+            raise MalformedRecord(f"duplicate sentence {ref}", header_line)
+        surfaces: dict[int, str] = {}
+        edges: set[Edge] = set()
+        for row_no, fields in rows:
+            position, surface, head, deprel = fields
+            try:
+                pos = int(position)
+                head_pos = int(head)
+            except ValueError:
+                raise BadHeadIndex(
+                    f"non-integer position/head {position!r}/{head!r}", row_no
+                ) from None
+            if not (1 <= pos <= n_tokens):
+                raise BadHeadIndex(f"position {pos} outside 1..{n_tokens}", row_no)
+            if not (0 <= head_pos <= n_tokens):
+                raise BadHeadIndex(f"head {head_pos} outside 0..{n_tokens}", row_no)
+            if head_pos == pos:
+                raise BadHeadIndex(f"self-loop at token {pos}", row_no)
+            if pos in surfaces and surfaces[pos] != surface:
+                raise TokenCountMismatch(
+                    f"conflicting surfaces for position {pos}", ref, row_no
+                )
+            surfaces[pos] = surface
+            if deprel == "-":
+                if head_pos != 0:
+                    raise MalformedRecord("deprel '-' requires head 0", row_no)
+            else:
+                edges.add(Edge(head_pos, pos, deprel))
+        if n_tokens < 1:
+            raise TokenCountMismatch("graph declares no tokens", ref, header_line)
+        if len(surfaces) != n_tokens:
+            raise TokenCountMismatch(
+                f"rows cover positions {sorted(surfaces)}, expected 1..{n_tokens}",
+                ref,
+                header_line,
+            )
+        graphs[ref] = DependencyGraph(
+            ref,
+            n_tokens,
+            tuple(surfaces[i] for i in range(1, n_tokens + 1)),
+            _canonical_edges(edges),
+        )
+        header = None
+        rows = []
+
+    for line_no, line in read_lines(path):
+        if not line.strip():
+            flush()
+            continue
+        fields = line.split("\t")
+        if fields[0] == "#sent":
+            flush()
+            if len(fields) != 5:
+                raise MalformedRecord("sentence header needs 5 fields", line_no)
+            try:
+                index = int(fields[3])
+                n_tokens = int(fields[4])
+            except ValueError:
+                raise MalformedRecord("non-integer index/count", line_no) from None
+            header = (SentenceRef(fields[1], fields[2], index), n_tokens, line_no)
+            continue
+        if header is None:
+            raise MalformedRecord("token row before any #sent header", line_no)
+        if len(fields) != 4:
+            raise MalformedRecord("token row needs 4 fields", line_no)
+        rows.append((line_no, fields))
+    flush()
+    return graphs

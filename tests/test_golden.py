@@ -287,10 +287,9 @@ def test_evaluate_cases_cover_both_readers_and_each_error(tmp_path):
 def test_label_cases_cover_each_deps_layout_and_an_error(tmp_path):
     golden = json.loads((DATA / "golden.json").read_text(encoding="utf-8"))
     step = "label-propagate"
-    outputs = {case: {k: v for k, v in golden[case][step].items()}
-               for case in ("label_generated", "label_crlf", "label_ws_sep")}
-    assert outputs["label_generated"]["rc"] == 0
-    assert outputs["label_crlf"] == outputs["label_ws_sep"] == outputs["label_generated"]
+    generated = golden["label_generated"][step]
+    assert generated["rc"] == 0
+    assert golden["label_crlf"][step] == golden["label_ws_sep"][step] == generated
     assert golden["label_bad_head"][step]["rc"] == 2
     assert golden["selftest"]["selftest"]["rc"] == 0
     deps = make_inputs("label_ws_sep", tmp_path)["deps"].read_bytes()

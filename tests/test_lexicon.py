@@ -21,9 +21,9 @@ from cxrlabel.lexicon import (
     merge_mention_sets,
 )
 from cxrlabel.labeling import X14_CLASSES
-from cxrlabel.reports import Corpus, RadiologyReport, SentenceRef
+from cxrlabel.reports import Corpus, RadiologyReport, Sentence, SentenceRef
 
-from conftest import make_sentence
+from conftest import make_sentence, match_concepts_by_position
 
 
 def entry(cui, category, phrase, semantic_type="dsyn"):
@@ -142,6 +142,28 @@ class TestMatching:
     def test_internal_source_set(self):
         sentence = make_sentence("pneumothorax")
         assert match_concepts(sentence, SMALL)[0].source is Source.INTERNAL
+
+
+    @given(
+        phrases=st.lists(
+            st.tuples(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4),
+                      st.sampled_from(["X", "Y"])),
+            max_size=8,
+        ),
+        words=st.lists(st.sampled_from(["a", "B", "c", "d", "e"]), max_size=10),
+    )
+    def test_candidate_starts_equal_every_position(self, phrases, words):
+        # Four first words for up to eight phrases: phrases share first
+        # words, nest in each other and run past the sentence's end.
+        lexicon = Lexicon(
+            LexiconEntry(f"C{k:07d}", category, "dsyn", tuple(phrase))
+            for k, (phrase, category) in enumerate(phrases)
+        )
+        sentence = Sentence("r1", "findings", 0, tuple(words),
+                            tuple(word.lower() for word in words))
+        assert match_concepts(sentence, lexicon) == match_concepts_by_position(
+            sentence, lexicon
+        )
 
 
 class TestDefaultLexicon:

@@ -21,7 +21,7 @@ TRACED = {
     for targets in table.values()
     for target in targets
 }
-PROPERTIES = {"property", "cached_property"}
+PROPERTIES = {"property", "cached_property", "lazy_property"}
 
 
 def module_trees() -> dict[str, ast.Module]:

@@ -30,14 +30,15 @@ from cxrlabel.reports import (
     load_dependency_file,
     parse_report_text,
     split_sentences,
-    tokenize,
 )
 
 from conftest import (
     load_corpus_by_lines,
+    load_dependency_file_by_lines,
     make_graph,
     make_sentence,
     serialize_dependency_graphs,
+    tokenize,
 )
 
 DEPS_LINES = (
@@ -47,7 +48,7 @@ DEPS_LINES = (
 # One sentence whose header claims two billion tokens.
 HUGE_COUNT = "#sent\tr1\tfindings\t0\t2000000000\n1\tNo\t0\t-\n"
 
-DEPS_TOKENS = ["", "-1", "0", "x", "+1", "1_0", str(10**12)]
+DEPS_TOKENS = ["", "-1", "0", "00", "x", "+1", "01", " 1", "\u0661", "1_0", str(10**12)]
 
 CORPUS_LINES = [
     "# comment",
@@ -101,14 +102,21 @@ def mutated_corpus(draw) -> str:
 @st.composite
 def mutated_deps(draw) -> str:
     """The fixture dependency file after one to three line edits: a line
-    deleted, duplicated or swapped with another, a field set to one of
-    DEPS_TOKENS, or a tab added or dropped."""
+    deleted, duplicated or swapped with another or the next, a row
+    repeated under another head, a row given head 0, 9 or its own position
+    and deprel "-" or "amod", a copy of a block put before a header, a
+    field set to one of DEPS_TOKENS, a tab added or dropped, a blank line made whitespace-only, doubled or
+    deleted (so that a header follows a row); then "\n", "\r\n" or lone
+    "\r" line ends, with or without a final one."""
     lines = list(DEPS_LINES)
     for _ in range(draw(st.integers(1, 3))):
         k = draw(st.integers(0, len(lines) - 1))
         edit = draw(st.sampled_from(
-            ["delete", "duplicate", "swap", "field", "field", "add_tab", "drop_tab"]
+            ["delete", "duplicate", "swap", "swap_next", "repeat_head", "head",
+             "copy_block", "field", "field", "add_tab", "drop_tab", "blank"]
         ))
+        blanks = [i for i, line in enumerate(lines) if not line]
+        headers = [i for i, line in enumerate(lines) if line.startswith("#sent")]
         if edit == "delete":
             del lines[k]
         elif edit == "duplicate":
@@ -116,6 +124,32 @@ def mutated_deps(draw) -> str:
         elif edit == "swap":
             j = draw(st.integers(0, len(lines) - 1))
             lines[k], lines[j] = lines[j], lines[k]
+        elif edit == "swap_next" and k + 1 < len(lines):
+            lines[k], lines[k + 1] = lines[k + 1], lines[k]
+        elif edit == "repeat_head" and lines[k].count("\t") == 3:
+            position, surface, _, _ = lines[k].split("\t")
+            head = draw(st.integers(0, 9))
+            deprel = draw(st.sampled_from(["-", "amod", "conj_or"]))
+            lines.insert(k + 1, f"{position}\t{surface}\t{head}\t{deprel}")
+        elif edit == "head" and lines[k].count("\t") == 3:
+            position, surface, _, _ = lines[k].split("\t")
+            head = draw(st.sampled_from(["0", "9", position]))
+            deprel = draw(st.sampled_from(["-", "amod"]))
+            lines[k] = f"{position}\t{surface}\t{head}\t{deprel}"
+        elif edit == "copy_block" and headers:
+            start = draw(st.sampled_from(headers))
+            end = start + 1
+            while end < len(lines) and lines[end]:
+                end += 1
+            at = draw(st.sampled_from(headers))
+            lines[at:at] = lines[start:end] + [""]
+        elif edit == "blank" and blanks:
+            b = draw(st.sampled_from(blanks))
+            blank = draw(st.sampled_from([" ", "\t", " \t", "", None]))
+            if blank is None:
+                del lines[b]
+            else:
+                lines.insert(b, blank)
         elif edit == "field":
             fields = lines[k].split("\t")
             fields[draw(st.integers(0, len(fields) - 1))] = draw(
@@ -132,28 +166,31 @@ def mutated_deps(draw) -> str:
                 lines[k] = lines[k][:at] + lines[k][at + 1:]
         if not lines:
             break
-    return "".join(line + "\n" for line in lines)
+    end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    text = end.join(lines)
+    return text + end if draw(st.booleans()) else text
 
 
 class TestTokenize:
     def test_words_and_punctuation_split(self):
-        surfaces = [t.surface for t in tokenize("clear of disease, or effusion.")]
+        tokens = make_sentence("clear of disease, or effusion.").tokens
+        surfaces = [t.surface for t in tokens]
         assert surfaces == ["clear", "of", "disease", ",", "or", "effusion", "."]
 
     def test_decimal_number_stays_one_token(self):
-        surfaces = [t.surface for t in tokenize("measures 2.2 cm.")]
+        surfaces = [t.surface for t in make_sentence("measures 2.2 cm.").tokens]
         assert surfaces == ["measures", "2.2", "cm", "."]
 
     def test_slash_separates_tokens(self):
-        surfaces = [t.surface for t in tokenize("nodule/lymph node")]
+        surfaces = [t.surface for t in make_sentence("nodule/lymph node").tokens]
         assert surfaces == ["nodule", "/", "lymph", "node"]
 
     def test_positions_one_based_and_contiguous(self):
-        tokens = tokenize("no acute disease")
+        tokens = make_sentence("no acute disease").tokens
         assert [t.position for t in tokens] == [1, 2, 3]
 
     def test_lowered_field(self):
-        tokens = tokenize("No Acute Disease")
+        tokens = make_sentence("No Acute Disease").tokens
         assert [t.lowered for t in tokens] == ["no", "acute", "disease"]
 
 
@@ -215,6 +252,30 @@ class TestSentenceSplitting:
     def test_trailing_text_without_terminator_is_a_sentence(self):
         report = RadiologyReport("r", "p", {"findings": "no acute disease"})
         assert len(split_sentences(report)) == 1
+
+    def test_split_builds_no_token(self):
+        report = RadiologyReport("r", "p", {"findings": "One here. Two 2.2 there!"})
+        with mock.patch("cxrlabel.reports.Token", side_effect=AssertionError):
+            sentences = split_sentences(report)
+        assert [s.surfaces for s in sentences] == [
+            ("One", "here", "."), ("Two", "2.2", "there", "!")]
+        assert [s.lowered for s in sentences] == [
+            ("one", "here", "."), ("two", "2.2", "there", "!")]
+
+    @given(st.dictionaries(
+        st.sampled_from(SECTION_TAGS),
+        st.text(alphabet=st.sampled_from(list("aB2 .!?,/\t\u00a0\u0130\u1e9e")),
+                max_size=30),
+        min_size=1,
+    ))
+    def test_tokens_equal_tokenize_of_each_chunk(self, sections):
+        # U+0130 and U+1E9E lowercase to other lengths and letters.
+        report = RadiologyReport("r", "p", sections)
+        sentences = split_sentences(report)
+        expected = [(tag, tokenize(chunk)) for tag, text in sections.items()
+                    for chunk in _sentence_chunks(text) if tokenize(chunk)]
+        assert [(s.section, s.tokens) for s in sentences] == expected
+        assert all(len(s) == len(s.tokens) for s in sentences)
 
 
 class TestReportTextParsing:
@@ -401,6 +462,17 @@ class TestCorpusValidation:
         with pytest.raises(TokenCountMismatch):
             build((report,), {ref: graph})
 
+    def test_with_graphs_checks_only_the_graphs(self):
+        report = RadiologyReport("r1", "p1", {"findings": "no acute disease"})
+        corpus = Corpus((report,))
+        ref = SentenceRef("r1", "findings", 0)
+        graph = DependencyGraph(ref, 3, ("no", "acute", "disease"), ())
+        with mock.patch.object(Corpus, "__post_init__") as corpus_check:
+            merged = corpus.with_graphs({ref: graph})
+        corpus_check.assert_not_called()
+        assert merged.reports is corpus.reports and merged.graphs == {ref: graph}
+        assert merged == Corpus((report,), {ref: graph})
+
 
 class TestDependencyFile:
     def test_load_basic_graph(self, tmp_path):
@@ -439,6 +511,14 @@ class TestDependencyFile:
         )
         graph = load_dependency_file(path)[SentenceRef("r1", "findings", 0)]
         assert graph.in_edges(2) == []
+
+    def test_loaded_graphs_are_not_checked_again(self, tmp_path):
+        path = tmp_path / "deps.tsv"
+        path.write_text("\n".join(DEPS_LINES) + "\n", encoding="utf-8")
+        with mock.patch.object(DependencyGraph, "__post_init__") as graph_check:
+            graphs = load_dependency_file(path)
+        graph_check.assert_not_called()
+        assert graphs == load_dependency_file_by_lines(path)
 
     def test_missing_position_rejected(self, tmp_path):
         path = tmp_path / "deps.tsv"
@@ -542,10 +622,25 @@ class TestDependencyFile:
     @given(text=mutated_deps())
     @example(text=HUGE_COUNT)
     @example(text="\n".join(DEPS_LINES).replace("\t0\t7", "\t0\t" + str(10**12), 1))
+    @example(text="\r\n".join(DEPS_LINES) + "\r\n")
+    @example(text="\n".join(DEPS_LINES).replace("\n\n", "\n \n", 1))
+    @example(text="\n".join(DEPS_LINES).replace("1\tNo\t3\tneg", "1\tNo\t1\tneg", 1))
     def test_mutated_file_loads_or_names_its_line(self, tmp_path_factory, text):
+        # The block-by-block loader gives the graphs, or the error type and
+        # text, of the line-by-line reference, and every error its line.
         path = tmp_path_factory.getbasetemp() / "mutated_deps.tsv"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text.encode("utf-8"))
         try:
-            load_dependency_file(path)
+            expected = load_dependency_file_by_lines(path)
         except CxrLabelError as err:
+            with pytest.raises(type(err)) as raised:
+                load_dependency_file(path)
+            assert type(raised.value) is type(err) and str(raised.value) == str(err)
             assert re.match(r"(line|row) \d+: ", str(err)), str(err)
+            return
+        graphs = load_dependency_file(path)
+        assert list(graphs) == list(expected)
+        for ref, graph in graphs.items():
+            want = expected[ref]
+            assert (graph.n_tokens, graph.surfaces, graph.edges) == (
+                want.n_tokens, want.surfaces, want.edges)
