@@ -527,16 +527,14 @@ def _load_lines(graphs: dict[SentenceRef, DependencyGraph], lines: list[str],
     header: Optional[tuple[SentenceRef, int, int]] = None  # ref, n_tokens, line
     rows: list[tuple[int, list[str]]] = []
     for line_no, line in enumerate(lines, start=first_line):
-        if not line.strip():
-            if header is not None:
-                _add_graph(graphs, *header, rows)
-            header, rows = None, []
-            continue
+        blank = not line.strip()
         fields = line.split("\t")
-        if fields[0] == "#sent":
+        if blank or fields[0] == "#sent":
             if header is not None:
                 _add_graph(graphs, *header, rows)
             header, rows = None, []
+            if blank:
+                continue
             if len(fields) != 5:
                 raise MalformedRecord("sentence header needs 5 fields", line_no)
             try:

@@ -1,4 +1,4 @@
-"""Golden digests of the localization and evaluation commands.
+"""Golden digests of the localization, evaluation and labelling commands.
 
 `localize`, `eval-loc --mode iobb` and `eval-loc --mode iou` run in
 process on three inputs:

@@ -182,6 +182,16 @@ def test_corpus_bad_byte_wins_over_an_earlier_record_error(tmp_path):
     assert str(err.value) == f"{path}: line 10002: not valid UTF-8"
 
 
+def test_deps_bad_byte_wins_over_an_earlier_graph_error(tmp_path):
+    # The dependency file is read whole too: its bad byte comes before the
+    # header of line 1, which a line reader would reject first.
+    path = tmp_path / "deps.tsv"
+    path.write_bytes(b"#sent\tr1\n" + b"\n" * 10_000 + b"caf\xe9\n")
+    with pytest.raises(NotUtf8) as err:
+        load_dependency_file(path)
+    assert str(err.value) == f"{path}: line 10002: not valid UTF-8"
+
+
 # The readers with their own line rules, each with two valid lines.
 LINE_READERS = {
     "corpus": (load_corpus, ["r1\tp1\tfindings=No effusion.", "# comment"]),
