@@ -6,7 +6,11 @@ process on three inputs:
   "%.4f" grids the byte decoder reads;
 - "sci": `data/heatmaps_sci.tsv`, hand-written "%.3e" grids of three
   sizes that the byte decoder declines, so `loadtxt` reads them;
-- "bad_cell": that file with one cell made "nan", so every step fails.
+- "bad_cell": that file with one cell made "nan", so every step fails;
+- "generated_comment": the "generated" heatmaps with one "# x" line
+  between two maps and no final line break, a file the header-to-header
+  walk declines, so the line reader reads it; its outputs equal those of
+  "generated".
 
 `auc --roc-out`, `eval-nlp`, `stats` and `split` run in process on four
 inputs built from the benchmark's `make_evaluate` tables and corpus:
@@ -53,7 +57,7 @@ from cxrlabel import cli
 DATA = Path(__file__).parent / "data"
 GENERATE = runpy.run_path(str(Path(__file__).parent.parent / "bench" / "generate.py"))
 SEED = 4
-LOCALIZE_CASES = ("generated", "sci", "bad_cell")
+LOCALIZE_CASES = ("generated", "sci", "bad_cell", "generated_comment")
 EVALUATE_CASES = ("evaluate", "evaluate_crlf", "evaluate_bad_corpus",
                   "evaluate_bad_label")
 LABEL_CASES = ("label_fixtures", "label_generated", "label_crlf", "label_ws_sep",
@@ -62,6 +66,9 @@ CASES = LOCALIZE_CASES + EVALUATE_CASES + LABEL_CASES
 # The line of data/heatmaps_sci.tsv (from 0) whose first cell "bad_cell"
 # turns into nan: a grid row of the fourth map.
 BAD_LINE = 18
+# The map of the generated heatmaps that "generated_comment" puts a
+# comment line before.
+COMMENT_MAP = 100
 EVALUATE_ROWS = 600
 # At this seed some ROC rates fall exactly halfway between two millionths,
 # so the digests also pin how `--roc-out` rounds such a tie.
@@ -158,8 +165,15 @@ def make_inputs(case: str, directory: Path) -> dict[str, Path]:
         return make_evaluate_inputs(case, directory)
     if case in LABEL_CASES:
         return make_label_inputs(case, directory)
-    if case == "generated":
-        return dict(GENERATE["make_localize"](directory, SEED).files)
+    if case in ("generated", "generated_comment"):
+        inputs = dict(GENERATE["make_localize"](directory, SEED).files)
+        if case == "generated_comment":
+            def comment(lines):
+                lines.insert(COMMENT_MAP * (GENERATE["GRID"] + 1), "# x")
+                lines.pop()  # the empty string after the final line break
+
+            edit_lines(inputs["heatmaps"], comment)
+        return inputs
     inputs = {"heatmaps": DATA / "heatmaps_sci.tsv", "gt": DATA / "gt_sci.tsv"}
     if case == "bad_cell":
         lines = inputs["heatmaps"].read_text(encoding="utf-8").split("\n")
@@ -257,6 +271,11 @@ def test_cases_cover_both_grid_readers_and_an_error(tmp_path):
     assert golden["generated"]["localize"]["rc"] == 0
     assert golden["sci"]["localize"]["rc"] == 0
     assert golden["bad_cell"]["localize"]["rc"] == 2
+    generated = {step: golden["generated"][step] for step in golden["generated"]
+                 if step != "inputs"}
+    assert {step: golden["generated_comment"][step] for step in generated} == generated
+    heatmaps = make_inputs("generated_comment", tmp_path)["heatmaps"].read_bytes()
+    assert b"\n# x\nimg" in heatmaps and not heatmaps.endswith(b"\n")
     # The sci grids are ones the byte decoder declines.
     from cxrlabel import localization
 
