@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
 import sys
@@ -532,7 +533,11 @@ def cmd_selftest(args, config: RunConfig) -> int:
 
 # --- parser wiring ---
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    call: do not modify it. It holds no function: `main` runs the
+    `cmd_<command>` this module holds when it is called."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value config file")
     common.add_argument("--label-set", dest="label_set", choices=("x8", "x14"))
@@ -559,27 +564,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="propagate conjunct dependencies before matching rules")
     p.add_argument("--out-tsv", required=True)
     p.add_argument("--out-csv", required=True)
-    p.set_defaults(func=cmd_label)
 
     p = sub.add_parser("eval-nlp", parents=[common],
                        help="P/R/F1 of predicted vs gold label tables")
     p.add_argument("--pred", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval_nlp)
 
     p = sub.add_parser("auc", parents=[common], help="per-class ROC AUC")
     p.add_argument("--scores", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--roc-out", help="also export ROC curve points")
-    p.set_defaults(func=cmd_auc)
 
     p = sub.add_parser("localize", parents=[common],
                        help="heatmaps -> thresholded detection boxes")
     p.add_argument("--heatmaps", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_localize)
 
     p = sub.add_parser("eval-loc", parents=[common],
                        help="localization Acc/AFP at overlap threshold(s)")
@@ -591,24 +592,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-images", type=int, dest="n_images",
                    help="evaluation image count for AFP")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval_loc)
 
     p = sub.add_parser("stats", parents=[common],
                        help="label counts and co-occurrence matrix")
     p.add_argument("--labels", required=True)
     p.add_argument("--out-counts", required=True)
     p.add_argument("--out-matrix", required=True)
-    p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("split", parents=[common],
                        help="seeded patient-level 70/10/20 split")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("selftest", parents=[common],
-                       help="run kernel property checks")
-    p.set_defaults(func=cmd_selftest)
+    sub.add_parser("selftest", parents=[common], help="run kernel property checks")
 
     return parser
 
@@ -618,7 +614,7 @@ def main(argv=None) -> int:
     try:
         config = resolve_config(args)
         _print_config(config)
-        return args.func(args, config)
+        return globals()["cmd_" + args.command.replace("-", "_")](args, config)
     except MissingInput as err:
         print(f"error: {err.name}: not found", file=sys.stderr)
         return 2

@@ -301,9 +301,8 @@ def boxes_from_heatmap(
     return list(boxes_from_heatmaps([heatmap], thresholds))
 
 
-# At most this many cells are normalized, or bytes of grid rows decoded,
-# in one numpy pass, which bounds the working memory however many maps
-# there are.
+# At most this many cells are normalized in one numpy pass, which bounds
+# the working memory however many maps there are.
 _NORMALIZE_CELLS = 1 << 16
 
 
@@ -436,11 +435,118 @@ def load_heatmaps(path) -> list[Heatmap]:
     each followed by S rows of S space-separated scores. A file names
     each (image_id, class) at most once.
 
-    The grid rows of all maps of one size are decoded from the bytes in
-    one pass when they are fixed-width (see `_fixed_width_grids`), and
-    parsed with one `loadtxt` otherwise. A size whose rows do not all
-    parse to finite values is parsed again block by block with float(),
-    so the error reported is the first in the file.
+    The file is first read header to header (see `_walk`), and the grid
+    rows of all maps of one size are decoded from the bytes in one pass
+    (see `_fixed_width_grids`). A file the walk or the decoder declines is
+    read line by line (see `_load_lines`), which gives the same maps or
+    names the first bad line.
+    """
+    data = read_input(path)
+    heatmaps = _load_walked(data)
+    if heatmaps is None:
+        heatmaps = _load_lines(_Lines(data))
+    return heatmaps
+
+
+def _header(line: str, row_no: int):
+    """The image id, class, S and image_dim of a header line, or the
+    MalformedRow that names it as row `row_no`."""
+    fields = line.split("\t")
+    if len(fields) != 4:
+        raise MalformedRow("heatmap header needs 4 fields", row_no)
+    image_id, label, size_s, dim_s = fields
+    try:
+        size = int(size_s)
+        image_dim = float(dim_s)
+    except ValueError:
+        raise MalformedRow("non-numeric size/dim", row_no) from None
+    if size < 1:
+        raise MalformedRow(f"heatmap size must be >= 1, got {size}", row_no)
+    if not (math.isfinite(image_dim) and image_dim > 0):
+        raise MalformedRow(f"image_dim must be finite and > 0, got {dim_s}", row_no)
+    return image_id, label, size, image_dim
+
+
+def _walk(data: bytes):
+    r"""The (image_id, class, S, image_dim, offset of the first grid row)
+    of each header in file order, and the byte length of a grid row of
+    each size; or None.
+
+    Reads a header, takes the length of the grid row after it as the
+    length of all S of its rows, and jumps over them to the next header.
+    Returns None on a `
+`, a blank or "#" line where a header is due, a
+    header `_read_headers` would reject, a row length unlike that of the
+    first map of its size, or a jump past the end of the file. Nothing
+    here checks the rows: `_fixed_width_grids` does, and a row of the
+    wrong length fails it.
+    """
+    if b"\r" in data:
+        return None
+    headers = []
+    lengths: dict[int, int] = {}
+    seen: set[tuple[str, str]] = set()
+    at, end = 0, len(data)
+    while at < end:
+        stop = data.find(b"\n", at)
+        row_end = data.find(b"\n", stop + 1)
+        if row_end < 0 or stop < 0:
+            return None
+        try:
+            line = data[at:stop].decode("utf-8")  # a jump may land mid-character
+            if not line.strip() or line.startswith("#"):
+                return None
+            image_id, label, size, image_dim = _header(line, None)
+        except (UnicodeDecodeError, MalformedRow):
+            return None
+        length = row_end - stop
+        at = stop + 1 + size * length
+        if lengths.setdefault(size, length) != length or at > end:
+            return None
+        if (image_id, label) in seen:
+            return None
+        seen.add((image_id, label))
+        headers.append((image_id, label, size, image_dim, stop + 1))
+    return headers, lengths
+
+
+def _load_walked(data: bytes) -> Optional[list[Heatmap]]:
+    """The maps of a file `_walk` reads and `_fixed_width_grids` decodes
+    size by size, or None when either declines.
+
+    The decoder proves each row it reads is a whole line of the walked
+    length, so the walk's jumps landed on the headers that reading the
+    file line by line finds. Its grids hold finite values only, and the
+    walk has checked each dim, so each Heatmap is built without
+    re-running its checks.
+    """
+    walked = _walk(data)
+    if walked is None:
+        return None
+    headers, lengths = walked
+    by_size: dict[int, list[int]] = {}
+    for k, (_, _, size, _, _) in enumerate(headers):
+        by_size.setdefault(size, []).append(k)
+    grids: list = [None] * len(headers)
+    for size, members in by_size.items():
+        firsts = np.array([headers[k][4] for k in members])
+        values = _fixed_width_grids(data, firsts, lengths[size], size)
+        if values is None:
+            return None
+        for k, grid in zip(members, values):
+            grids[k] = grid
+    return [Heatmap._checked(image_id, label, grid, image_dim)
+            for (image_id, label, _, image_dim, _), grid in zip(headers, grids)]
+
+
+def _load_lines(lines: "_Lines") -> list[Heatmap]:
+    """The maps of a file read line by line.
+
+    The headers are checked in file order. The grid rows of all maps of
+    one size are decoded from the bytes when they are fixed-width (see
+    `_fixed_width_grids`), and parsed with one `loadtxt` otherwise. A size
+    whose rows do not all parse to finite values is parsed again block by
+    block with float(), so the error reported is the first in the file.
 
     Each size's grid stack is checked once: the byte decoder yields only
     finite values, the `loadtxt` stack passes a shape test and a finite
@@ -448,14 +554,15 @@ def load_heatmaps(path) -> list[Heatmap]:
     stack is (n, S, S) float64, and the header scan has checked each dim.
     So each Heatmap is built without re-running its checks.
     """
-    lines = _Lines(read_input(path))
     headers, header_error = _read_headers(lines)
     by_size: dict[int, list[int]] = {}
     for _, _, size, _, i in headers:
         by_size.setdefault(size, []).append(i)
     grids: dict[int, np.ndarray] = {}
     for size, starts in by_size.items():
-        values = _fixed_width_grids(lines, np.array(starts), size)
+        firsts = lines.ends[starts] + 1
+        length = int(lines.ends[starts[0] + 1]) + 1 - int(firsts[0])
+        values = _fixed_width_grids(lines.data, firsts, length, size)
         if values is None:
             rows = [row for i in starts for row in lines[i + 1:i + 1 + size]]
             values = _loadtxt(rows)
@@ -490,9 +597,8 @@ class _Lines:
         if data and not data.endswith(b"\n"):
             data += b"\n"  # the last line reads the same without it
         self.data = data
-        self.codes = np.frombuffer(data, dtype=np.uint8)
         # The index of each line's newline.
-        self.ends = np.flatnonzero(self.codes == ord("\n"))
+        self.ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
 
     def __len__(self) -> int:
         return len(self.ends)
@@ -504,28 +610,36 @@ class _Lines:
         return self.data[start:int(self.ends[i])].decode("utf-8")
 
 
-def _fixed_width_grids(lines: _Lines, starts: np.ndarray,
-                       size: int) -> Optional[np.ndarray]:
-    """The (n, S, S) grids of the maps whose headers are lines `starts`,
-    decoded from the bytes, or None when some grid row is not S tokens of
-    one width w, each of digits (at most 15) around a "." at one inner
-    column, joined by single spaces and ended by a newline; this is what
-    "%.4f" writes for scores in [0, 10).
+# At most this many bytes of grid rows are decoded in one numpy pass; the
+# pass holds them and their integers, about 1.6 times as many bytes. On
+# 600 maps of 32 x 32 "%.4f" scores, twice this size decodes no faster
+# and takes the reader's peak memory past the file and the grids plus 5%.
+_DECODE_BYTES = 1 << 17
 
-    A token's digits form an integer below 2**53, built exactly in float64
-    column by column; one division by the exact power of ten then rounds
-    correctly (Clinger's fast path, PLDI 1990), so each value equals
-    float(token) bit for bit. The rows are gathered `_NORMALIZE_CELLS`
-    bytes at a time, which bounds the working memory.
+
+def _fixed_width_grids(data: bytes, firsts: np.ndarray, length: int,
+                       size: int) -> Optional[np.ndarray]:
+    """The (n, S, S) grids whose S rows of `length` bytes each follow one
+    another from the ascending byte offsets `firsts` of `data`, decoded
+    from the bytes; or None when some grid row is not S tokens of one
+    width w, each of digits (at most 15) around a "." at one inner column,
+    joined by single spaces and ended by a newline; this is what "%.4f"
+    writes for scores in [0, 10). As each row ends in the one newline it
+    holds, every row it decodes is a whole line.
+
+    A token's digits form an integer below 2**53, built exactly in int32
+    (at most 9 digits) or int64, column by column; one division by the
+    exact power of ten then rounds correctly (Clinger's fast path, PLDI
+    1990), so each value equals float(token) bit for bit. The rows are
+    gathered `_DECODE_BYTES` bytes at a time, which bounds the working
+    memory.
     """
-    codes, ends = lines.codes, lines.ends
-    first = int(ends[starts[0]]) + 1
-    length = int(ends[starts[0] + 1]) + 1 - first
+    first = int(firsts[0])
     width = length // size - 1
-    dot = lines.data.find(b".", first, first + width) - first
+    dot = data.find(b".", first, first + width) - first
     if length % size or not 3 <= width <= 16 or not 0 < dot < width - 1:
         return None
-    if not np.all(ends[starts + size] - ends[starts] == size * length):
+    if int(firsts[-1]) + size * length > len(data):
         return None
     # Every grid row is `length` bytes: S tokens of `width` bytes, each
     # followed by a space, or by the newline after the last. Less its
@@ -537,24 +651,23 @@ def _fixed_width_grids(lines: _Lines, starts: np.ndarray,
     expected[-1] = ord("\n")
     most = np.where(expected == ord("0"), 9, 0).astype(np.uint8)
     columns = [c for c in range(width) if c != dot]
+    digits_type = np.int32 if len(columns) <= 9 else np.int64
     scale = float(10 ** (width - 1 - dot))
-    rows = np.lib.stride_tricks.sliding_window_view(codes, length)
-    offsets = np.arange(size) * length
-    grids = np.empty((len(starts), size, size))
-    step = max(1, _NORMALIZE_CELLS // (size * length))
-    for at in range(0, len(starts), step):
-        firsts = ends[starts[at:at + step]] + 1
-        block = rows[(firsts[:, None] + offsets).ravel()]
+    codes = np.frombuffer(data, dtype=np.uint8)
+    blocks = np.lib.stride_tricks.sliding_window_view(codes, size * length)
+    grids = np.empty((len(firsts), size, size))
+    step = max(1, _DECODE_BYTES // (size * length))
+    for at in range(0, len(firsts), step):
+        block = blocks[firsts[at:at + step]].reshape(-1, length)
         np.subtract(block, expected, out=block)
         if not np.all(block.max(axis=0) <= most):
             return None
-        digits = block.reshape(-1, size, width + 1)
-        out = grids[at:at + step].reshape(digits.shape[:2])
-        out[...] = digits[..., columns[0]]
+        digits = block.reshape(-1, width + 1)
+        number = digits[:, columns[0]].astype(digits_type)
         for column in columns[1:]:
-            out *= 10.0
-            out += digits[..., column]
-        out /= scale
+            number *= 10
+            number += digits[:, column]
+        np.divide(number, scale, out=grids[at:at + step].reshape(-1))
     return grids
 
 
@@ -571,21 +684,7 @@ def _read_headers(lines: _Lines):
             if not line.strip() or line.startswith("#"):
                 i += 1
                 continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise MalformedRow("heatmap header needs 4 fields", i + 1)
-            image_id, label, size_s, dim_s = fields
-            try:
-                size = int(size_s)
-                image_dim = float(dim_s)
-            except ValueError:
-                raise MalformedRow("non-numeric size/dim", i + 1) from None
-            if size < 1:
-                raise MalformedRow(f"heatmap size must be >= 1, got {size}", i + 1)
-            if not (math.isfinite(image_dim) and image_dim > 0):
-                raise MalformedRow(
-                    f"image_dim must be finite and > 0, got {dim_s}", i + 1
-                )
+            image_id, label, size, image_dim = _header(line, i + 1)
             if i + 1 + size > len(lines):
                 raise MalformedRow(f"expected {size} grid rows", i + 1)
             if (image_id, label) in seen:

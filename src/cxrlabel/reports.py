@@ -322,19 +322,15 @@ def parse_report_text(
     return RadiologyReport(report_id, patient_id, sections)
 
 
-def _sentence_chunks(text: str) -> list[str]:
-    chunks = (chunk.strip() for chunk in _SENTENCE_END.split(text))
-    return [chunk for chunk in chunks if chunk]
-
-
 def split_sentences(report: RadiologyReport) -> list[Sentence]:
     """The sentences of each section in order, each numbered from 0 within
-    its section; a chunk with no token makes no sentence."""
+    its section; a chunk with no token makes no sentence. No token holds
+    whitespace, so a chunk's tokens are those of the chunk stripped."""
     sentences: list[Sentence] = []
     report_id, checked, findall = report.report_id, Sentence._checked, _TOKEN_RE.findall
     for tag, text in report.sections.items():
         index = 0
-        for chunk in _sentence_chunks(text):
+        for chunk in _SENTENCE_END.split(text):
             surfaces = tuple(findall(chunk))
             if surfaces:
                 lowered = tuple(map(str.lower, surfaces))

@@ -5,8 +5,8 @@ per-point ROC writer that the `--roc-out` renderer is checked against,
 the corpus-wide label pipeline that `label_all` is checked against, the
 line-by-line readers that `errors.read_rows`, `reports.load_corpus` and
 `reports.load_dependency_file` are checked against, and the tokenizer
-and per-position concept matcher that the sentence columns and
-`lexicon.match_concepts` are checked against."""
+the sentence splitter and the per-position concept matcher that the
+sentence columns and `lexicon.match_concepts` are checked against."""
 
 from __future__ import annotations
 
@@ -47,6 +47,7 @@ from cxrlabel.reports import (
     SentenceRef,
     Token,
     _canonical_edges,
+    _SENTENCE_END,
     _TOKEN_RE,
     split_sentences,
 )
@@ -419,6 +420,14 @@ def load_corpus_by_lines(path) -> Corpus:
             sections[tag] = text
         reports.append(RadiologyReport(report_id, patient_id, sections))
     return Corpus(tuple(reports))
+
+
+def sentence_chunks(text: str) -> list[str]:
+    """The non-blank chunks of a section's text, stripped, split where
+    `reports.split_sentences` splits it: the splitter it is checked
+    against."""
+    chunks = (chunk.strip() for chunk in _SENTENCE_END.split(text))
+    return [chunk for chunk in chunks if chunk]
 
 
 def tokenize(chunk: str) -> tuple[Token, ...]:

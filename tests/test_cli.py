@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import argparse
 import csv
 import io
 import math
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cxrlabel import localization, negation, reports
+from cxrlabel import cli, localization, negation, reports
 from cxrlabel.cli import _box_order, _roc_block, main
 from cxrlabel.errors import CxrLabelError
 from cxrlabel.labeling import (
@@ -1184,3 +1185,67 @@ class TestSelftestCommand:
         out = capsys.readouterr().out.splitlines()
         assert out[-1] == "11 passed, 0 failed"
         assert all(line.startswith("PASS ") for line in out[:-1])
+
+
+class TestSharedParser:
+    def run(self, argv, capsys):
+        """The exit code (SystemExit's included), stdout and stderr of one call."""
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def test_built_once_and_holding_no_function(self):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        subparsers = [action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+        for name, subparser in subparsers[0].choices.items():
+            assert callable(getattr(cli, "cmd_" + name.replace("-", "_")))
+            assert subparser._defaults == {}
+            assert not any(callable(action.default) for action in subparser._actions)
+
+    def test_usage_error_then_a_good_call_equal_fresh_calls(self, tmp_path, capsys):
+        argv = command_argv("auc", tmp_path)
+        out = Path(argv[-1])
+        seen = []
+        for fresh in (False, True):
+            if fresh:
+                cli.build_parser.cache_clear()
+            usage = self.run(["auc"], capsys)
+            good = self.run(argv, capsys)
+            seen.append((usage, good, out.read_bytes()))
+            out.unlink()
+        assert seen[0] == seen[1]
+        assert seen[0][0][0] == 2 and "required" in seen[0][0][2]
+        assert seen[0][1][0] == 0
+
+    def test_flags_do_not_leak_between_calls(self, tmp_path):
+        dets, gt = TestEvalLocCommand().write_inputs(tmp_path)
+        out = tmp_path / "loc.csv"
+        argv = ["eval-loc", "--dets", str(dets), "--gt", str(gt), "--mode", "iobb",
+                "--out", str(out)]
+        assert main([*argv, "--t", "0.3", "--n-images", "9"]) == 0
+        assert len(out.read_text().splitlines()) == 3
+        assert main(argv) == 0
+        lines = out.read_text().splitlines()
+        assert [line.split(",")[1] for line in lines[1::2]] == [
+            f"{t:g}" for t in T_GRID_IOBB]
+        # AFP over the 2 images of the inputs, not over 9.
+        assert lines[-1].split(",")[3] == "0.500000"
+
+    def test_a_command_patched_after_the_build_is_the_one_run(self, tmp_path):
+        argv = command_argv("stats", tmp_path)
+        cli.build_parser()
+        original = cli.cmd_stats
+        with mock.patch.object(cli, "cmd_stats", return_value=0) as patched:
+            assert main(argv) == 0
+        patched.assert_called_once()
+        assert patched.call_args.args[0].labels == argv[2]
+        assert cli.cmd_stats is original
+        with mock.patch.object(cli, "cmd_stats", wraps=original) as again:
+            assert main(argv) == 0
+        again.assert_called_once()
+        assert main(argv) == 0

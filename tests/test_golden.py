@@ -283,8 +283,10 @@ def test_cases_cover_both_grid_readers_and_an_error(tmp_path):
     headers, error = localization._read_headers(lines)
     assert error is None and {size for _, _, size, _, _ in headers} == {3, 4, 5}
     for size in (3, 4, 5):
-        starts = localization.np.array([i for _, _, s, _, i in headers if s == size])
-        assert localization._fixed_width_grids(lines, starts, size) is None
+        starts = [i for _, _, s, _, i in headers if s == size]
+        firsts = lines.ends[starts] + 1
+        length = int(lines.ends[starts[0] + 1]) + 1 - int(firsts[0])
+        assert localization._fixed_width_grids(lines.data, firsts, length, size) is None
 
 
 def test_evaluate_cases_cover_both_readers_and_each_error(tmp_path):

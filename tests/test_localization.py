@@ -2,9 +2,11 @@
 
 import io
 import math
+import runpy
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -41,6 +43,8 @@ from cxrlabel.localization import (
 )
 
 from conftest import write_heatmaps
+
+BENCH = Path(__file__).parent.parent / "bench"
 
 EIGHT = np.ones((3, 3), dtype=bool)
 
@@ -238,6 +242,15 @@ def loaded_or_error(path, loader=load_heatmaps):
         ]
     except CxrLabelError as err:
         return str(err)
+
+
+def loaded_or_raised(path):
+    """The maps `load_heatmaps` reads, or the type and text of its error."""
+    try:
+        return [(h.image_id, h.label, h.image_dim, h.grid.shape, h.grid.tobytes())
+                for h in load_heatmaps(path)]
+    except CxrLabelError as err:
+        return type(err), str(err)
 
 
 def load_heatmaps_by_block(path):
@@ -446,6 +459,64 @@ def edited_fixed_width_texts(draw):
     if edit == "no final newline":
         text = text[:-1]
     return text
+
+
+# Edits of a file of fixed-width maps: see `walked_heatmap_texts`.
+WALK_EDITS = ["wider", "longer", "past the end", "huge size", "\r\n",
+              "no final newline", "comment", "blank", "repeated key",
+              "3 fields", "5 fields"]
+
+
+@st.composite
+def walked_heatmap_texts(draw):
+    r"""Fixed-width maps of sizes 1 to 3, mixed, each size with its own
+    token width, and up to two edits: one map's tokens a byte wider or its
+    rows a byte longer, a header's S one past the rows left or 2 * 10**9,
+    "\r\n" line ends, no final newline, a "#" or blank line before a map
+    or at the end, a map's (image_id, class) repeated from another map
+    (at times from itself), or a header of 3 or 5 fields. The edits are drawn as a list, which is
+    empty when there is none."""
+    sizes = draw(st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=5))
+    widths = {size: draw(st.sampled_from([3, 4, 6])) for size in set(sizes)}
+    blocks = []
+    for k, size in enumerate(sizes):
+        scores = st.lists(st.floats(0, 9), min_size=size, max_size=size)
+        digits = widths[size] - 2
+        rows = [" ".join(f"{v:.{digits}f}" for v in draw(scores)) for _ in range(size)]
+        blocks.append([[f"i{k}", f"C{k % 2}", str(size), "64"], rows])
+    count = draw(st.sampled_from([1, 2, 1, 2, 0]))
+    edits = draw(st.lists(st.sampled_from(WALK_EDITS), min_size=count,
+                          max_size=count, unique=True))
+    j = draw(st.integers(0, len(blocks) - 1))
+    header, rows = blocks[j]
+    rows_left = sum(1 + len(r) for _, r in blocks[j:]) - 1
+    before = [""] * (len(blocks) + 1)  # a line put before each map, or at the end
+    for edit in edits:
+        if edit == "wider":
+            rows[:] = [" ".join("0" + t for t in row.split(" ")) for row in rows]
+        elif edit == "longer":
+            rows[:] = [row + "0" for row in rows]
+        elif edit == "past the end":
+            header[2] = str(rows_left + 1)
+        elif edit == "huge size":
+            header[2] = str(2 * 10**9)
+        elif edit in ("comment", "blank"):
+            line = "# c" if edit == "comment" else draw(st.sampled_from(["", " \t"]))
+            before[draw(st.integers(0, len(blocks)))] = line + "\n"
+        elif edit == "repeated key":
+            k = draw(st.integers(0, len(blocks) - 1))
+            header[:2] = blocks[k][0][:2]
+        elif edit == "3 fields":
+            header.pop()
+        elif edit == "5 fields":
+            header.append("x")
+    text = "".join(line + "\t".join(h) + "\n" + "".join(r + "\n" for r in rows)
+                   for line, (h, rows) in zip(before, blocks)) + before[-1]
+    if "\r\n" in edits:
+        text = text.replace("\n", "\r\n")
+    if "no final newline" in edits:
+        text = text[:-1]
+    return text, edits
 
 
 THRESHOLD_SETS = st.lists(
@@ -1027,8 +1098,9 @@ class TestFileFormats:
     def test_byte_decoder_equals_float_of_each_token(self, grid):
         size, width, rows = grid
         text = f"i1\tMass\t{size}\t64\n" + "\n".join(rows) + "\n"
+        header = text.index("\n") + 1
         decoded = localization._fixed_width_grids(
-            localization._Lines(text.encode()), np.array([0]), size
+            text.encode(), np.array([header]), (width + 1) * size, size
         )
         if width > 16:  # more than 15 digits
             assert decoded is None
@@ -1048,6 +1120,39 @@ class TestFileFormats:
                                return_value=None):
             slow = loaded_or_error(path)
         assert fast == slow
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=walked_heatmap_texts())
+    @example(case=("i1\tC\t2000000000\t64\n0.5\n", ["huge size"]))
+    @example(case=("i1\tC\t1\t64\n0.5\ni2\tC\t2000000000\t64\n0.5\n",
+                   ["huge size"]))
+    def test_walk_equals_the_line_reader(self, tmp_path_factory, case):
+        text, edits = case
+        path = tmp_path_factory.getbasetemp() / "walked_heatmaps.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        loaded_or_raised(path)  # first-use allocations are not the reader's
+        tracemalloc.start()
+        try:
+            with mock.patch.object(localization, "_Lines",
+                                   wraps=localization._Lines) as lines:
+                walked = loaded_or_raised(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        with mock.patch.object(localization, "_walk", return_value=None):
+            assert walked == loaded_or_raised(path)
+        # Nothing is sized by a header's S before the walk checks it
+        # against the bytes left.
+        assert peak < 1 << 20
+        if not edits:
+            assert lines.call_count == 0
+
+    def test_bench_heatmaps_are_read_without_the_line_index(self, tmp_path):
+        generate = runpy.run_path(str(BENCH / "generate.py"))
+        inputs = generate["make_localize"](tmp_path, 1)
+        with mock.patch.object(localization, "_Lines", side_effect=AssertionError):
+            maps = load_heatmaps(inputs.files["heatmaps"])
+        assert len(maps) == inputs.props["maps"]
 
     def test_bad_byte_in_a_grid_row_with_lone_cr_ends_names_its_line(
         self, tmp_path

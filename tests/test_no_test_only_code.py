@@ -2,15 +2,18 @@
 
 Every module-level function, and every method that is not a dunder or a
 property, must be used by the package itself: named somewhere in its
-source, exported in `cxrlabel.__all__`, or wrapped by the benchmark
-tracer. A helper that only the tests need belongs in tests/conftest.py.
+source, exported in `cxrlabel.__all__`, wrapped by the benchmark
+tracer, or run by `cli.main` as the `cmd_<command>` of a subcommand the
+parser knows. A helper that only the tests need belongs in tests/conftest.py.
 """
 
+import argparse
 import ast
 import runpy
 from pathlib import Path
 
 import cxrlabel
+from cxrlabel import cli
 
 PACKAGE = Path(cxrlabel.__file__).parent
 # run_path compiles the source without writing bytecode next to it.
@@ -20,6 +23,13 @@ TRACED = {
     for table in (_TRACING["SPANS"], _TRACING["COUNTED"])
     for targets in table.values()
     for target in targets
+}
+# `cli.main` looks up the `cmd_<command>` of the subcommand by name.
+DISPATCHED = {
+    ("cxrlabel.cli", "cmd_" + command.replace("-", "_"))
+    for action in cli.build_parser()._actions
+    if isinstance(action, argparse._SubParsersAction)
+    for command in action.choices
 }
 PROPERTIES = {"property", "cached_property", "lazy_property"}
 
@@ -72,7 +82,7 @@ def test_every_function_is_used_by_the_package():
         for qualname, is_method in definitions(tree):
             checked += 1
             name = qualname.rpartition(".")[2]
-            used = name in attributes or (module, qualname) in TRACED or (
+            used = name in attributes or (module, qualname) in TRACED | DISPATCHED or (
                 not is_method and (name in names or name in cxrlabel.__all__)
             )
             if not used:

@@ -25,7 +25,6 @@ from cxrlabel.reports import (
     Edge,
     RadiologyReport,
     SentenceRef,
-    _sentence_chunks,
     load_corpus,
     load_dependency_file,
     parse_report_text,
@@ -37,6 +36,7 @@ from conftest import (
     load_dependency_file_by_lines,
     make_graph,
     make_sentence,
+    sentence_chunks,
     serialize_dependency_graphs,
     tokenize,
 )
@@ -215,16 +215,31 @@ def sentence_chunks_by_char(text: str) -> list[str]:
 WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
 
 
+def split_surfaces(text: str) -> list[tuple[str, ...]]:
+    """The surfaces of each sentence `split_sentences` makes of `text`."""
+    report = RadiologyReport("r", "p", {"findings": text})
+    return [sentence.surfaces for sentence in split_sentences(report)]
+
+
+def chunk_surfaces(chunks: list[str]) -> list[tuple[str, ...]]:
+    """The surfaces of each chunk that has a token."""
+    surfaces = [tuple(token.surface for token in tokenize(chunk)) for chunk in chunks]
+    return [chunk for chunk in surfaces if chunk]
+
+
 class TestSentenceSplitting:
     @pytest.mark.parametrize("space", WHITESPACE, ids=lambda c: f"U+{ord(c):04X}")
     def test_every_whitespace_character_ends_a_sentence(self, space):
         text = f"a.{space}b!{space}{space}c?{space}2.2{space}d.e"
-        assert _sentence_chunks(text) == sentence_chunks_by_char(text)
-        assert _sentence_chunks(text) == ["a.", "b!", "c?", f"2.2{space}d.e"]
+        chunks = ["a.", "b!", "c?", f"2.2{space}d.e"]
+        assert sentence_chunks(text) == sentence_chunks_by_char(text) == chunks
+        assert split_surfaces(text) == chunk_surfaces(chunks)
 
     @given(st.text(alphabet=st.sampled_from(WHITESPACE + list(".!?a2\u00a0\u200b"))))
     def test_splitter_equals_per_character_reference(self, text):
-        assert _sentence_chunks(text) == sentence_chunks_by_char(text)
+        chunks = sentence_chunks_by_char(text)
+        assert sentence_chunks(text) == chunks
+        assert split_surfaces(text) == chunk_surfaces(chunks)
 
     def test_terminators_split(self):
         report = RadiologyReport("r", "p", {"findings": "One here. Two there! Three?"})
@@ -273,7 +288,7 @@ class TestSentenceSplitting:
         report = RadiologyReport("r", "p", sections)
         sentences = split_sentences(report)
         expected = [(tag, tokenize(chunk)) for tag, text in sections.items()
-                    for chunk in _sentence_chunks(text) if tokenize(chunk)]
+                    for chunk in sentence_chunks(text) if tokenize(chunk)]
         assert [(s.section, s.tokens) for s in sentences] == expected
         assert all(len(s) == len(s.tokens) for s in sentences)
 
