@@ -474,8 +474,7 @@ def _walk(data: bytes):
 
     Reads a header, takes the length of the grid row after it as the
     length of all S of its rows, and jumps over them to the next header.
-    Returns None on a `
-`, a blank or "#" line where a header is due, a
+    Returns None on a `\r`, a blank or "#" line where a header is due, a
     header `_read_headers` would reject, a row length unlike that of the
     first map of its size, or a jump past the end of the file. Nothing
     here checks the rows: `_fixed_width_grids` does, and a row of the
@@ -612,8 +611,8 @@ class _Lines:
 
 # At most this many bytes of grid rows are decoded in one numpy pass; the
 # pass holds them and their integers, about 1.6 times as many bytes. On
-# 600 maps of 32 x 32 "%.4f" scores, twice this size decodes no faster
-# and takes the reader's peak memory past the file and the grids plus 5%.
+# 600 maps of 32 x 32 "%.4f" scores, a pass twice this size decodes no
+# faster and takes the reader's peak memory past twice the grids' bytes.
 _DECODE_BYTES = 1 << 17
 
 

@@ -462,20 +462,21 @@ def edited_fixed_width_texts(draw):
 
 
 # Edits of a file of fixed-width maps: see `walked_heatmap_texts`.
-WALK_EDITS = ["wider", "longer", "past the end", "huge size", "\r\n",
-              "no final newline", "comment", "blank", "repeated key",
-              "3 fields", "5 fields"]
+WALK_EDITS = ["wider", "longer", "joined", "past the end", "huge size", "\r\n",
+              "no final newline", "comment", "commented header", "blank",
+              "repeated key", "3 fields", "5 fields"]
 
 
 @st.composite
 def walked_heatmap_texts(draw):
     r"""Fixed-width maps of sizes 1 to 3, mixed, each size with its own
     token width, and up to two edits: one map's tokens a byte wider or its
-    rows a byte longer, a header's S one past the rows left or 2 * 10**9,
-    "\r\n" line ends, no final newline, a "#" or blank line before a map
-    or at the end, a map's (image_id, class) repeated from another map
-    (at times from itself), or a header of 3 or 5 fields. The edits are drawn as a list, which is
-    empty when there is none."""
+    rows a byte longer, its last grid row's newline made another byte
+    (joining it to the next line), a header's S one past the rows left or
+    2 * 10**9, "\r\n" line ends, no final newline, a "#" or blank line
+    before a map or at the end, a "#" before a header, a map's
+    (image_id, class) repeated from another map, or a header of 3 or 5
+    fields. Returns the text and the list of edits."""
     sizes = draw(st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=5))
     widths = {size: draw(st.sampled_from([3, 4, 6])) for size in set(sizes)}
     blocks = []
@@ -496,6 +497,8 @@ def walked_heatmap_texts(draw):
             rows[:] = [" ".join("0" + t for t in row.split(" ")) for row in rows]
         elif edit == "longer":
             rows[:] = [row + "0" for row in rows]
+        elif edit == "joined":
+            rows[-1] += "@"
         elif edit == "past the end":
             header[2] = str(rows_left + 1)
         elif edit == "huge size":
@@ -503,15 +506,18 @@ def walked_heatmap_texts(draw):
         elif edit in ("comment", "blank"):
             line = "# c" if edit == "comment" else draw(st.sampled_from(["", " \t"]))
             before[draw(st.integers(0, len(blocks)))] = line + "\n"
+        elif edit == "commented header":
+            header[0] = "#" + header[0]
         elif edit == "repeated key":
-            k = draw(st.integers(0, len(blocks) - 1))
-            header[:2] = blocks[k][0][:2]
+            others = [k for k in range(len(blocks)) if k != j] or [j]
+            header[:2] = blocks[draw(st.sampled_from(others))][0][:2]
         elif edit == "3 fields":
             header.pop()
         elif edit == "5 fields":
             header.append("x")
     text = "".join(line + "\t".join(h) + "\n" + "".join(r + "\n" for r in rows)
                    for line, (h, rows) in zip(before, blocks)) + before[-1]
+    text = text.replace("@\n", draw(st.sampled_from([" ", "0", "\t"])))
     if "\r\n" in edits:
         text = text.replace("\n", "\r\n")
     if "no final newline" in edits:
@@ -1126,6 +1132,10 @@ class TestFileFormats:
     @example(case=("i1\tC\t2000000000\t64\n0.5\n", ["huge size"]))
     @example(case=("i1\tC\t1\t64\n0.5\ni2\tC\t2000000000\t64\n0.5\n",
                    ["huge size"]))
+    @example(case=("#i1\tC\t1\t64\n0.5\n", ["commented header"]))
+    @example(case=("i1\tC\t2\t64\n0.5 0.5\n0.5 0.5 i2\tC\t1\t64\n0.5\n",
+                   ["joined"]))
+    @example(case=("i1\tC\t1\t64\n0.5\ni1\tC\t1\t64\n0.5\n", ["repeated key"]))
     def test_walk_equals_the_line_reader(self, tmp_path_factory, case):
         text, edits = case
         path = tmp_path_factory.getbasetemp() / "walked_heatmaps.tsv"
