@@ -527,7 +527,10 @@ def _load_walked(data: bytes) -> Optional[list[Heatmap]]:
     for k, (_, _, size, _, _) in enumerate(headers):
         by_size.setdefault(size, []).append(k)
     grids: list = [None] * len(headers)
-    for size, members in by_size.items():
+    # The sizes with the fewest bytes of rows go first, so that a size the
+    # decoder declines wastes little decoding before the line reader runs.
+    for size, members in sorted(by_size.items(),
+                                key=lambda item: len(item[1]) * item[0] * lengths[item[0]]):
         firsts = np.array([headers[k][4] for k in members])
         values = _fixed_width_grids(data, firsts, lengths[size], size)
         if values is None:

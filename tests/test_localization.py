@@ -1157,6 +1157,21 @@ class TestFileFormats:
         if not edits:
             assert lines.call_count == 0
 
+    def test_walk_decodes_the_larger_sizes_after_a_declined_one(self, tmp_path):
+        # The "%g" map of size 1 is declined before the fixed-width size 2
+        # is decoded, so the line reader decodes size 2 once in all.
+        path = tmp_path / "heatmaps.tsv"
+        path.write_text("i1\tA\t2\t64\n0.5000 1.2500\n9.0000 0.0625\n"
+                        "i2\tA\t2\t64\n0.1000 0.2000\n0.3000 0.4000\n"
+                        "i1\tB\t1\t8\n5e-1\n", encoding="utf-8")
+        with mock.patch.object(localization, "_fixed_width_grids",
+                               wraps=localization._fixed_width_grids) as decode:
+            maps = load_heatmaps(path)
+        assert [call.args[3] for call in decode.call_args_list] == [1, 2, 1]
+        assert [m.grid.tolist() for m in maps] == [
+            [[0.5, 1.25], [9.0, 0.0625]], [[0.1, 0.2], [0.3, 0.4]], [[0.5]]
+        ]
+
     def test_bench_heatmaps_are_read_without_the_line_index(self, tmp_path):
         generate = runpy.run_path(str(BENCH / "generate.py"))
         inputs = generate["make_localize"](tmp_path, 1)
