@@ -22,7 +22,7 @@ inputs built from the benchmark's `make_evaluate` tables and corpus:
 - "evaluate_bad_label": one gold row with a `2` cell, so `auc`,
   `eval-nlp` and `stats` fail naming that line.
 
-`label` runs in process on five inputs, and `selftest` on none:
+`label` runs in process on six inputs, and `selftest` on none:
 - "label_fixtures": the fixture corpus and parses, labelled plain, with
   `--propagate`, with `--label-set x14` and with `--external-mentions`;
 - "label_generated": the benchmark's `make_label` inputs at one seed,
@@ -32,10 +32,14 @@ inputs built from the benchmark's `make_evaluate` tables and corpus:
 - "label_ws_sep": that deps file with one blank separator line made
   whitespace-only and no final line break;
 - "label_bad_head": that deps file with one head out of range, so
-  `label` fails naming that row.
+  `label` fails naming that row;
+- "label_shared_first": the "label_generated" inputs with `--rules
+  data/rules_shared_first.tsv`, the shipped rules plus a lowest-ranked
+  one whose first trigger word also starts two earlier rules.
 
 The SHA-256 of each input, and of each step's exit code, stdout, stderr
-and output files, must equal `data/golden.json`. `run_case` wrote the
+and output files, must equal `data/golden.json`. The steps run in `data/`,
+so that a rules file named there prints the same `config:` line anywhere. `run_case` wrote the
 localization digests before the localize path was moved onto arrays, and
 the evaluation digests before the corpus and label readers were rewritten
 to read their files once, and the label digests before sentences and
@@ -54,14 +58,14 @@ import pytest
 
 from cxrlabel import cli
 
-DATA = Path(__file__).parent / "data"
+DATA = Path(__file__).resolve().parent / "data"
 GENERATE = runpy.run_path(str(Path(__file__).parent.parent / "bench" / "generate.py"))
 SEED = 4
 LOCALIZE_CASES = ("generated", "sci", "bad_cell", "generated_comment")
 EVALUATE_CASES = ("evaluate", "evaluate_crlf", "evaluate_bad_corpus",
                   "evaluate_bad_label")
 LABEL_CASES = ("label_fixtures", "label_generated", "label_crlf", "label_ws_sep",
-               "label_bad_head", "selftest")
+               "label_bad_head", "label_shared_first", "selftest")
 CASES = LOCALIZE_CASES + EVALUATE_CASES + LABEL_CASES
 # The line of data/heatmaps_sci.tsv (from 0) whose first cell "bad_cell"
 # turns into nan: a grid row of the fourth map.
@@ -157,6 +161,8 @@ def make_label_inputs(case: str, directory: Path) -> dict[str, Path]:
         edit_lines(inputs["deps"], whitespace_separator)
     elif case == "label_bad_head":
         edit_lines(inputs["deps"], bad_head)
+    elif case == "label_shared_first":
+        inputs["rules"] = DATA / "rules_shared_first.tsv"
     return inputs
 
 
@@ -221,6 +227,9 @@ def label_steps(inputs: dict[str, Path], directory: Path) -> list:
                     ("label-x14", ["--label-set", "x14"]),
                     ("label-external", ["--external-mentions",
                                         str(inputs["mentions"])])]
+    elif "rules" in inputs:
+        variants = [("label-propagate", ["--propagate", "--rules",
+                                         inputs["rules"].name])]
     else:
         variants = [("label-propagate", ["--propagate"])]
     steps = []
@@ -246,7 +255,8 @@ def run_case(case: str, directory: Path) -> dict:
                          for name, path in sorted(inputs.items())}}
     for step, argv, outputs in steps:
         stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with contextlib.chdir(DATA), contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
             rc = cli.main(argv)
         record[step] = {
             "rc": rc,
@@ -312,6 +322,12 @@ def test_label_cases_cover_each_deps_layout_and_an_error(tmp_path):
     assert generated["rc"] == 0
     assert golden["label_crlf"][step] == golden["label_ws_sep"][step] == generated
     assert golden["label_bad_head"][step]["rc"] == 2
+    # The added rule covers no mention head of these inputs, so the labels
+    # are those of the shipped rules; only the config line differs.
+    shared = golden["label_shared_first"][step]
+    outputs = ("label-propagate.tsv", "label-propagate.csv")
+    assert [shared[name] for name in outputs] == [generated[name] for name in outputs]
+    assert shared["stderr"] != generated["stderr"]
     assert golden["selftest"]["selftest"]["rc"] == 0
     deps = make_inputs("label_ws_sep", tmp_path)["deps"].read_bytes()
     assert b"\n \t\n" in deps and not deps.endswith(b"\n")
