@@ -115,6 +115,18 @@ class ReportLabels:
                 f" for {self.report_id}"
             )
 
+    @classmethod
+    def _checked(cls, report_id: str, y: tuple[int, ...],
+                 status: Status) -> "ReportLabels":
+        """The labels of a 0/1 vector `y` and a status that agrees with it,
+        which the caller ensures: `__post_init__` is not run."""
+        labels = object.__new__(cls)
+        fields = labels.__dict__
+        fields["report_id"] = report_id
+        fields["y"] = y
+        fields["status"] = status
+        return labels
+
     def positive_classes(self, config: LabelConfig) -> tuple[str, ...]:
         return tuple(c for c, v in zip(config.classes, self.y) if v)
 
@@ -201,7 +213,7 @@ def label_report(
         status = Status.OTHER_FINDINGS_ONLY
     else:
         status = Status.NORMAL
-    return ReportLabels(report.report_id, tuple(y), status)
+    return ReportLabels._checked(report.report_id, tuple(y), status)
 
 
 def polarize_corpus(

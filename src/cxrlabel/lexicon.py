@@ -68,6 +68,21 @@ class ConceptMention:
         if self.start < 1 or self.end < self.start:
             raise MalformedRow(f"bad span [{self.start},{self.end}]")
 
+    @classmethod
+    def _checked(cls, sentence_ref: SentenceRef, start: int, end: int, cui: str,
+                 category: str, source: Source) -> "ConceptMention":
+        """The mention of a span with 1 <= start <= end, which the caller
+        ensures: `__post_init__` is not run."""
+        mention = object.__new__(cls)
+        fields = mention.__dict__
+        fields["sentence_ref"] = sentence_ref
+        fields["start"] = start
+        fields["end"] = end
+        fields["cui"] = cui
+        fields["category"] = category
+        fields["source"] = source
+        return mention
+
     @property
     def span(self) -> tuple[int, int]:
         return (self.start, self.end)
@@ -153,9 +168,10 @@ def match_concepts(sentence: Sentence, lexicon: Lexicon) -> list[ConceptMention]
 
     Matched spans never overlap; every hit carries source=internal. Only
     the positions whose word starts some phrase are tried, and none inside
-    the last hit.
+    the last hit. A hit starts at i + 1 >= 1 and ends no earlier, since no
+    phrase is empty.
     """
-    lowered = sentence.lowered
+    lowered, ref = sentence.lowered, sentence.ref
     index = lexicon._index
     mentions: list[ConceptMention] = []
     end = 0  # the first position past the last hit
@@ -166,16 +182,9 @@ def match_concepts(sentence: Sentence, lexicon: Lexicon) -> list[ConceptMention]
         if entry is None:
             continue
         end = i + len(entry.phrase)
-        mentions.append(
-            ConceptMention(
-                sentence_ref=sentence.ref,
-                start=i + 1,
-                end=end,
-                cui=entry.cui,
-                category=entry.category,
-                source=Source.INTERNAL,
-            )
-        )
+        mentions.append(ConceptMention._checked(
+            ref, i + 1, end, entry.cui, entry.category, Source.INTERNAL
+        ))
     return mentions
 
 

@@ -106,6 +106,19 @@ class PolarizedMention:
                 f"{self.polarity.value} mention must name the matched rule"
             )
 
+    @classmethod
+    def _checked(cls, mention: ConceptMention, polarity: Polarity,
+                 matched_rule: Optional[str]) -> "PolarizedMention":
+        """The polarized mention of these fields, a polarity other than
+        positive naming its rule, which the caller ensures:
+        `__post_init__` is not run."""
+        polarized = object.__new__(cls)
+        fields = polarized.__dict__
+        fields["mention"] = mention
+        fields["polarity"] = polarity
+        fields["matched_rule"] = matched_rule
+        return polarized
+
 
 class RuleSet:
     def __init__(self, rules: Iterable[Rule]):
@@ -126,12 +139,17 @@ class RuleSet:
             ))
             for rule in self.negation_rules + self.uncertainty_rules
         )
+        # The ranks of the triggered rules that have a phrase each key can
+        # start; a rule no key of a graph's lemmas names cannot fire there.
+        self.first_word_ranks: dict[str, set[int]] = {}
+        for rank, (_, phrases) in enumerate(self.ranked):
+            for phrase in phrases:
+                for key in phrase[0]:
+                    self.first_word_ranks.setdefault(key, set()).add(rank)
         # What a graph must hold for a rule to fire (see `reaches`): a
         # token that starts a trigger phrase, or an edge that can take the
         # first step of a rule that triggers on any token.
-        first_keys = {
-            key for _, phrases in self.ranked for phrase in phrases for key in phrase[0]
-        }
+        first_keys = set(self.first_word_ranks)
         self.trigger_words = frozenset(
             word for word in first_keys.union(_INFLECTIONS) if lemma(word) in first_keys
         )
@@ -230,6 +248,8 @@ def propagate_conjuncts(graph: DependencyGraph) -> DependencyGraph:
     imply (h -L-> b) for non-conj L. Original edges are retained.
     A graph the closure adds nothing to, with its edges in canonical
     (sorted, unique) order, is returned as it is."""
+    if not graph.edges:
+        return graph
     edges = set(graph.edges)
     changed = True
     while changed:
@@ -328,23 +348,32 @@ def apply_rules(
     for mention in mentions:
         if mention.sentence_ref != graph.sentence_ref:
             raise MissingGraph(mention.sentence_ref)
+    polarized = PolarizedMention._checked
     if not mentions or not ruleset.reaches(graph):
-        return [PolarizedMention(mention, Polarity.POSITIVE) for mention in mentions]
+        return [polarized(mention, Polarity.POSITIVE, None) for mention in mentions]
 
     # Lemmatize the graph once and index its positions by lemma.
     lemmas = [lemma(word) for word in graph.lowered]
     index: dict[str, list[int]] = {}
     for position, word in enumerate(lemmas, start=1):
         index.setdefault(word, []).append(position)
+    # The triggered rules some lemma here can start a phrase of.
+    table = ruleset.first_word_ranks
+    startable = set().union(*[table[key] for key in index if key in table])
 
     # What a rule covers is mention-independent, so compute it once. Keep
     # the rules that can fire here, in precedence order, with the heads
     # they cover; None covers every head (a triggered sentence rule).
     live: list[tuple[Rule, Optional[set[int]]]] = []
-    for rule, phrases in ruleset.ranked:
-        starts = _trigger_positions(lemmas, index, phrases) if phrases else None
-        if phrases and not starts:
+    for rank, (rule, phrases) in enumerate(ruleset.ranked):
+        if not phrases:
+            starts = None
+        elif rank not in startable:
             continue
+        else:
+            starts = _trigger_positions(lemmas, index, phrases)
+            if not starts:
+                continue
         if rule.scope is Scope.SENTENCE:
             live.append((rule, None))
             continue
@@ -370,5 +399,5 @@ def apply_rules(
                     else Polarity.UNCERTAIN
                 )
                 break
-        result.append(PolarizedMention(mention, polarity, matched))
+        result.append(polarized(mention, polarity, matched))
     return result

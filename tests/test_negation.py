@@ -1,5 +1,7 @@
 """Dependency-rule negation/uncertainty: DSL, propagation, rule matching."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -160,6 +162,12 @@ class TestConjunctPropagation:
         graph = make_graph(sentence, [(2, 1, "dobj"), (1, 2, "conj_and")])
         closed = propagate_conjuncts(graph)
         assert frozenset(closed.edges) == frozenset(graph.edges)
+
+    def test_graph_without_edges_is_returned_before_any_closure(self):
+        graph = make_graph(make_sentence("left basilar atelectasis"), [])
+        with mock.patch("cxrlabel.negation.sorted", side_effect=AssertionError,
+                        create=True):
+            assert propagate_conjuncts(graph) is graph
 
     def test_closed_canonical_graph_is_returned_as_is(self):
         sentence = make_sentence("a b c")

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cxrlabel import negation
 from cxrlabel.lexicon import ConceptMention
 from cxrlabel.negation import (
     Direction,
@@ -207,8 +208,10 @@ EXTRA_RULES = RuleSet([
          "ANY", Scope.ENDPOINT),
 ])
 
-# The shipped set, the shipped set less each rule, and each extra rule
-# alone, so that no other rule masks it.
+# The shipped set, the shipped set less each rule, each extra rule alone,
+# so that no other rule masks it, and the two sets joined, where rules of
+# different ranks share a first trigger word: "no" starts n1, n5 and x1,
+# "may" u3, u5 and x3 ("May" x1), "concern(s)" u2 and x3.
 RULESETS = (
     {"all": RULES}
     | {
@@ -216,6 +219,7 @@ RULESETS = (
         for r in RULES.rules
     }
     | {f"only-{r.rule_id}": RuleSet([r]) for r in EXTRA_RULES.rules}
+    | {"shipped+extra": RuleSet(RULES.rules + EXTRA_RULES.rules)}
 )
 
 
@@ -335,6 +339,49 @@ def test_prefilter_keeps_every_graph_a_rule_can_reach(name, case):
     assert fast == reference
     if not ruleset.reaches(graph):
         assert reference == [("positive", None)] * len(mentions)
+
+
+@pytest.mark.parametrize("name", sorted(RULESETS))
+def test_first_word_table_lists_each_rule_under_each_first_key(name):
+    ruleset = RULESETS[name]
+    expected: dict[str, set[int]] = {}
+    for rank, (rule, _) in enumerate(ruleset.ranked):
+        for phrase in rule.triggers:
+            for key in (phrase[0], lemma(phrase[0])):
+                expected.setdefault(key, set()).add(rank)
+    assert ruleset.first_word_ranks == expected
+
+
+def test_first_word_table_of_the_joined_set_shares_keys_across_ranks():
+    ruleset = RULESETS["shipped+extra"]
+    rank = {rule.rule_id: k for k, (rule, _) in enumerate(ruleset.ranked)}
+    table = ruleset.first_word_ranks
+    assert table["no"] == {rank["n1"], rank["n5"], rank["x1"]}
+    assert table["may"] == {rank["u3"], rank["u5"], rank["x3"]}
+    assert table["May"] == {rank["x1"]}
+    assert table["concern"] == {rank["u2"], rank["x3"]}
+    assert table["concerns"] == {rank["x3"]}
+    # A rule that triggers on any token is under no key.
+    assert not {rank[r] for r in ("n2", "n4", "x2", "x7", "x8")} & set().union(
+        *table.values())
+
+
+def test_only_the_rules_a_first_word_names_look_for_their_phrases():
+    graph = DependencyGraph(
+        REF, 4, ("No", "pleural", "effusion", "."),
+        (Edge(3, 1, "neg"), Edge(3, 2, "amod")),
+    )
+    mention = ConceptMention(REF, 2, 3, "C0032227", "Effusion")
+    with mock.patch("cxrlabel.negation._trigger_positions",
+                    wraps=negation._trigger_positions) as positions:
+        polarized = apply_rules(graph, [mention], RULES)
+    assert [(p.polarity, p.matched_rule) for p in polarized] == [
+        (Polarity.NEGATED, "n1")
+    ]
+    rules = {rule.rule_id: phrases for rule, phrases in RULES.ranked}
+    assert [call.args[2] for call in positions.call_args_list] == [
+        rules["n1"], rules["n5"]
+    ]
 
 
 def test_prefilter_skips_the_walk_on_a_graph_no_rule_can_reach():
