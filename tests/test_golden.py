@@ -51,6 +51,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import runpy
 from pathlib import Path
 
@@ -241,6 +242,18 @@ def label_steps(inputs: dict[str, Path], directory: Path) -> list:
     return steps
 
 
+@contextlib.contextmanager
+def in_directory(path: Path):
+    """The block run with `path` as the working directory, as
+    `contextlib.chdir` (Python 3.11 on) does."""
+    previous = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(previous)
+
+
 def run_case(case: str, directory: Path) -> dict:
     """The digests of the inputs and of every step of `case`."""
     inputs = make_inputs(case, directory)
@@ -255,7 +268,7 @@ def run_case(case: str, directory: Path) -> dict:
                          for name, path in sorted(inputs.items())}}
     for step, argv, outputs in steps:
         stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.chdir(DATA), contextlib.redirect_stdout(stdout), \
+        with in_directory(DATA), contextlib.redirect_stdout(stdout), \
                 contextlib.redirect_stderr(stderr):
             rc = cli.main(argv)
         record[step] = {
