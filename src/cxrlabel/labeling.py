@@ -17,7 +17,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from cxrlabel.errors import MalformedRecord, MissingGraph, read_input
+from cxrlabel.errors import (
+    MalformedRecord,
+    MissingGraph,
+    decode_fixed_width,
+    read_input,
+)
 from cxrlabel.lazy import lazy_property, np
 from cxrlabel.lexicon import (
     NORMAL_CONCEPT,
@@ -160,9 +165,12 @@ class LabelTable:
 
     def rows_of(self, ids: list[str]) -> Optional[np.ndarray]:
         """The row of each of `ids` (no id twice) in this table, or None
-        when the two id sets differ."""
+        when the two id sets differ. Ids in this table's order, as a
+        table's own files list them, need no join."""
         if len(ids) != len(self.ids):
             return None
+        if ids == self.ids:
+            return np.arange(len(ids), dtype=np.intp)
         row = dict(zip(self.ids, range(len(self.ids))))
         try:
             return np.array([row[rid] for rid in ids], dtype=np.intp)
@@ -345,11 +353,18 @@ def read_labels_wide_csv(
 def read_scores_csv(path) -> tuple[list[str], list[str], np.ndarray]:
     """Classes, report ids and the (N, K) score matrix of a scores CSV.
 
-    A file of plain cells is read with one `np.loadtxt`; any other goes
+    The file is read by the first of three tiers that takes it, each to
+    the same values: a file of fixed-width cells ("%.6f" of scores in
+    [0, 10)) is decoded from its bytes (`_read_scores_fixed`); any other
+    file of plain cells is read with one `np.loadtxt`; any other goes
     through the per-row csv parser, which names the bad line.
     """
-    text = read_input(path).decode("utf-8")
-    return _read_scores_plain(text) or _read_scores_by_row(text)
+    data = read_input(path)
+    scores = _read_scores_fixed(data)
+    if scores is None:
+        text = data.decode("utf-8")
+        scores = _read_scores_plain(text) or _read_scores_by_row(text)
+    return scores
 
 
 _SCORES_HEADER = "scores CSV needs a report_id header column"
@@ -434,31 +449,78 @@ def _read_labels_plain(data: bytes, config: Optional[LabelConfig]):
             return None
     pairs = _windows(codes, width)[block].reshape(len(starts), config.C, 2)
     y = pairs[..., 0] - ord("0")  # any byte other than 0 or 1 wraps above 1
-    if ((pairs[..., 1] != ord(",")).any() or (y > 1).any()
-            or (codes[block - 1] != ord(",")).any()):
+    if (pairs[..., 1] != ord(",")).any() or (y > 1).any():
         return None
     y = y.astype(np.int8)
     # numpy reduces along contiguous rows far faster than along a short axis.
     found = np.ascontiguousarray(y.T).any(axis=0)
     if (found != (status == STATUSES.index(Status.TARGET_FINDINGS))).any():
         return None
-    # Each id and the comma after it, gathered by one mask into
-    # "id,id,...,id,": the bytes from each row's start to its block. A row
-    # whose id holds a comma splits into more than one id.
+    ids = _row_ids(codes, starts, block)
+    if ids is None:
+        return None
+    return LabelTable(ids, y, status), config
+
+
+def _row_ids(codes: np.ndarray, starts: np.ndarray, stops: np.ndarray):
+    """The id of each row of a plain CSV's bytes `codes`: the bytes from
+    the row's start up to the comma just before its stop; or None when a
+    stop does not follow a comma of its row, an id holds a comma or an id
+    repeats.
+
+    Each id and the comma after it are gathered by one mask into
+    "id,id,...,id,", so a row whose id holds a comma splits into more
+    than one id."""
+    if (stops <= starts).any() or (codes[stops - 1] != ord(",")).any():
+        return None
     edges = np.empty(2 * len(starts) + 2, dtype=np.intp)
-    edges[0], edges[1:-1:2], edges[2:-1:2], edges[-1] = 0, starts, block, len(codes)
+    edges[0], edges[1:-1:2], edges[2:-1:2], edges[-1] = 0, starts, stops, len(codes)
     keep = np.zeros(len(edges) - 1, dtype=bool)
     keep[1::2] = True
     ids = codes[np.repeat(keep, np.diff(edges))].tobytes().decode("utf-8")
     ids = ids.split(",")[:-1]
     if len(ids) != len(starts) or len(set(ids)) != len(ids):
         return None
-    return LabelTable(ids, y, status), config
+    return ids
 
 
 def _windows(codes: np.ndarray, width: int) -> np.ndarray:
     """The view of `codes` whose row i is `codes[i:i + width]`."""
     return np.lib.stride_tricks.sliding_window_view(codes, width)
+
+
+def _read_scores_fixed(data: bytes):
+    """The scores of the CSV `data`, decoded from its bytes, when it has
+    rows after its header, no quote or carriage return, no id twice, and
+    each row is an id without a comma, a comma, then one cell per class,
+    all of the same width, that `decode_fixed_width` decodes; None
+    otherwise.
+
+    All newlines are found in one pass over the bytes. The first row's
+    first comma gives the byte length of the cells, and so where each
+    row's cells start: just after its id's comma, which `_row_ids` checks.
+    """
+    if not data or b'"' in data or b"\r" in data:
+        return None
+    if not data.endswith(b"\n"):
+        data += b"\n"  # the last row reads the same without it
+    codes = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(codes == ord("\n"))
+    classes = _header_classes(data[:ends[0]].decode("utf-8").split(","))
+    if len(ends) < 2:
+        return None
+    starts, ends = ends[:-1] + 1, ends[1:]  # of the rows after the header
+    length = int(ends[0]) - data.find(b",", int(starts[0]), int(ends[0]))
+    if length > int(ends[0]) - int(starts[0]):
+        return None  # the first row has no comma
+    cells = ends + 1 - length
+    values = decode_fixed_width(data, cells, length, 1, b",")
+    if values is None or values.shape[2] != len(classes):
+        return None
+    ids = _row_ids(codes, starts, cells)
+    if ids is None:
+        return None
+    return classes, ids, values.reshape(len(ids), len(classes))
 
 
 def _read_scores_plain(text: str):

@@ -16,6 +16,7 @@ from cxrlabel.errors import (
     CxrLabelError,
     MalformedRow,
     ZeroAreaDetection,
+    decode_fixed_width,
     read_input,
     read_rows,
 )
@@ -612,64 +613,16 @@ class _Lines:
         return self.data[start:int(self.ends[i])].decode("utf-8")
 
 
-# At most this many bytes of grid rows are decoded in one numpy pass; the
-# pass holds them and their integers, about 1.6 times as many bytes. On
-# 600 maps of 32 x 32 "%.4f" scores, a pass twice this size decodes no
-# faster and takes the reader's peak memory past twice the grids' bytes.
-_DECODE_BYTES = 1 << 17
-
-
 def _fixed_width_grids(data: bytes, firsts: np.ndarray, length: int,
                        size: int) -> Optional[np.ndarray]:
     """The (n, S, S) grids whose S rows of `length` bytes each follow one
     another from the ascending byte offsets `firsts` of `data`, decoded
-    from the bytes; or None when some grid row is not S tokens of one
-    width w, each of digits (at most 15) around a "." at one inner column,
-    joined by single spaces and ended by a newline; this is what "%.4f"
-    writes for scores in [0, 10). As each row ends in the one newline it
-    holds, every row it decodes is a whole line.
-
-    A token's digits form an integer below 2**53, built exactly in int32
-    (at most 9 digits) or int64, column by column; one division by the
-    exact power of ten then rounds correctly (Clinger's fast path, PLDI
-    1990), so each value equals float(token) bit for bit. The rows are
-    gathered `_DECODE_BYTES` bytes at a time, which bounds the working
-    memory.
+    from the bytes by `decode_fixed_width` with space-separated tokens; or
+    None when it declines them or a row holds other than S tokens.
     """
-    first = int(firsts[0])
-    width = length // size - 1
-    dot = data.find(b".", first, first + width) - first
-    if length % size or not 3 <= width <= 16 or not 0 < dot < width - 1:
+    grids = decode_fixed_width(data, firsts, length, size, b" ")
+    if grids is None or grids.shape[2] != size:
         return None
-    if int(firsts[-1]) + size * length > len(data):
-        return None
-    # Every grid row is `length` bytes: S tokens of `width` bytes, each
-    # followed by a space, or by the newline after the last. Less its
-    # expected byte, a digit column's byte is its digit (a byte below "0"
-    # wraps past 9) and any other byte is 0.
-    expected = np.tile(np.append(np.full(width, ord("0"), dtype=np.uint8),
-                                 np.uint8(ord(" "))), size)
-    expected[dot::width + 1] = ord(".")
-    expected[-1] = ord("\n")
-    most = np.where(expected == ord("0"), 9, 0).astype(np.uint8)
-    columns = [c for c in range(width) if c != dot]
-    digits_type = np.int32 if len(columns) <= 9 else np.int64
-    scale = float(10 ** (width - 1 - dot))
-    codes = np.frombuffer(data, dtype=np.uint8)
-    blocks = np.lib.stride_tricks.sliding_window_view(codes, size * length)
-    grids = np.empty((len(firsts), size, size))
-    step = max(1, _DECODE_BYTES // (size * length))
-    for at in range(0, len(firsts), step):
-        block = blocks[firsts[at:at + step]].reshape(-1, length)
-        np.subtract(block, expected, out=block)
-        if not np.all(block.max(axis=0) <= most):
-            return None
-        digits = block.reshape(-1, width + 1)
-        number = digits[:, columns[0]].astype(digits_type)
-        for column in columns[1:]:
-            number *= 10
-            number += digits[:, column]
-        np.divide(number, scale, out=grids[at:at + step].reshape(-1))
     return grids
 
 

@@ -84,6 +84,11 @@ class Rule:
     scope: Scope
 
     def __post_init__(self):
+        # Tokens are matched by their lowercased lemma, which only a
+        # lowercase trigger word can equal.
+        object.__setattr__(self, "triggers", tuple(
+            tuple(word.lower() for word in phrase) for phrase in self.triggers
+        ))
         if self.endpoint == "DISEASE" and self.scope is not Scope.ENDPOINT:
             raise RuleParseError(
                 f"rule {self.rule_id}: DISEASE endpoint requires endpoint scope"
@@ -211,7 +216,7 @@ def load_rules(path) -> RuleSet:
             trigger_phrases: tuple[tuple[str, ...], ...] = ()
         else:
             trigger_phrases = tuple(
-                tuple(phrase.split()) for phrase in triggers.lower().split("|")
+                tuple(phrase.split()) for phrase in triggers.split("|")
             )
             if any(not phrase for phrase in trigger_phrases):
                 raise RuleParseError("empty trigger phrase", line_no)

@@ -62,6 +62,68 @@ def scores_csv_texts(draw):
     return draw(mutated_csv(rows, SCORE_TOKENS))
 
 
+# Edits of a fixed-width scores file, each of which the byte tier declines.
+FIXED_WIDTH_EDITS = [
+    "wider", "narrower", "-", "+", " ", "exponent", "extra column",
+    "missing column", "extra class", "missing class", "blank line",
+    "repeated id",
+]
+
+
+@st.composite
+def fixed_width_scores(draw):
+    """(d, rows): a scores CSV of "%.{d}f" cells, d from 1 to 8, of values
+    in [0, 10) (header first); ids with and without non-ASCII bytes."""
+    classes = draw(st.sampled_from([("A",), ("A", "B", "C")]))
+    d = draw(st.integers(1, 8))
+    rows = [["report_id", *classes]]
+    for i in range(draw(st.integers(1, 6))):
+        values = draw(st.lists(st.integers(0, 10 ** (d + 1) - 1),
+                               min_size=len(classes), max_size=len(classes)))
+        rid = draw(st.sampled_from(["r", "\u00efd", ""])) + str(i)
+        rows.append([rid, *(f"{v // 10 ** d}.{v % 10 ** d:0{d}d}" for v in values)])
+    return d, rows
+
+
+def csv_text(rows: list[list[str]], final_newline: bool = True) -> str:
+    text = "\n".join(",".join(row) for row in rows)
+    return text + "\n" if final_newline else text
+
+
+@st.composite
+def fixed_width_scores_texts(draw):
+    """A fixed-width scores CSV, then either the `mutated_csv` edits or one
+    edit of FIXED_WIDTH_EDITS, with or without a final newline."""
+    d, rows = draw(fixed_width_scores())
+    if draw(st.booleans()):
+        return draw(mutated_csv(rows, SCORE_TOKENS + ["0." + "0" * d]))
+    edit = draw(st.sampled_from(FIXED_WIDTH_EDITS))
+    k = draw(st.integers(1, len(rows) - 1))
+    j = draw(st.integers(1, len(rows[k]) - 1))
+    row = rows[k]
+    if edit == "wider":
+        row[j] += "5"
+    elif edit == "narrower":
+        row[j] = row[j][:-1]
+    elif edit in ("-", "+", " "):
+        row[j] = edit + row[j]
+    elif edit == "exponent":
+        row[j] = row[j] + "e0" if d < 3 else row[j][:-2] + "e0"
+    elif edit == "extra column":
+        row.append(row[-1])
+    elif edit == "missing column":
+        del row[-1]
+    elif edit == "extra class":
+        rows[0].append("Z")
+    elif edit == "missing class":
+        del rows[0][-1]
+    elif edit == "blank line":
+        rows.insert(k, [])
+    elif edit == "repeated id":
+        row[0] = rows[draw(st.integers(1, len(rows) - 1))][0]
+    return csv_text(rows, draw(st.booleans()))
+
+
 def scores_or_error(read, source):
     try:
         classes, ids, values = read(source)
@@ -867,6 +929,33 @@ class TestAucCommand:
         assert scores_or_error(read_scores_csv, path) == scores_or_error(
             _read_scores_by_row, text
         )
+
+
+    @settings(max_examples=600, deadline=None)
+    @given(text=fixed_width_scores_texts())
+    def test_fixed_width_scores_reader_equals_per_row_parser(
+        self, tmp_path_factory, text
+    ):
+        path = tmp_path_factory.getbasetemp() / "fixed_width_scores.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert scores_or_error(read_scores_csv, path) == scores_or_error(
+            _read_scores_by_row, text
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(scores=fixed_width_scores(), final_newline=st.booleans())
+    def test_fixed_width_scores_skip_loadtxt_and_the_row_parser(
+        self, tmp_path_factory, scores, final_newline
+    ):
+        _, rows = scores
+        text = csv_text(rows, final_newline)
+        path = tmp_path_factory.getbasetemp() / "fixed_width_scores.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch("numpy.loadtxt", side_effect=AssertionError), \
+                mock.patch("cxrlabel.labeling._read_scores_by_row",
+                           side_effect=AssertionError):
+            fast = scores_or_error(read_scores_csv, path)
+        assert fast == scores_or_error(_read_scores_by_row, text)
 
 
 class TestLocalizeCommand:

@@ -442,6 +442,33 @@ class TestLabelTable:
         with pytest.raises(MalformedRecord, match="^duplicate report id 'r1'$"):
             LabelTable.from_records(self.RECORDS + self.RECORDS[:1], CONFIG_X8)
 
+    @settings(max_examples=300, deadline=None)
+    @given(ids=st.lists(st.text("abc", max_size=3), unique=True, max_size=8),
+           edit=st.sampled_from(["same", "permute", "replace", "drop", "add"]),
+           data=st.data())
+    def test_rows_of_equals_a_dict_join(self, ids, edit, data):
+        table = LabelTable(ids, np.zeros((len(ids), 8), dtype=np.int8),
+                           np.zeros(len(ids), dtype=np.int8))
+        # Equal strings that are other objects, as a second file's ids are.
+        query = [("#" + rid)[1:] for rid in ids]
+        if edit == "permute":
+            query = data.draw(st.permutations(query))
+        elif edit == "replace" and query:
+            query[data.draw(st.integers(0, len(query) - 1))] = "x"
+        elif edit == "drop" and query:
+            del query[data.draw(st.integers(0, len(query) - 1))]
+        elif edit == "add":
+            query.insert(data.draw(st.integers(0, len(query))), "x")
+        row = {rid: k for k, rid in enumerate(ids)}
+        expected = None
+        if len(query) == len(ids) and all(rid in row for rid in query):
+            expected = [row[rid] for rid in query]
+        rows = table.rows_of(query)
+        if expected is None:
+            assert rows is None
+        else:
+            assert rows.dtype == np.intp and rows.tolist() == expected
+
     def test_rows_of_aligns_or_reports_a_different_id_set(self):
         table = LabelTable.from_records(self.RECORDS, CONFIG_X8)
         assert table.rows_of(["r3", "r1", "r2"]).tolist() == [2, 0, 1]

@@ -368,6 +368,22 @@ class TestRuleSemantics:
         assert hit.polarity is Polarity.UNCERTAIN
         assert hit.matched_rule == "u6"
 
+    def test_capitalized_trigger_of_a_built_rule_matches(self):
+        # Only load_rules lowercased the phrases; a Rule built directly kept
+        # "May", which no lowercased lemma equals.
+        rule = Rule("x", RulePolarity.UNCERTAINTY, (("May",),), (), "ANY",
+                    Scope.SENTENCE)
+        assert rule.triggers == (("may",),)
+        rules = RuleSet([rule])
+        sentence = make_sentence("May effusion")
+        graph = make_graph(sentence, [])
+        mentions = match_concepts(sentence, LEXICON)
+        assert [m.category for m in mentions] == ["Effusion"]
+        assert rules.reaches(graph)
+        hit = apply_rules(graph, mentions, rules)[0]
+        assert hit.polarity is Polarity.UNCERTAIN
+        assert hit.matched_rule == "x"
+
     def test_mismatched_sentence_ref_rejected(self):
         sentence = make_sentence("pneumonia")
         graph = make_graph(sentence, [])

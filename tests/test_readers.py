@@ -1,5 +1,5 @@
-"""The shared input line format, and the rule that every input file is
-read through `cxrlabel.errors`.
+"""The shared input line format, the shared fixed-width decimal decoder,
+and the rule that every input file is read through `cxrlabel.errors`.
 
 The four TSV loaders take their rows from `errors.read_rows`: blank,
 whitespace-only and `#` lines are skipped but still counted, `\\r\\n` and a
@@ -10,12 +10,15 @@ raises NotUtf8 naming the path and the line.
 
 import ast
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cxrlabel
+from cxrlabel import errors
 from cxrlabel.cli import _load_config_file
 from cxrlabel.errors import (
     BadCui,
@@ -23,6 +26,7 @@ from cxrlabel.errors import (
     MalformedRow,
     NotUtf8,
     RuleParseError,
+    decode_fixed_width,
     read_rows,
 )
 from cxrlabel.lexicon import load_external_mentions, load_lexicon
@@ -252,3 +256,116 @@ def test_open_calls_sees_every_mode():
         "open(p)\nopen(p, 'rb')\nopen(p, mode='w')\nopen(p, m)\nx.open(p)\n"
     )
     assert list(open_calls(tree)) == ["r", "rb", "w", None]
+
+
+# --- the fixed-width decimal decoder ---
+
+def decoded(text: str, sep: bytes, rows: int):
+    """`decode_fixed_width` of the one block of `rows` rows at the start of
+    `text`, each as long as its first line, as the readers size them."""
+    return decode_fixed_width(text.encode("utf-8"), np.array([0]),
+                              text.index("\n") + 1, rows, sep)
+
+
+def floats_of(lines: list[str], sep: str) -> np.ndarray:
+    return np.array([[float(token) for token in line.split(sep)] for line in lines])
+
+
+@st.composite
+def fixed_width_blocks(draw):
+    """(sep, lines): rows of tokens of one width from 3 to 16 (2 to 15
+    digits), the "." at any inner column, joined by a space or a comma."""
+    sep = draw(st.sampled_from([" ", ","]))
+    width = draw(st.integers(3, 16))
+    dot = draw(st.integers(1, width - 2))
+    tokens = draw(st.integers(1, 4))
+    mantissas = st.integers(0, 10 ** (width - 1) - 1) | st.just(10 ** (width - 1) - 1)
+
+    def token():
+        digits = str(draw(mantissas)).zfill(width - 1)
+        return digits[:dot] + "." + digits[dot:]
+
+    lines = [sep.join(token() for _ in range(tokens))
+             for _ in range(draw(st.integers(1, 3)))]
+    return sep, lines
+
+
+@settings(max_examples=400, deadline=None)
+@given(block=fixed_width_blocks())
+@example(block=(" ", ["99999.9999"]))  # 9 digits: the int32 branch
+@example(block=(",", ["9999999.99999999,0000000.00000001"]))  # 15: int64
+@example(block=(" ", ["0.1 0.2 0.3", "2.6 1.0 0.7"]))
+def test_fixed_width_values_equal_float_of_each_token(block):
+    sep, lines = block
+    values = decoded("\n".join(lines) + "\n", sep.encode(), len(lines))
+    expected = floats_of(lines, sep)
+    assert values.shape == (1, *expected.shape)
+    assert values[0].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("sep", [" ", ","])
+@pytest.mark.parametrize("digits", [2, 9, 10, 15])
+def test_values_not_exact_in_binary_equal_float(sep, digits):
+    # Fractions that no double holds exactly, in both digit branches.
+    tokens = [f"{k / 7:.{digits - 1}f}" for k in range(7)]
+    line = sep.join(tokens)
+    values = decoded(line + "\n", sep.encode(), 1)
+    assert values[0].tobytes() == floats_of([line], sep).tobytes()
+
+
+def test_blocks_of_many_rows_decode_across_passes():
+    rows = [f"{k % 10}.{k:04d} {k % 7}.{k * 3 % 10000:04d}" for k in range(60)]
+    text = "".join(f"h{b}\n" + "\n".join(rows[b::3]) + "\n" for b in range(3))
+    data = text.encode()
+    firsts = np.array([i + 3 for i in range(len(data)) if data[i:i + 1] == b"h"])
+    with mock.patch.object(errors, "_DECODE_BYTES", 50):
+        values = decode_fixed_width(data, firsts, len(rows[0]) + 1, 20, b" ")
+    for b in range(3):
+        assert values[b].tobytes() == floats_of(rows[b::3], " ").tobytes()
+
+
+def test_each_separator_is_its_own():
+    assert decoded("0.5000 1.2500\n9.0000 0.0625\n", b" ", 2).tolist() == [
+        [[0.5, 1.25], [9.0, 0.0625]]
+    ]
+    assert decoded("0.500000,1.250000\n", b",", 1).tolist() == [[[0.5, 1.25]]]
+    assert decoded("0.500000,1.250000\n", b" ", 1) is None
+    assert decoded("0.5000 1.2500\n", b",", 1) is None
+
+
+# Each break of the pattern in the second of two rows of "0.5000 1.2500".
+DECLINED_ROWS = {
+    "wider cell": "9.00000 0.062",
+    "narrower cell": "9.000 0.06250",
+    "leading minus": "-9.000 0.0625",
+    "leading plus": "+9.000 0.0625",
+    "leading space": " 9.000 0.0625",
+    "exponent": "9.0e+0 0.0625",
+    "other byte": "9.00x0 0.0625",
+    "non-ASCII digit": "9.00\u0661 0.0625",  # 13 bytes, as the others
+    "dot moved": "90.000 0.0625",
+    "no dot": "900000 0.0625",
+    "tab": "9.0000\t0.0625",
+    "extra column": "9.0000 0.0625 1.0000",
+    "missing column": "9.0000",
+    "blank": "",
+    "carriage return": "9.0000 0.062\r",
+}
+
+
+@pytest.mark.parametrize("edit", sorted(DECLINED_ROWS))
+def test_each_break_of_the_pattern_declines(edit):
+    text = "0.5000 1.2500\n" + DECLINED_ROWS[edit] + "\n0.1000 0.2000\n"
+    assert decoded(text, b" ", 2) is None
+
+
+@pytest.mark.parametrize("text, rows", [
+    ("0.5000 1.2500\n9.0000 0.0625", 2),  # no final newline: past the end
+    (".50000 1.2500\n", 1),  # dot in the first column
+    ("05000. 1.2500\n", 1),  # dot in the last column
+    ("0.500000000000000 1.250000000000000\n", 1),  # 16 digits
+    ("05 12\n", 1),  # no dot
+    ("0.5000 1.2500\r\n", 1),
+])
+def test_a_first_row_out_of_pattern_declines(text, rows):
+    assert decoded(text, b" ", rows) is None

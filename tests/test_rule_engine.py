@@ -211,7 +211,7 @@ EXTRA_RULES = RuleSet([
 # The shipped set, the shipped set less each rule, each extra rule alone,
 # so that no other rule masks it, and the two sets joined, where rules of
 # different ranks share a first trigger word: "no" starts n1, n5 and x1,
-# "may" u3, u5 and x3 ("May" x1), "concern(s)" u2 and x3.
+# "may" u3, u5, x3 and (as "May") x1, "concern(s)" u2 and x3.
 RULESETS = (
     {"all": RULES}
     | {
@@ -357,8 +357,9 @@ def test_first_word_table_of_the_joined_set_shares_keys_across_ranks():
     rank = {rule.rule_id: k for k, (rule, _) in enumerate(ruleset.ranked)}
     table = ruleset.first_word_ranks
     assert table["no"] == {rank["n1"], rank["n5"], rank["x1"]}
-    assert table["may"] == {rank["u3"], rank["u5"], rank["x3"]}
-    assert table["May"] == {rank["x1"]}
+    # x1's "May" is lowercased when the rule is built, as no lemma is capitalized.
+    assert table["may"] == {rank["u3"], rank["u5"], rank["x1"], rank["x3"]}
+    assert "May" not in table
     assert table["concern"] == {rank["u2"], rank["x3"]}
     assert table["concerns"] == {rank["x3"]}
     # A rule that triggers on any token is under no key.
