@@ -84,8 +84,6 @@ def decode_fixed_width(data: bytes, firsts, length: int, rows: int,
     gathered `_DECODE_BYTES` bytes at a time, which bounds the working
     memory.
     """
-    if not len(firsts):
-        return None
     first = int(firsts[0])
     stop = data.find(sep, first, first + length)
     width = (stop if stop >= 0 else first + length - 1) - first
