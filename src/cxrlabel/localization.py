@@ -209,70 +209,48 @@ def _hook(root: np.ndarray, a: np.ndarray, b: np.ndarray):
         root[:] = jumped
 
 
-def _label(flat: np.ndarray, width: int):
-    """Label the 8-connected regions of a flattened bool stack of rows
-    `width` long whose first and last rows and columns are all False.
-
-    Returns the index in `flat` of every mask cell, ascending, and for
-    each cell the position in that array of its region's first cell.
-    """
-    cells = np.flatnonzero(flat)
-    left, right = flat[cells - 1], flat[cells + 1]
-    # Each run of cells along a row starts as one tree, rooted at its
-    # first cell.
-    root = np.where(left, 0, np.arange(len(cells)))
-    np.maximum.accumulate(root, out=root)
-    # Link the runs of adjacent rows through the fewest cells: a cell to
-    # the one below it, unless its left neighbour's link joins the same
-    # two runs, and diagonally only where neither the cell below nor the
-    # one beside it joins them. The border keeps every link in its slab.
-    down = flat[cells + width]
-    down_left = flat[cells + width - 1]
-    down_right = flat[cells + width + 1]
-    heads, tails = [], []
-    for step, linked in ((width, down & ~(left & down_left)),
-                         (width - 1, down_left & ~left & ~down),
-                         (width + 1, down_right & ~right & ~down)):
-        linked = np.flatnonzero(linked)
-        heads.append(linked)
-        tails.append(np.searchsorted(cells, cells[linked] + step))
-    a, b = np.concatenate(heads), np.concatenate(tails)
-    while len(a):
-        a, b = _hook(root, a, b)
-    return cells, root
-
-
 def _regions(padded: np.ndarray):
     """The 8-connected regions of each (H+2, W+2) slab of a bool stack
-    whose border cells are all False, labelled over the mask cells only.
+    whose border cells are all False, labelled over the row runs of mask
+    cells (He, Chao & Suzuki, IEEE TIP 2008).
 
-    Returns the slab, row and column of every mask cell (row-major within
+    Returns the row, first and last column of every run (row-major within
     each slab, rows and columns counted inside the border), the region of
-    each cell, and the slab, min row, min col, max row and max col of each
-    region. Regions are numbered by slab, then (min row, min col), then
-    their first cell in row-major order.
+    each run, and the slab, min row, min col, max row and max col of each
+    region. Regions are numbered by slab, then (min row, min
+    col), then their first cell in row-major order.
     """
     _, height, width = padded.shape
-    cells, root = _label(padded.ravel(), width)
+    cells = np.flatnonzero(padded)
+    # Where in `cells` each run starts, and one past the end of the last.
+    heads = np.flatnonzero(np.diff(cells, prepend=-2, append=padded.size + 1) != 1)
+    starts, stops = cells[heads[:-1]], cells[heads[1:] - 1] + 1
+    # Link each run to every run of the next row that touches it, diagonals
+    # included: that stops past the column before its start and starts at
+    # or before the column after its end. The border keeps links in a slab.
+    first = np.searchsorted(stops - width, starts)
+    count = np.searchsorted(starts - width, stops, side="right") - first
+    a = np.repeat(np.arange(len(starts)), count)
+    b = np.arange(len(a)) + np.repeat(first - np.cumsum(count) + count, count)
+    root = np.arange(len(starts))
+    while len(a):
+        a, b = _hook(root, a, b)
     firsts = np.flatnonzero(root == np.arange(len(root)))
     region = np.searchsorted(firsts, root)
-    slab, row = np.divmod(cells, height * width)
+    slab, row = np.divmod(starts, height * width)
     row, col = np.divmod(row, width)
     row -= 1
     col -= 1
-    count = len(firsts)
-    c0 = np.full(count, width)
-    r1 = np.full(count, -1)
-    c1 = np.full(count, -1)
+    last = col + (stops - starts - 1)
+    c0, r1, c1 = (np.full(len(firsts), fill) for fill in (width, -1, -1))
     np.minimum.at(c0, region, col)
     np.maximum.at(r1, region, row)
-    np.maximum.at(c1, region, col)
-    s, r0 = slab[firsts], row[firsts]
-    order = np.lexsort((firsts, c0, r0, s))
-    rank = np.empty(count, dtype=np.intp)
-    rank[order] = np.arange(count)
-    return (slab, row, col), rank[region], (s[order], r0[order], c0[order],
-                                            r1[order], c1[order])
+    np.maximum.at(c1, region, last)
+    # A region's first run is in its min row. Sorting stably by the index
+    # of (slab, min row, min col) keeps the order of the first cells.
+    order = np.argsort(starts[firsts] + (c0 - col[firsts]), kind="stable")
+    return (row, col, last), np.argsort(order)[region], (
+        slab[firsts][order], row[firsts][order], c0[order], r1[order], c1[order])
 
 
 def connected_regions(intgrid, t: int) -> list[frozenset[tuple[int, int]]]:
@@ -283,10 +261,10 @@ def connected_regions(intgrid, t: int) -> list[frozenset[tuple[int, int]]]:
     grid = np.asarray(intgrid)
     padded = np.zeros((1, grid.shape[0] + 2, grid.shape[1] + 2), dtype=bool)
     padded[0, 1:-1, 1:-1] = grid > t
-    (_, rows, cols), region, extents = _regions(padded)
-    regions: list[list[tuple[int, int]]] = [[] for _ in extents[0]]
-    for r, c, k in zip(rows.tolist(), cols.tolist(), region.tolist()):
-        regions[k].append((r, c))
+    (rows, c0s, c1s), region, extents = _regions(padded)
+    regions: list[set[tuple[int, int]]] = [set() for _ in extents[0]]
+    for r, c0, c1, k in zip(*(a.tolist() for a in (rows, c0s, c1s, region))):
+        regions[k].update((r, c) for c in range(c0, c1 + 1))
     return [frozenset(cells) for cells in regions]
 
 
@@ -302,9 +280,40 @@ def boxes_from_heatmap(
     return list(boxes_from_heatmaps([heatmap], thresholds))
 
 
-# At most this many cells are normalized in one numpy pass, which bounds
+# At most this many cells are thresholded in one numpy pass, which bounds
 # the working memory however many maps there are.
 _NORMALIZE_CELLS = 1 << 16
+
+
+def _cut_values(grids: np.ndarray, levels: np.ndarray):
+    """The differences d of each grid of an (n, S, S) stack from its least
+    cell, written over the stack; the (n, T, 1, 1) cut values c such that
+    `normalize_heatmap(grid) > t` is `d >= c` for each t of the (T, 1, 1)
+    `levels`; and the (n,) flags of the grids that have them.
+
+    The normalized value y = fl(fl(d * scale) + 0.5) is monotone in d, and
+    its floor exceeds t when y >= t + 1; c is the least such double,
+    sought at most 4 doubles up or down from (t + 0.5) / scale. A grid
+    whose search does not settle, or that `normalize_heatmap` rescales,
+    has none.
+    """
+    lo, span, scale = _range_scale(grids)
+    rescaled = (np.isinf(span) | np.isinf(scale))[:, None]
+    scale, target = scale[:, None], levels + 1.0
+
+    def reaches(cut):
+        return cut * scale + 0.5 >= target
+
+    with np.errstate(all="ignore"):
+        diffs = np.subtract(grids, lo, out=grids)
+        cut = (levels + 0.5) / scale
+        for _ in range(5):  # each cut moves one way only; the fifth move is moot
+            below = np.nextafter(cut, -np.inf)
+            up, down = ~reaches(cut), reaches(below)
+            if not (up | down).any():
+                break
+            cut = np.where(up, np.nextafter(cut, np.inf), np.where(down, below, cut))
+    return diffs, cut, ~(rescaled | up | down).any(axis=(1, 2, 3))
 
 
 def boxes_from_heatmaps(
@@ -314,8 +323,11 @@ def boxes_from_heatmaps(
     order.
 
     The maps of one size are thresholded at every threshold into one bool
-    stack and labelled together, over the mask cells only; the boxes are
-    columns from the region extents on, and no BBox is built.
+    stack, each map by comparing its scores less its least with its cut
+    values (see `_cut_values`), and labelled together over the row runs of
+    the masks; the boxes are columns from the region extents on, and no
+    BBox is built. A map without cut values is thresholded by
+    `normalize_heatmap`.
     """
     heatmaps = list(heatmaps)
     thresholds = sorted(set(thresholds))
@@ -337,9 +349,14 @@ def boxes_from_heatmaps(
         step = max(1, _NORMALIZE_CELLS // (size * size))
         for start in range(0, len(members), step):
             part = members[start:start + step]
-            intgrids = normalize_heatmap(np.stack([heatmaps[k].grid for k in part]))
-            np.greater(intgrids[:, None], levels,
-                       out=padded[start:start + step, :, 1:-1, 1:-1])
+            grids = np.concatenate([heatmaps[k].grid for k in part])
+            diffs, cuts, settled = _cut_values(grids.reshape(-1, size, size), levels)
+            masks = padded[start:start + step, :, 1:-1, 1:-1]
+            for i in range(len(thresholds)):
+                np.greater_equal(diffs, cuts[:, i], out=masks[:, i])
+            if not settled.all():
+                rest = np.stack([heatmaps[k].grid for k in np.array(part)[~settled]])
+                masks[~settled] = normalize_heatmap(rest)[:, None] > levels
         _, _, (slab, r0, c0, r1, c1) = _regions(
             padded.reshape(-1, size + 2, size + 2)
         )

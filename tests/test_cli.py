@@ -1,9 +1,11 @@
 """End-to-end tests for the command line interface."""
 
 import argparse
+import contextlib
 import csv
 import io
 import math
+import re
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -568,6 +570,80 @@ class TestConfigResolution:
         code, _, _ = run_label(tmp_path, flag, value)
         assert code == 2
         assert "error: " in capsys.readouterr().err
+
+
+SHIPPED_RULES = Path(negation.__file__).parent / "data" / "rules.tsv"
+# Fields a rule line may be edited to: each other field's words, steps a
+# parser may trip on, and bytes str.split() or a line reader treat apart.
+RULE_TOKENS = [
+    "", " ", "*", "-", "#", "|", "a||b", "No|NO", "may be", "n1", "up:", ":",
+    "up:*|", "up:*@", "up:@x", "down:|", "up:a||b", "sideways:x", "up:* down:*",
+    "DISEASE", "ANY", "ENDPOINT", "endpoint", "subtree", "sentence", "negation",
+    "uncertainty", "\x00", "\x85", "\xa0", "\ufeff",
+]
+
+
+@st.composite
+def mutated_rules(draw) -> bytes:
+    """The shipped rules file after one to five line edits (a field set to
+    a token or to any short text, dropped, added or swapped; a line
+    repeated, lowercased or uppercased; a blank, tab or comment line put
+    in), then up to two byte edits (a slice deleted or repeated, bytes
+    put in) and a stray `\r`, `\r\n` or non-UTF-8 byte."""
+    rows = [line.split("\t") for line in SHIPPED_RULES.read_text().splitlines()]
+    for _ in range(draw(st.integers(1, 5))):
+        k = draw(st.integers(0, len(rows) - 1))
+        row = rows[k]
+        edit = draw(st.sampled_from(["token", "token", "text", "drop", "add", "swap",
+                                     "repeat", "lower", "upper", "insert"]))
+        j = draw(st.integers(0, len(row) - 1)) if row else None
+        if edit == "token" and row:
+            row[j] = draw(st.sampled_from(RULE_TOKENS))
+        elif edit == "text" and row:
+            row[j] = draw(st.text(max_size=4))
+        elif edit == "drop" and row:
+            del row[j]
+        elif edit == "add":
+            row.append(draw(st.sampled_from(RULE_TOKENS)))
+        elif edit == "swap" and row:
+            i = draw(st.integers(0, len(row) - 1))
+            row[i], row[j] = row[j], row[i]
+        elif edit == "repeat":
+            rows.insert(draw(st.integers(0, len(rows))), list(row))
+        elif edit in ("lower", "upper"):
+            rows[k] = [getattr(field, edit)() for field in row]
+        elif edit == "insert":
+            rows.insert(draw(st.integers(0, len(rows))),
+                        [draw(st.sampled_from(["", " ", "\t", "# note"]))])
+    data = "\n".join("\t".join(row) for row in rows).encode("utf-8", "replace")
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        a = draw(st.integers(0, len(data)))
+        b = draw(st.integers(a, min(len(data), a + 40)))
+        edit = draw(st.sampled_from(["delete", "repeat", "insert"]))
+        middle = {"delete": b"", "repeat": data[a:b] * 2,
+                  "insert": data[a:b] + draw(st.binary(max_size=6))}[edit]
+        data = data[:a] + middle + data[b:]
+    at = draw(st.integers(0, len(data)))
+    stray = draw(st.sampled_from([b""] * 5 + [b"\r", b"\r\n", b"\xff"]))
+    return data[:at] + stray + data[at:]
+
+
+class TestRulesFuzz:
+    def test_shipped_rules_load_as_the_default(self):
+        assert negation.load_rules(SHIPPED_RULES).rules == negation.default_rules().rules
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=mutated_rules())
+    def test_mutated_rules_parse_or_name_their_line(self, tmp_path_factory, data):
+        out = tmp_path_factory.getbasetemp()
+        rules = out / "mutant.rules"
+        rules.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, _, _ = run_label(out, "--rules", str(rules))
+        if code != 0:
+            assert code == 2
+            assert re.match(r"error: .*line \d+: ", err.getvalue().splitlines()[-1])
 
 
 class TestLabelCommand:

@@ -382,6 +382,71 @@ def heatmap_lists(draw):
     return maps
 
 
+def family_grid(kind: str, rng, size: int) -> np.ndarray:
+    """A grid of one family on which cut values are delicate."""
+    u = rng.random((size, size))
+    if kind == "plain":
+        return u
+    if kind == "signed":  # across 0, where doubles are dense
+        return rng.normal(size=(size, size))
+    if kind == "ties":
+        # Multiples of 1/510 of the range: the normalized value of many
+        # cells is k + 0.5 exactly before rounding.
+        lo = rng.choice([0.0, -3.7, 1e6])
+        span = rng.choice([1.0, 255.0, 0.1, 7e-3])
+        k = rng.integers(0, 511, size=(size, size))
+        k.flat[0], k.flat[-1] = 0, 510
+        return lo + span * k / 510
+    if kind == "far":  # |lo| far above the range
+        return 1e6 + 1e-3 * u
+    if kind == "integers":
+        return 1e15 + rng.integers(0, 300, size=(size, size))
+    if kind == "huge":
+        return (2 * u - 1) * 1e200
+    if kind == "subnormal":  # 255 over the range overflows
+        return np.ldexp(u, -1060)
+    if kind == "wide":  # the range overflows
+        return (2 * u - 1) * 1.5e308
+    return np.full((size, size), rng.normal())
+
+
+CUT_FAMILIES = ["plain", "signed", "ties", "far", "integers", "huge", "subnormal",
+                "wide", "constant"]
+
+
+@st.composite
+def cut_value_stacks(draw):
+    """One to six maps of one size, 1..8, each from a drawn family."""
+    size = draw(st.integers(1, 8))
+    maps = []
+    for k in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(CUT_FAMILIES))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        maps.append(Heatmap(f"i{k}", kind, family_grid(kind, rng, size), 100.0))
+    return maps
+
+
+def rescaled(grid) -> bool:
+    """Whether `normalize_heatmap` scales `grid` by a power of two first:
+    its range, or 255 over its range, overflows."""
+    span = float(grid.max()) - float(grid.min())
+    return math.isinf(span) or (span > 0 and math.isinf(255.0 / span))
+
+
+def thresholded(maps, thresholds):
+    """The (n, T, S, S) masks `boxes_from_heatmaps` labels for maps of one
+    size, and how many maps it passed to `normalize_heatmap`."""
+    with mock.patch.object(localization, "_regions",
+                           wraps=localization._regions) as regions, \
+            mock.patch.object(localization, "normalize_heatmap",
+                              wraps=normalize_heatmap) as normalize:
+        boxes_from_heatmaps(maps, thresholds)
+    size = maps[0].size
+    padded = regions.call_args.args[0]
+    masks = padded[:, 1:-1, 1:-1].reshape(len(maps), -1, size, size)
+    return masks, sum(len(call.args[0]) for call in normalize.call_args_list)
+
+
 # Mantissas at the edge of exactness: 15 digits next to 2**53 / 10, the
 # largest 15-digit one, and 16 digits next to 2**53, where float64 stops
 # holding every integer.
@@ -861,12 +926,90 @@ class TestBoxesFromHeatmaps:
         by_fill = best_of_three(lambda: boxes_by_fill(heatmap, (60,)))
         assert batched <= by_fill
 
+    def test_interleaved_sizes_equal_the_fill_reference(self):
+        rng = np.random.default_rng(29)
+        sizes = [33, 1, 32, 2, 31] * 3
+        maps = []
+        for k, size in enumerate(sizes):
+            grid = (rng.random((size, size)) if k % 3 else rng.normal(size=(size, size)))
+            if k == 7:
+                grid = np.full((size, size), 0.25)
+            maps.append(Heatmap(f"i{k}", f"c{size}", grid, 1000.0 - k))
+        thresholds = (0, 60, 180, 255)
+        expected = [box for heatmap in maps for box in boxes_by_fill(heatmap, thresholds)]
+        assert list(boxes_from_heatmaps(maps, thresholds)) == expected
+
+    def test_peak_memory_is_the_masks_and_a_few_chunks(self, tmp_path):
+        generate = runpy.run_path(str(BENCH / "generate.py"))
+        maps = load_heatmaps(generate["make_localize"](tmp_path, 1).files["heatmaps"])
+        boxes_from_heatmaps(maps)  # first-use allocations are not the function's
+        tracemalloc.start()
+        try:
+            boxes_from_heatmaps(maps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        masks = len(maps) * len(DEFAULT_THRESHOLDS) * 34 * 34  # the padded bool stack
+        chunk = 8 * localization._NORMALIZE_CELLS  # one chunk of float64 scores
+        # The rest is the labeller's arrays over the mask cells and runs; an
+        # int grid per map (4.9 MB here) does not fit.
+        assert peak < masks + 4 * chunk
+
     def test_thresholds_validated(self):
         hm = Heatmap("i1", "Mass", np.eye(3), 100)
         with pytest.raises(MalformedRow, match="thresholds must be nonempty"):
             boxes_from_heatmaps([hm], ())
         with pytest.raises(MalformedRow, match="threshold 256 outside 0..255"):
             boxes_from_heatmaps([hm], (60, 256))
+
+
+class TestCutValues:
+    @settings(max_examples=300, deadline=None)
+    @given(maps=cut_value_stacks())
+    def test_masks_equal_normalize_at_every_threshold(self, maps):
+        levels = np.arange(256)
+        masks, fallbacks = thresholded(maps, levels.tolist())
+        grids = np.stack([heatmap.grid for heatmap in maps])
+        assert np.array_equal(masks, normalize_heatmap(grids)[:, None]
+                              > levels[:, None, None])
+        # Only a grid normalize_heatmap rescales lacks cut values.
+        assert fallbacks == sum(rescaled(heatmap.grid) for heatmap in maps)
+
+    def test_fallback_runs_for_rescaled_grids_only(self):
+        rng = np.random.default_rng(11)
+        kinds = ["wide", "plain", "subnormal", "signed", "huge", "wide", "ties"]
+        maps = [Heatmap(f"i{k}", kind, family_grid(kind, rng, 6), 100.0)
+                for k, kind in enumerate(kinds)]
+        levels = [0, 1, 60, 127, 128, 180, 254, 255]
+        masks, fallbacks = thresholded(maps, levels)
+        grids = np.stack([heatmap.grid for heatmap in maps])
+        assert np.array_equal(masks, normalize_heatmap(grids)[:, None]
+                              > np.array(levels)[:, None, None])
+        assert [rescaled(heatmap.grid) for heatmap in maps] == [
+            True, False, True, False, False, True, False]
+        assert fallbacks == 3
+
+    def test_a_search_that_does_not_settle_takes_the_fallback(self):
+        # No cut is ever the least with a step that overshoots, so every
+        # map is thresholded by normalize_heatmap.
+        rng = np.random.default_rng(13)
+        maps = [Heatmap(f"i{k}", "ties", family_grid("ties", rng, 6), 100.0)
+                for k in range(5)]
+        levels = np.arange(256)
+        with mock.patch("numpy.nextafter", side_effect=lambda x, _: x * 1.5):
+            masks, fallbacks = thresholded(maps, levels.tolist())
+        grids = np.stack([heatmap.grid for heatmap in maps])
+        assert np.array_equal(masks, normalize_heatmap(grids)[:, None]
+                              > levels[:, None, None])
+        assert fallbacks == len(maps)
+
+    def test_bench_maps_all_have_cut_values(self, tmp_path):
+        generate = runpy.run_path(str(BENCH / "generate.py"))
+        inputs = generate["make_localize"](tmp_path, 1)
+        maps = load_heatmaps(inputs.files["heatmaps"])
+        with mock.patch.object(localization, "normalize_heatmap",
+                               side_effect=AssertionError):
+            boxes_from_heatmaps(maps)
 
 
 class TestOverlapMeasures:
