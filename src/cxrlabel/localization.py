@@ -217,8 +217,8 @@ def _regions(padded: np.ndarray):
     Returns the row, first and last column of every run (row-major within
     each slab, rows and columns counted inside the border), the region of
     each run, and the slab, min row, min col, max row and max col of each
-    region. Regions are numbered by slab, then (min row, min
-    col), then their first cell in row-major order.
+    region. Regions are numbered by slab, then (min row, min col), then
+    their first cell in row-major order.
     """
     _, height, width = padded.shape
     cells = np.flatnonzero(padded)
@@ -307,7 +307,9 @@ def _cut_values(grids: np.ndarray, levels: np.ndarray):
     with np.errstate(all="ignore"):
         diffs = np.subtract(grids, lo, out=grids)
         cut = (levels + 0.5) / scale
-        for _ in range(5):  # each cut moves one way only; the fifth move is moot
+        # A cut moves up or down, never both ways. The fifth pass finds the
+        # cuts still off after four moves, whose grids then have none.
+        for _ in range(5):
             below = np.nextafter(cut, -np.inf)
             up, down = ~reaches(cut), reaches(below)
             if not (up | down).any():

@@ -589,7 +589,7 @@ def mutated_rules(draw) -> bytes:
     a token or to any short text, dropped, added or swapped; a line
     repeated, lowercased or uppercased; a blank, tab or comment line put
     in), then up to two byte edits (a slice deleted or repeated, bytes
-    put in) and a stray `\r`, `\r\n` or non-UTF-8 byte."""
+    put in) and a stray `\\r`, `\\r\\n` or non-UTF-8 byte."""
     rows = [line.split("\t") for line in SHIPPED_RULES.read_text().splitlines()]
     for _ in range(draw(st.integers(1, 5))):
         k = draw(st.integers(0, len(rows) - 1))
@@ -629,9 +629,6 @@ def mutated_rules(draw) -> bytes:
 
 
 class TestRulesFuzz:
-    def test_shipped_rules_load_as_the_default(self):
-        assert negation.load_rules(SHIPPED_RULES).rules == negation.default_rules().rules
-
     @settings(max_examples=300, deadline=None)
     @given(data=mutated_rules())
     def test_mutated_rules_parse_or_name_their_line(self, tmp_path_factory, data):

@@ -433,6 +433,12 @@ def rescaled(grid) -> bool:
     return math.isinf(span) or (span > 0 and math.isinf(255.0 / span))
 
 
+def normalized_masks(maps, levels):
+    """The reference: each map normalized on its own, above each level."""
+    grids = np.stack([heatmap.grid for heatmap in maps])
+    return normalize_heatmap(grids)[:, None] > np.asarray(levels)[:, None, None]
+
+
 def thresholded(maps, thresholds):
     """The (n, T, S, S) masks `boxes_from_heatmaps` labels for maps of one
     size, and how many maps it passed to `normalize_heatmap`."""
@@ -931,7 +937,7 @@ class TestBoxesFromHeatmaps:
         sizes = [33, 1, 32, 2, 31] * 3
         maps = []
         for k, size in enumerate(sizes):
-            grid = (rng.random((size, size)) if k % 3 else rng.normal(size=(size, size)))
+            grid = rng.random((size, size)) if k % 3 else rng.normal(size=(size, size))
             if k == 7:
                 grid = np.full((size, size), 0.25)
             maps.append(Heatmap(f"i{k}", f"c{size}", grid, 1000.0 - k))
@@ -967,11 +973,9 @@ class TestCutValues:
     @settings(max_examples=300, deadline=None)
     @given(maps=cut_value_stacks())
     def test_masks_equal_normalize_at_every_threshold(self, maps):
-        levels = np.arange(256)
-        masks, fallbacks = thresholded(maps, levels.tolist())
-        grids = np.stack([heatmap.grid for heatmap in maps])
-        assert np.array_equal(masks, normalize_heatmap(grids)[:, None]
-                              > levels[:, None, None])
+        levels = list(range(256))
+        masks, fallbacks = thresholded(maps, levels)
+        assert np.array_equal(masks, normalized_masks(maps, levels))
         # Only a grid normalize_heatmap rescales lacks cut values.
         assert fallbacks == sum(rescaled(heatmap.grid) for heatmap in maps)
 
@@ -982,25 +986,21 @@ class TestCutValues:
                 for k, kind in enumerate(kinds)]
         levels = [0, 1, 60, 127, 128, 180, 254, 255]
         masks, fallbacks = thresholded(maps, levels)
-        grids = np.stack([heatmap.grid for heatmap in maps])
-        assert np.array_equal(masks, normalize_heatmap(grids)[:, None]
-                              > np.array(levels)[:, None, None])
+        assert np.array_equal(masks, normalized_masks(maps, levels))
         assert [rescaled(heatmap.grid) for heatmap in maps] == [
             True, False, True, False, False, True, False]
         assert fallbacks == 3
 
     def test_a_search_that_does_not_settle_takes_the_fallback(self):
-        # No cut is ever the least with a step that overshoots, so every
-        # map is thresholded by normalize_heatmap.
+        # With a nextafter that overshoots, no cut passes the exactness
+        # check, so every map is thresholded by normalize_heatmap.
         rng = np.random.default_rng(13)
         maps = [Heatmap(f"i{k}", "ties", family_grid("ties", rng, 6), 100.0)
                 for k in range(5)]
-        levels = np.arange(256)
+        levels = list(range(256))
         with mock.patch("numpy.nextafter", side_effect=lambda x, _: x * 1.5):
-            masks, fallbacks = thresholded(maps, levels.tolist())
-        grids = np.stack([heatmap.grid for heatmap in maps])
-        assert np.array_equal(masks, normalize_heatmap(grids)[:, None]
-                              > levels[:, None, None])
+            masks, fallbacks = thresholded(maps, levels)
+        assert np.array_equal(masks, normalized_masks(maps, levels))
         assert fallbacks == len(maps)
 
     def test_bench_maps_all_have_cut_values(self, tmp_path):
