@@ -19,8 +19,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from cxrlabel.errors import (
+    DEFAULT_THRESHOLDS,
+    LOSS_NAMES,
+    T_GRID_IOBB,
+    T_GRID_IOU,
     CxrLabelError,
     DegenerateLabels,
+    MalformedRecord,
+    NotUtf8,
     read_lines,
 )
 from cxrlabel.labeling import (
@@ -31,34 +37,12 @@ from cxrlabel.labeling import (
     write_labels_tsv,
     write_labels_wide_csv,
 )
-from cxrlabel.lazy import np
+from cxrlabel.lazy import _lazy_module, np
 from cxrlabel.lexicon import (
     Lexicon,
     default_lexicon,
     load_external_mentions,
     load_lexicon,
-)
-from cxrlabel.localization import (
-    DEFAULT_THRESHOLDS,
-    BBox,
-    BoxTable,
-    Heatmap,
-    boxes_from_heatmap,
-    boxes_from_heatmaps,
-    iobb,
-    iou,
-    load_boxes,
-    load_heatmaps,
-    normalize_heatmap,
-    write_boxes,
-)
-from cxrlabel.metrics import (
-    T_GRID_IOBB,
-    T_GRID_IOU,
-    localization_sweep,
-    prf1,
-    roc_auc,
-    roc_counts,
 )
 from cxrlabel.negation import (
     RuleSet,
@@ -66,30 +50,22 @@ from cxrlabel.negation import (
     load_rules,
     propagate_conjuncts,
 )
-from cxrlabel.pooling import (
-    LOSSES,
-    avg_pool,
-    cel,
-    compose_heatmaps,
-    lse_pool,
-    max_pool,
-    wcel,
-    wcel_gradient,
-)
 from cxrlabel.reports import load_corpus, load_dependency_file
-from cxrlabel.stats import (
-    cooccurrence_matrix,
-    label_counts,
-    patient_split,
-    write_counts_csv,
-    write_matrix_csv,
-    write_split_tsv,
-)
+
+# The numeric layers run on the first read of one of their attributes,
+# in the command that uses them, so a start that mines reports never
+# runs them (see `cxrlabel.lazy`). Each is registered even where no
+# command reads it through its handle (`pooling`), so that a tracer such
+# as `bench/tracing.py` finds every layer in `sys.modules` after
+# `import cxrlabel.cli`.
+localization = _lazy_module("cxrlabel.localization")
+metrics = _lazy_module("cxrlabel.metrics")
+pooling = _lazy_module("cxrlabel.pooling")
+stats = _lazy_module("cxrlabel.stats")
 
 ENV_CONFIG = "CXRLABEL_CONFIG"
 
 _CONFIG_KEYS = ("label_set", "lexicon", "rules", "thresholds", "r", "loss", "seed")
-_LOSS_NAMES = tuple(LOSSES)
 
 
 class MissingInput(Exception):
@@ -100,10 +76,22 @@ class MissingInput(Exception):
         self.name = name
 
 
-def _require(path: Optional[str], name: str) -> str:
+def _read(load, path: Optional[str], name: str, *args, **kwargs):
+    """`load(path, ...)` of the input `name`, which must exist. A located
+    error raised while reading it names the file as NotUtf8 does: `line
+    N: <reason>`, or a loader's `row N: <reason>`, becomes `<path>: line
+    N: <reason>`."""
     if path is None or not os.path.exists(path):
         raise MissingInput(name)
-    return path
+    try:
+        return load(path, *args, **kwargs)
+    except CxrLabelError as err:
+        line = getattr(err, "line_no", getattr(err, "row_no", None))
+        if line is not None and not isinstance(err, NotUtf8):
+            reason = str(err).removeprefix(f"line {line}: ")
+            reason = reason.removeprefix(f"row {line}: ")
+            err.args = (f"{path}: line {line}: {reason}",)
+        raise
 
 
 @dataclass(frozen=True)
@@ -124,7 +112,7 @@ class RunConfig:
             raise CxrLabelError("thresholds must be nonempty")
         if not self.r > 0:
             raise CxrLabelError(f"r must be > 0, got {self.r}")
-        if self.loss not in _LOSS_NAMES:
+        if self.loss not in LOSS_NAMES:
             raise CxrLabelError(f"unknown loss {self.loss!r}")
 
 
@@ -137,7 +125,7 @@ def _load_config_file(path: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not sep or key not in _CONFIG_KEYS:
-            raise CxrLabelError(f"config line {line_no}: bad entry {line!r}")
+            raise MalformedRecord(f"bad entry {line!r}", line_no)
         values[key] = value
     return values
 
@@ -147,7 +135,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     values: dict[str, str] = {}
     path = args.config or os.environ.get(ENV_CONFIG)
     if path:
-        values.update(_load_config_file(_require(path, "config")))
+        values.update(_read(_load_config_file, path, "config"))
     for key in _CONFIG_KEYS:
         override = getattr(args, key, None)
         if override is not None:
@@ -193,20 +181,20 @@ def _print_config(config: RunConfig):
 def _lexicon_for(config: RunConfig) -> Lexicon:
     if config.lexicon is None:
         return default_lexicon()
-    return load_lexicon(_require(config.lexicon, "lexicon"))
+    return _read(load_lexicon, config.lexicon, "lexicon")
 
 
 def _rules_for(config: RunConfig) -> RuleSet:
     if config.rules is None:
         return default_rules()
-    return load_rules(_require(config.rules, "rules"))
+    return _read(load_rules, config.rules, "rules")
 
 
 # --- subcommands ---
 
 def cmd_label(args, config: RunConfig) -> int:
-    corpus = load_corpus(_require(args.corpus, "corpus"))
-    graphs = load_dependency_file(_require(args.deps, "deps"))
+    corpus = _read(load_corpus, args.corpus, "corpus")
+    graphs = _read(load_dependency_file, args.deps, "deps")
     if args.propagate:
         graphs = {ref: propagate_conjuncts(g) for ref, g in graphs.items()}
     corpus = corpus.with_graphs(graphs)
@@ -224,8 +212,8 @@ def cmd_label(args, config: RunConfig) -> int:
 
     external = []
     if args.external_mentions:
-        path = _require(args.external_mentions, "external-mentions")
-        external = load_external_mentions(path)
+        external = _read(load_external_mentions, args.external_mentions,
+                         "external-mentions")
     labels = label_all(corpus, lexicon, ruleset, label_config, external)
     labels = sorted(labels, key=lambda record: record.report_id)
     with open(args.out_tsv, "w", encoding="utf-8") as handle:
@@ -236,9 +224,9 @@ def cmd_label(args, config: RunConfig) -> int:
 
 
 def cmd_eval_nlp(args, config: RunConfig) -> int:
-    gold, label_config = read_labels_wide_csv(_require(args.gold, "gold"))
-    predicted, _ = read_labels_wide_csv(_require(args.pred, "pred"), label_config)
-    result = prf1(predicted, gold, label_config)
+    gold, label_config = _read(read_labels_wide_csv, args.gold, "gold")
+    predicted, _ = _read(read_labels_wide_csv, args.pred, "pred", label_config)
+    result = metrics.prf1(predicted, gold, label_config)
     with open(args.out, "w", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         names = [name for name, _ in result.rows()]
@@ -298,8 +286,8 @@ def _roc_block(name: str, tp: np.ndarray, fp: np.ndarray) -> bytes:
 
 
 def cmd_auc(args, config: RunConfig) -> int:
-    classes, report_ids, scores = read_scores_csv(_require(args.scores, "scores"))
-    gold, label_config = read_labels_wide_csv(_require(args.labels, "labels"))
+    classes, report_ids, scores = _read(read_scores_csv, args.scores, "scores")
+    gold, label_config = _read(read_labels_wide_csv, args.labels, "labels")
     rows = gold.rows_of(report_ids)
     if rows is None:
         raise CxrLabelError("scores and labels cover different report ids")
@@ -314,11 +302,11 @@ def cmd_auc(args, config: RunConfig) -> int:
         score_vec = scores[:, column[cls]]
         label_vec = labels[:, index]
         try:
-            counts = roc_counts(score_vec, label_vec)
+            counts = metrics.roc_counts(score_vec, label_vec)
         except DegenerateLabels:
             cells.append("NA")
             continue
-        cells.append(f"{roc_auc(score_vec, label_vec, counts):.6f}")
+        cells.append(f"{metrics.roc_auc(score_vec, label_vec, counts):.6f}")
         if args.roc_out:
             curves.append((cls, counts))
     with open(args.out, "w", encoding="utf-8") as handle:
@@ -334,14 +322,15 @@ def cmd_auc(args, config: RunConfig) -> int:
 
 
 def cmd_localize(args, config: RunConfig) -> int:
-    heatmaps = load_heatmaps(_require(args.heatmaps, "heatmaps"))
-    boxes = boxes_from_heatmaps(heatmaps, config.thresholds)
+    heatmaps = _read(localization.load_heatmaps, args.heatmaps, "heatmaps")
+    boxes = localization.boxes_from_heatmaps(heatmaps, config.thresholds)
     with open(args.out, "w", encoding="utf-8") as handle:
-        write_boxes(boxes.take(_box_order(boxes)), handle, with_threshold=True)
+        localization.write_boxes(boxes.take(_box_order(boxes)), handle,
+                                 with_threshold=True)
     return 0
 
 
-def _box_order(boxes: BoxTable) -> np.ndarray:
+def _box_order(boxes: localization.BoxTable) -> np.ndarray:
     """The rows of a detection table by (image_id, class, threshold, y,
     x, w, h), ties in table order: one stable lexsort. The (image_id,
     class) keys are ranked with Python's string order, which numpy strings
@@ -353,10 +342,11 @@ def _box_order(boxes: BoxTable) -> np.ndarray:
 
 
 def cmd_eval_loc(args, config: RunConfig) -> int:
-    detections = load_boxes(_require(args.dets, "dets"), with_threshold=True)
-    gts = load_boxes(_require(args.gt, "gt"))
+    detections = _read(localization.load_boxes, args.dets, "dets", with_threshold=True)
+    gts = _read(localization.load_boxes, args.gt, "gt")
     grid = None if args.t is None else (args.t,)
-    results = localization_sweep(detections, gts, args.mode, grid, args.n_images)
+    results = metrics.localization_sweep(detections, gts, args.mode, grid,
+                                         args.n_images)
     classes = sorted(set(detections.labels) | set(gts.labels))
     with open(args.out, "w", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -377,31 +367,51 @@ def cmd_eval_loc(args, config: RunConfig) -> int:
 
 
 def cmd_stats(args, config: RunConfig) -> int:
-    labels, label_config = read_labels_wide_csv(_require(args.labels, "labels"))
-    counts = label_counts(labels, label_config)
-    matrix = cooccurrence_matrix(labels, label_config)
+    labels, label_config = _read(read_labels_wide_csv, args.labels, "labels")
+    counts = stats.label_counts(labels, label_config)
+    matrix = stats.cooccurrence_matrix(labels, label_config)
     with open(args.out_counts, "w", encoding="utf-8") as handle:
-        write_counts_csv(counts, label_config, handle)
+        stats.write_counts_csv(counts, label_config, handle)
     with open(args.out_matrix, "w", encoding="utf-8") as handle:
-        write_matrix_csv(matrix, label_config, handle)
+        stats.write_matrix_csv(matrix, label_config, handle)
     return 0
 
 
 def cmd_split(args, config: RunConfig) -> int:
-    corpus = load_corpus(_require(args.corpus, "corpus"))
+    corpus = _read(load_corpus, args.corpus, "corpus")
     by_patient: dict[str, list[str]] = {}
     for report in corpus.reports:
         by_patient.setdefault(report.patient_id, []).append(report.report_id)
     patients = sorted(by_patient.items())
-    split = patient_split(patients, seed=config.seed)
+    split = stats.patient_split(patients, seed=config.seed)
     with open(args.out, "w", encoding="utf-8") as handle:
-        write_split_tsv(split, handle)
+        stats.write_split_tsv(split, handle)
     return 0
 
 
 # --- selftest ---
 
 def _selftest_checks():
+    from cxrlabel.localization import (
+        BBox,
+        Heatmap,
+        boxes_from_heatmap,
+        iobb,
+        iou,
+        normalize_heatmap,
+    )
+    from cxrlabel.metrics import roc_auc
+    from cxrlabel.pooling import (
+        avg_pool,
+        cel,
+        compose_heatmaps,
+        lse_pool,
+        max_pool,
+        wcel,
+        wcel_gradient,
+    )
+    from cxrlabel.stats import patient_split
+
     rng = np.random.default_rng(20260815)
 
     def lse_constant():
@@ -545,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--rules", help="rules DSL file (default: builtin)")
     common.add_argument("--thresholds", help="comma-separated 0..255 values")
     common.add_argument("--r", help="pooling sharpness > 0")
-    common.add_argument("--loss", choices=_LOSS_NAMES)
+    common.add_argument("--loss", choices=LOSS_NAMES)
     common.add_argument("--seed", help="integer seed")
 
     parser = argparse.ArgumentParser(

@@ -10,11 +10,25 @@ in-memory constructors do not. Loaders read their files only through
 file); each turns a file that is not UTF-8 into a located error. Readers
 of numbers decode fixed-width decimal cells from the bytes with
 `decode_fixed_width`.
+
+The module also holds the few defaults that every CLI start reads: the
+box thresholds (echoed as config), the loss names (checked in the config
+and offered by --loss) and the overlap grids (named in the --t help).
+Every layer imports this module, so a start reads them without running
+a numeric layer; `localization`, `pooling` and `metrics` re-export them.
 """
 
 from typing import Optional
 
 from cxrlabel.lazy import np
+
+# The paper's two heatmap thresholds on the [0, 255] scale.
+DEFAULT_THRESHOLDS = (60, 180)
+# The names of `pooling.LOSSES`, in its order.
+LOSS_NAMES = ("cel", "wcel", "el", "hl")
+# Threshold grids swept by the localization evaluation.
+T_GRID_IOBB = (0.1, 0.25, 0.5, 0.75, 0.9)
+T_GRID_IOU = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
 
 
 def _located(reason: str, label: str, location) -> str:

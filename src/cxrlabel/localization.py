@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from cxrlabel.errors import (
+    DEFAULT_THRESHOLDS,
     CxrLabelError,
     MalformedRow,
     ZeroAreaDetection,
@@ -21,8 +22,6 @@ from cxrlabel.errors import (
     read_rows,
 )
 from cxrlabel.lazy import np
-
-DEFAULT_THRESHOLDS = (60, 180)
 
 
 @dataclass(frozen=True, eq=False)
@@ -715,7 +714,9 @@ def load_boxes(path, with_threshold: bool = False) -> BoxTable:
 
     The rows are read in one pass and parsed column by column with
     float() and int(); the finiteness and sign checks run once over the
-    array. When a row fails, `_load_boxes_by_row` reads the file again and
+    array. A detection also needs an area w * h above 0, which the
+    overlap measures divide by and which tiny positive extents underflow.
+    When a row fails, `_load_boxes_by_row` reads the file again and
     raises the first bad row's error.
     """
     width = 7 if with_threshold else 6
@@ -729,7 +730,8 @@ def load_boxes(path, with_threshold: bool = False) -> BoxTable:
         return BoxTable.from_boxes(_load_boxes_by_row(path, with_threshold))
     extents = xywh[:, 2:]
     if not (np.isfinite(xywh).all()
-            and (extents > 0 if with_threshold else extents >= 0).all()):
+            and (extents > 0 if with_threshold else extents >= 0).all()
+            and (not with_threshold or (extents[:, 0] * extents[:, 1] > 0).all())):
         return BoxTable.from_boxes(_load_boxes_by_row(path, with_threshold))
     return BoxTable(list(columns[0]), list(columns[1]), xywh, thresholds)
 
@@ -750,6 +752,10 @@ def _load_boxes_by_row(path, with_threshold: bool) -> list[BBox]:
             raise MalformedRow("non-finite box geometry", row_no)
         if with_threshold and not (w > 0 and h > 0):
             raise MalformedRow("detection box needs positive w and h", row_no)
+        if with_threshold and not w * h > 0:
+            # The area the overlap measures divide by underflows.
+            raise MalformedRow(f"detection box area {w!r} * {h!r} underflows to 0",
+                               row_no)
         if w < 0 or h < 0:
             raise MalformedRow("box needs non-negative w and h", row_no)
         boxes.append(BBox(fields[0], fields[1], x, y, w, h, threshold))

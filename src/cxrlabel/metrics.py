@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from cxrlabel.errors import (
+    T_GRID_IOBB,
+    T_GRID_IOU,
     DegenerateLabels,
     IdSetMismatch,
     MalformedRow,
@@ -32,10 +34,6 @@ from cxrlabel.localization import (
     box_table,
     pair_overlaps,
 )
-
-# Threshold grids swept by the localization evaluation.
-T_GRID_IOBB = (0.1, 0.25, 0.5, 0.75, 0.9)
-T_GRID_IOU = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
 
 NORMAL_ROW = "Normal"
 TOTAL_ROW = "Total"

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 from cxrlabel.errors import (
+    LOSS_NAMES,
     CxrLabelError,
     DegenerateBatch,
     DimMismatch,
@@ -125,7 +126,7 @@ def wcel_gradient(y, f) -> np.ndarray:
     return np.where(y_arr == 1, -beta_p / f_arr, beta_n / (1.0 - f_arr))
 
 
-LOSSES = {"cel": cel, "wcel": wcel, "el": el, "hl": hl}
+LOSSES = dict(zip(LOSS_NAMES, (cel, wcel, el, hl)))
 
 
 def compose_heatmaps(act, w) -> np.ndarray:

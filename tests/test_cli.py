@@ -155,6 +155,24 @@ UTF8_READERS = {
     "deps": ("label", "--deps", "#sent\tr1\tfindings\t0\t1\n1\tNo\t0\t-\n"),
 }
 
+# Two valid lines of a lexicon (the text above only has to be UTF-8).
+GOOD_LEXICON = "C0032285\tPneumonia\tdsyn\tpneumonia\n# comment\n"
+
+# For each reader of UTF8_READERS, a third line it rejects and the reason.
+PARSE_ERRORS = {
+    "config": ("bogus\n", "bad entry 'bogus'"),
+    "scores": ("r2,high\n", "could not convert string to float: 'high'"),
+    "labels": ("r2,x,NORMAL\n", "invalid literal for int() with base 10: 'x'"),
+    "lexicon": ("C0032326\tPneumothorax\n", "lexicon row needs 4 fields"),
+    "external-mentions": ("r1\tfindings\t0\n", "mention row needs 7 fields"),
+    "heatmaps": ("i2\tMass\t0\t64\n", "heatmap size must be >= 1, got 0"),
+    "boxes": ("i1\tc\tnan\t0\t10\t10\t60\n", "non-finite box geometry"),
+    "rules": ("n1\tnegatio\tno\tup:*\tDISEASE\tendpoint\n",
+              "unknown polarity 'negatio'"),
+    "corpus": ("r2\t\tfindings=No effusion.\n", "missing patient_id"),
+    "deps": ("#sent\tr1\tfindings\t0\t1\n", "duplicate sentence r1/findings/0"),
+}
+
 
 def command_argv(command, tmp_path):
     """Arguments that run `command` on valid fixture inputs; an input
@@ -262,7 +280,8 @@ class TestExitCodes:
             "--out", str(tmp_path / "out.csv"),
         ])
         assert code == 2
-        assert capsys.readouterr().err.splitlines()[-1].startswith("error: line 3: ")
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"error: {pred}: line 3: ")
 
     @pytest.mark.parametrize("score", [
         "high", "nan", "inf",
@@ -278,7 +297,8 @@ class TestExitCodes:
             "--out", str(tmp_path / "auc.csv"),
         ])
         assert code == 2
-        assert capsys.readouterr().err.splitlines()[-1].startswith("error: line 3: ")
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"error: {scores}: line 3: ")
         assert not (tmp_path / "auc.csv").exists()
 
     @pytest.mark.parametrize(
@@ -296,7 +316,7 @@ class TestExitCodes:
         ])
         assert code == 2
         last = capsys.readouterr().err.splitlines()[-1]
-        assert last == "error: row 2: non-finite box geometry"
+        assert last == f"error: {gt}: line 2: non-finite box geometry"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -314,7 +334,25 @@ class TestExitCodes:
         ])
         assert code == 2
         last = capsys.readouterr().err.splitlines()[-1]
-        assert last == "error: row 2: detection box needs positive w and h"
+        assert last == f"error: {dets}: line 2: detection box needs positive w and h"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["iobb", "iou"])
+    def test_detection_whose_area_underflows_exits_two_at_its_line(
+        self, tmp_path, capsys, mode
+    ):
+        gt = tmp_path / "gt.tsv"
+        gt.write_text("i1\tc\t0\t0\t10\t10\n")
+        dets = tmp_path / "dets.tsv"
+        dets.write_text("i1\tc\t0\t0\t10\t10\t60\ni1\tc\t0\t0\t1e-200\t1e-200\t60\n")
+        out = tmp_path / "loc.csv"
+        last = last_error_line(capsys, [
+            "eval-loc", "--dets", str(dets), "--gt", str(gt), "--mode", mode,
+            "--out", str(out),
+        ])
+        assert last == (
+            f"error: {dets}: line 2: detection box area 1e-200 * 1e-200 underflows to 0"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("row, reason", [
@@ -332,7 +370,7 @@ class TestExitCodes:
             "--out-counts", str(tmp_path / "c.csv"),
             "--out-matrix", str(tmp_path / "m.csv"),
         ])
-        assert last == f"error: line 2: {reason}"
+        assert last == f"error: {labels}: line 2: {reason}"
 
     @pytest.mark.parametrize("command", ["stats", "eval-nlp", "auc"])
     def test_duplicate_report_id_exits_two(self, tmp_path, capsys, command):
@@ -357,7 +395,8 @@ class TestExitCodes:
                     "--out", str(out)]
         last = last_error_line(capsys, argv)
         rid = "r1" if command == "auc" else lines[2].split(",")[0]
-        assert last == f"error: line 4: duplicate report id '{rid}'"
+        path = scores if command == "auc" else repeated
+        assert last == f"error: {path}: line 4: duplicate report id '{rid}'"
         assert not out.exists()
 
     @pytest.mark.parametrize("command, where", [
@@ -385,7 +424,7 @@ class TestExitCodes:
                     "--out", out],
         }[command]
         last = last_error_line(capsys, argv)
-        assert last == "error: line 1: repeated class name 'A'"
+        assert last == f"error: {paths[where]}: line 1: repeated class name 'A'"
         assert not Path(out).exists()
 
     def test_duplicate_corpus_report_id_names_its_line(self, tmp_path, capsys):
@@ -395,7 +434,9 @@ class TestExitCodes:
         last = last_error_line(capsys, [
             "split", "--corpus", str(corpus), "--out", str(tmp_path / "s.tsv"),
         ])
-        assert last == f"error: line {len(lines) + 1}: duplicate report id 'r01'"
+        assert last == (
+            f"error: {corpus}: line {len(lines) + 1}: duplicate report id 'r01'"
+        )
 
     def test_duplicate_sentence_header_names_its_line(self, tmp_path, capsys):
         lines = Path(DEPS).read_text().splitlines()
@@ -407,7 +448,7 @@ class TestExitCodes:
             "--out-tsv", str(tmp_path / "a"), "--out-csv", str(tmp_path / "b"),
         ])
         assert last == (
-            f"error: line {len(lines) + 2}: duplicate sentence r01/findings/0"
+            f"error: {deps}: line {len(lines) + 2}: duplicate sentence r01/findings/0"
         )
 
     def test_huge_deps_token_count_exits_two_at_its_header(self, tmp_path, capsys):
@@ -418,7 +459,7 @@ class TestExitCodes:
             "--out-tsv", str(tmp_path / "a"), "--out-csv", str(tmp_path / "b"),
         ])
         assert last == (
-            "error: line 1: sentence R/findings/0: rows cover positions [1], "
+            f"error: {deps}: line 1: sentence R/findings/0: rows cover positions [1], "
             "expected 1..2000000000"
         )
 
@@ -440,6 +481,20 @@ class TestExitCodes:
             capsys, [*command_argv(command, tmp_path), flag, str(bad)]
         )
         assert last == f"error: {bad}: line 3: not valid UTF-8"
+
+    @pytest.mark.parametrize("reader", sorted(PARSE_ERRORS))
+    def test_input_parse_error_exits_two_with_path_and_line(
+        self, tmp_path, capsys, reader
+    ):
+        command, flag, good = UTF8_READERS[reader]
+        good = GOOD_LEXICON if reader == "lexicon" else good
+        bad_line, reason = PARSE_ERRORS[reader]
+        bad = tmp_path / f"{reader}.bad"
+        bad.write_text(good + bad_line)  # the bad line is line 3
+        last = last_error_line(
+            capsys, [*command_argv(command, tmp_path), flag, str(bad)]
+        )
+        assert last == f"error: {bad}: line 3: {reason}"
 
     def test_bad_byte_past_the_first_read_names_its_line(self, tmp_path, capsys):
         lexicon = tmp_path / "lexicon.tsv"
@@ -477,7 +532,9 @@ class TestExitCodes:
             "stats", "--labels", str(labels), "--out-counts",
             str(tmp_path / "c.csv"), "--out-matrix", str(tmp_path / "m.csv"),
         ])
-        assert last == "error: " + error.format(path=labels)
+        # Each error names the file before its line.
+        reason = error.format(path=labels).removeprefix(f"{labels}: ")
+        assert last == f"error: {labels}: {reason}"
 
     @pytest.mark.parametrize("command, pred, reason", [
         ("stats", "id,A,status\nr1,1,TARGET_FINDINGS\n",
@@ -505,7 +562,8 @@ class TestExitCodes:
             "eval-nlp": ["eval-nlp", "--pred", str(labels), "--gold", str(gold),
                          "--out", out],
         }[command]
-        assert last_error_line(capsys, argv) == f"error: line 1: {reason}"
+        path = scores if command == "auc" else labels
+        assert last_error_line(capsys, argv) == f"error: {path}: line 1: {reason}"
 
 
 class TestConfigResolution:
@@ -743,9 +801,9 @@ class TestLabelCommand:
 
     @pytest.mark.parametrize("row, error", [
         ("C0032326\tPneumothorax\tbogus\tpneumothorax",
-         "row 3: unknown semantic type 'bogus'"),
+         "line 3: unknown semantic type 'bogus'"),
         ("C0032285\tPneumonia\tdsyn\tpneumonia",
-         "row 3: duplicate lexicon entry (C0032285, 'pneumonia')"),
+         "line 3: duplicate lexicon entry (C0032285, 'pneumonia')"),
     ], ids=["semantic-type", "duplicate"])
     def test_lexicon_row_errors_name_their_row(self, tmp_path, capsys, row, error):
         lexicon = tmp_path / "lexicon.tsv"
@@ -755,7 +813,7 @@ class TestLabelCommand:
         last = last_error_line(
             capsys, [*command_argv("label", tmp_path), "--lexicon", str(lexicon)]
         )
-        assert last == f"error: {error}"
+        assert last == f"error: {lexicon}: {error}"
 
     def test_each_report_is_split_once(self, tmp_path, monkeypatch):
         calls = []
@@ -1099,38 +1157,41 @@ class TestLocalizeCommand:
             "localize", "--heatmaps", str(maps), "--out", str(tmp_path / "b.tsv"),
         ])
         assert code == 2
-        assert capsys.readouterr().err.splitlines()[-1] == f"error: row 3: {reason}"
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == f"error: {maps}: line 3: {reason}"
 
     def last_error_line(self, tmp_path, capsys, text):
+        """The last stderr line of `localize` on a maps file of `text`,
+        less its leading "error: <path>: "."""
         maps = tmp_path / "maps.tsv"
         maps.write_text(text)
         code = main([
             "localize", "--heatmaps", str(maps), "--out", str(tmp_path / "b.tsv"),
         ])
         assert code == 2
-        return capsys.readouterr().err.splitlines()[-1]
+        return capsys.readouterr().err.splitlines()[-1].removeprefix(f"error: {maps}: ")
 
     def test_empty_grid_exits_two(self, tmp_path, capsys):
         last = self.last_error_line(tmp_path, capsys, "img1\tMass\t0\t64\n")
-        assert last == "error: row 1: heatmap size must be >= 1, got 0"
+        assert last == "line 1: heatmap size must be >= 1, got 0"
 
     def test_negative_grid_size_exits_two(self, tmp_path, capsys):
         text = "img1\tMass\t2\t64\n1 2\n3 4\nimg2\tMass\t-1\t64\n"
         last = self.last_error_line(tmp_path, capsys, text)
-        assert last == "error: row 4: heatmap size must be >= 1, got -1"
+        assert last == "line 4: heatmap size must be >= 1, got -1"
 
     @pytest.mark.parametrize("dim", ["inf", "0", "-8", "nan"])
     def test_bad_image_dim_exits_two_with_its_row(self, tmp_path, capsys, dim):
         text = f"img1\tMass\t1\t64\n5\nimg2\tMass\t2\t{dim}\n1 2\n3 4\n"
         last = self.last_error_line(tmp_path, capsys, text)
-        assert last == f"error: row 3: image_dim must be finite and > 0, got {dim}"
+        assert last == f"line 3: image_dim must be finite and > 0, got {dim}"
         assert not (tmp_path / "b.tsv").exists()
 
     def test_duplicate_heatmap_exits_two_at_its_second_header(self, tmp_path, capsys):
         text = ("img1\tMass\t2\t64\n0 1\n1 0\nimg1\tNodule\t1\t64\n5\n"
                 "img1\tMass\t2\t64\n0 1\n1 0\n")
         last = self.last_error_line(tmp_path, capsys, text)
-        assert last == "error: row 6: duplicate heatmap for image 'img1', class 'Mass'"
+        assert last == "line 6: duplicate heatmap for image 'img1', class 'Mass'"
         assert not (tmp_path / "b.tsv").exists()
 
 
@@ -1235,7 +1296,7 @@ class TestEvalLocCommand:
             "eval-loc", "--dets", str(dets), "--gt", str(gt), "--mode", "iou",
             "--t", "0.3", "--out", str(out),
         ])
-        assert last == "error: row 2: box needs non-negative w and h"
+        assert last == f"error: {gt}: line 2: box needs non-negative w and h"
         assert not out.exists()
 
     def test_zero_image_count_exits_two(self, tmp_path, capsys):
@@ -1288,7 +1349,7 @@ class TestEvalLocCommand:
             "eval-loc", "--dets", str(dets), "--gt", str(gt), "--mode", "iobb",
             "--out", str(out),
         ])
-        assert last == "error: row 1: non-integer detection threshold"
+        assert last == f"error: {dets}: line 1: non-integer detection threshold"
         assert not out.exists()
 
 

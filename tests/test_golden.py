@@ -38,13 +38,15 @@ inputs built from the benchmark's `make_evaluate` tables and corpus:
   one whose first trigger word also starts two earlier rules.
 
 The SHA-256 of each input, and of each step's exit code, stdout, stderr
-and output files, must equal `data/golden.json`. The steps run in `data/`,
+(the inputs' directory written `<inputs>`) and output files, must equal
+`data/golden.json`. The steps run in `data/`,
 so that a rules file named there prints the same `config:` line anywhere. `run_case` wrote the
 localization digests before the localize path was moved onto arrays, and
 the evaluation digests before the corpus and label readers were rewritten
 to read their files once, and the label digests before sentences and
-parses were built as string columns; the file is rewritten only for an
-intended change of output.
+parses were built as string columns, and rewrote the stderr digests of
+the failing steps when a bad-input error came to name its file; the file
+is rewritten only for an intended change of output.
 """
 
 import contextlib
@@ -271,10 +273,12 @@ def run_case(case: str, directory: Path) -> dict:
         with in_directory(DATA), contextlib.redirect_stdout(stdout), \
                 contextlib.redirect_stderr(stderr):
             rc = cli.main(argv)
+        # An error names its input file, which lies in this run's directory.
+        errors = stderr.getvalue().replace(str(directory), "<inputs>")
         record[step] = {
             "rc": rc,
             "stdout": sha(stdout.getvalue().encode()),
-            "stderr": sha(stderr.getvalue().encode()),
+            "stderr": sha(errors.encode()),
             **{path.name: sha(path.read_bytes()) if path.exists() else None
                for path in outputs},
         }

@@ -1,0 +1,153 @@
+"""A CLI start runs only the layers it uses.
+
+`cxrlabel.cli` registers the numeric layers to run on their first
+attribute read, and `import cxrlabel` resolves each exported name on its
+first read. This test process has run every layer already, so each check
+runs a fresh interpreter. A registered layer that has not run is still
+of `LazyLoader`'s module type; loading it makes it a plain module.
+"""
+
+import ast
+import json
+import runpy
+
+from test_lazy_numpy import CORPUS, DEPS, ROOT, fresh, setup_code
+
+NUMERIC = {"cxrlabel.localization", "cxrlabel.metrics", "cxrlabel.pooling",
+           "cxrlabel.stats"}
+
+# Prints the package modules that have run.
+RAN = (
+    "import sys, types; "
+    "print(sorted(name for name, module in sys.modules.items() "
+    "if name.startswith('cxrlabel') and type(module) is types.ModuleType))"
+)
+
+
+def ran(code: str, cwd=None) -> set[str]:
+    """The package modules a fresh interpreter has run after `code`."""
+    proc = fresh(["-c", f"{code}\n{RAN}"], cwd=cwd)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return set(ast.literal_eval(proc.stdout.decode().splitlines()[-1]))
+
+
+def test_benchmark_setup_runs_no_numeric_layer():
+    modules = ran(setup_code())
+    assert not modules & NUMERIC
+    assert {"cxrlabel.cli", "cxrlabel.labeling", "cxrlabel.negation"} <= modules
+
+
+def test_label_runs_no_numeric_layer(tmp_path):
+    modules = ran(
+        "from cxrlabel.cli import main\n"
+        f"assert main(['label', '--corpus', {CORPUS!r}, '--deps', {DEPS!r}, "
+        "'--propagate', '--out-tsv', 'labels.tsv', '--out-csv', 'labels.csv']) == 0",
+        cwd=tmp_path,
+    )
+    assert not modules & NUMERIC
+    assert (tmp_path / "labels.csv").stat().st_size > 0
+
+
+def test_split_runs_only_the_stats_layer(tmp_path):
+    modules = ran(
+        "from cxrlabel.cli import main\n"
+        f"assert main(['split', '--corpus', {CORPUS!r}, '--out', 'split.tsv']) == 0",
+        cwd=tmp_path,
+    )
+    assert modules & NUMERIC == {"cxrlabel.stats"}
+
+
+def test_bare_import_runs_no_layer():
+    assert ran("import cxrlabel") == {"cxrlabel"}
+
+
+def test_every_export_is_the_defining_modules_object():
+    proc = fresh(["-c", (
+        "import json, sys, cxrlabel\n"
+        "names = [n for n in cxrlabel.__all__ if n != '__version__']\n"
+        "values = {n: getattr(cxrlabel, n) for n in names}\n"
+        "wrong = [n for n, v in values.items()\n"
+        "         if getattr(sys.modules[v.__module__], n) is not v]\n"
+        "missing = sorted(set(cxrlabel.__all__) - set(dir(cxrlabel)))\n"
+        "star = {}\n"
+        "exec('from cxrlabel import *', star)\n"
+        "print(json.dumps([wrong, missing, sorted(set(cxrlabel.__all__) - set(star))]))"
+    )])
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout) == [[], [], []]
+
+
+def test_unknown_package_attribute_raises():
+    proc = fresh(["-c", (
+        "import cxrlabel\n"
+        "try:\n"
+        "    cxrlabel.no_such_name\n"
+        "except AttributeError as err:\n"
+        "    print(err)"
+    )])
+    assert proc.stdout.decode().strip() == (
+        "module 'cxrlabel' has no attribute 'no_such_name'"
+    )
+
+
+def test_layers_import_by_any_statement_before_and_after_the_cli():
+    for first in ("", "import cxrlabel.cli\n"):
+        proc = fresh(["-c", first + (
+            "import sys\n"
+            "import cxrlabel.localization\n"
+            "from cxrlabel import localization, metrics\n"
+            "from cxrlabel.localization import DEFAULT_THRESHOLDS, iou\n"
+            "from cxrlabel.metrics import T_GRID_IOU\n"
+            "from cxrlabel.pooling import LOSSES\n"
+            "import cxrlabel.stats as stats\n"
+            "assert localization is cxrlabel.localization"
+            " is sys.modules['cxrlabel.localization']\n"
+            "assert metrics is sys.modules['cxrlabel.metrics']\n"
+            "assert iou.__module__ == 'cxrlabel.localization'\n"
+            "assert stats.patient_split.__module__ == 'cxrlabel.stats'\n"
+            "print(DEFAULT_THRESHOLDS, T_GRID_IOU, list(LOSSES))"
+        )])
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.decode().strip() == (
+            "(60, 180) (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7) ['cel', 'wcel', 'el', 'hl']"
+        )
+
+
+# --- the benchmark tracer finds every layer it wraps ---
+
+_TRACING = runpy.run_path(str(ROOT / "bench" / "tracing.py"))
+TRACED_MODULES = sorted({
+    module
+    for table in (_TRACING["SPANS"], _TRACING["COUNTED"])
+    for targets in table.values()
+    for module, _ in targets
+})
+
+
+def test_cli_import_registers_every_traced_module():
+    proc = fresh(["-c", (
+        "import json, sys\n"
+        "import cxrlabel.cli\n"
+        "print(json.dumps(sorted(set(json.loads(sys.argv[1])) - set(sys.modules))))"
+    ), json.dumps(TRACED_MODULES)])
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout) == []
+    assert NUMERIC <= set(TRACED_MODULES)
+
+
+def test_tracer_installs_after_the_cli_import():
+    # -B: the tracer module is compiled without writing bytecode beside it.
+    proc = fresh(["-B", "-c", (
+        "import sys\n"
+        "import cxrlabel.cli\n"
+        f"sys.path.insert(0, {str(ROOT / 'bench')!r})\n"
+        "from tracing import Tracer\n"
+        "tracer = Tracer(hot_counters=True)\n"
+        "tracer.install()\n"
+        "from cxrlabel import localization\n"
+        "assert localization.iou.__wrapped__ is not None\n"
+        "tracer.uninstall()\n"
+        "assert not hasattr(localization.iou, '__wrapped__')"
+    )])
+    assert proc.returncode == 0, proc.stderr.decode()
+

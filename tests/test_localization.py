@@ -636,7 +636,7 @@ def float_bits(values) -> list:
 # Cells a mutated box file may hold: what float() or int() reads and
 # numpy would not, non-finite and signed values, and nothing at all.
 BOX_TOKENS = ["", "-1", "0", "-0", "x", "+1", "1_0", " 5 ", "6.5", "nan", "inf",
-              "-inf", "1e400", "\u0661", str(10**12), str(10**30)]
+              "-inf", "1e400", "\u0661", str(10**12), str(10**30), "1e-200"]
 
 
 @st.composite
@@ -1527,6 +1527,20 @@ class TestBoxTable:
         with pytest.raises(MalformedRow) as err:
             load_boxes(path, with_threshold=True)
         assert str(err.value) == "row 2: detection box needs positive w and h"
+
+    @pytest.mark.parametrize("load", [load_boxes, _load_boxes_by_row])
+    def test_detection_whose_area_underflows_is_named(self, tmp_path, load):
+        path = tmp_path / "dets.tsv"
+        path.write_text("i1\tA\t0\t0\t10\t10\t60\n"
+                        "i1\tA\t0\t0\t1e-200\t1e-200\t60\n", encoding="utf-8")
+        with pytest.raises(MalformedRow) as err:
+            load(path, with_threshold=True)
+        assert str(err.value) == (
+            "row 2: detection box area 1e-200 * 1e-200 underflows to 0"
+        )
+        # A ground-truth box of zero area is allowed, as one of zero width is.
+        path.write_text("i1\tA\t0\t0\t1e-200\t1e-200\n", encoding="utf-8")
+        assert load(path, with_threshold=False)[0].area == 0
 
     @settings(max_examples=400, deadline=None)
     @given(case=box_files())

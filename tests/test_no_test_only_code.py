@@ -1,7 +1,8 @@
 """No function in the package exists only for the tests.
 
-Every module-level function, and every method that is not a dunder or a
-property, must be used by the package itself: named somewhere in its
+Every module-level function and every method that is not a dunder (the
+interpreter calls those, as it does a module's PEP 562 `__getattr__`) or
+a property must be used by the package itself: named somewhere in its
 source, exported in `cxrlabel.__all__`, wrapped by the benchmark
 tracer, or run by `cli.main` as the `cmd_<command>` of a subcommand the
 parser knows. A helper that only the tests need belongs in tests/conftest.py.
@@ -43,10 +44,12 @@ def module_trees() -> dict[str, ast.Module]:
     return trees
 
 
+def is_dunder(node) -> bool:
+    return node.name.startswith("__") and node.name.endswith("__")
+
+
 def is_checked_method(node) -> bool:
-    if not isinstance(node, ast.FunctionDef):
-        return False
-    if node.name.startswith("__") and node.name.endswith("__"):
+    if not isinstance(node, ast.FunctionDef) or is_dunder(node):
         return False
     decorators = {
         d.attr if isinstance(d, ast.Attribute) else getattr(d, "id", None)
@@ -59,7 +62,7 @@ def definitions(tree: ast.Module):
     """(qualified name, whether a method) of each module-level function
     and each checked method of a module-level class."""
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
+        if isinstance(node, ast.FunctionDef) and not is_dunder(node):
             yield node.name, False
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
