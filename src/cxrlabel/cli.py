@@ -116,8 +116,10 @@ class RunConfig:
             raise CxrLabelError(f"unknown loss {self.loss!r}")
 
 
-def _load_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _load_config_file(path: str) -> dict:
+    """The RunConfig field of each entry of a config file, each value
+    checked at its line."""
+    values: dict = {}
     for line_no, line in read_lines(path):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -126,42 +128,37 @@ def _load_config_file(path: str) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if not sep or key not in _CONFIG_KEYS:
             raise MalformedRecord(f"bad entry {line!r}", line_no)
-        values[key] = value
+        try:
+            values[key] = _config_value(key, value)
+            RunConfig(**{key: values[key]})  # checks the value, with defaults
+        except CxrLabelError as err:
+            raise MalformedRecord(str(err), line_no) from None
     return values
+
+
+def _config_value(key: str, value: str):
+    """The RunConfig field `key` of a config file's or a flag's `value`."""
+    try:
+        if key == "thresholds":
+            return tuple(int(v) for v in value.split(",") if v.strip())
+        if key in ("r", "seed"):
+            return (float if key == "r" else int)(value)
+    except ValueError:
+        raise CxrLabelError(f"bad {key} {value!r}") from None
+    return value.lower() if key == "label_set" else value
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """defaults < config file (--config or CXRLABEL_CONFIG) < CLI flags."""
-    values: dict[str, str] = {}
+    values: dict = {}
     path = args.config or os.environ.get(ENV_CONFIG)
     if path:
         values.update(_read(_load_config_file, path, "config"))
     for key in _CONFIG_KEYS:
         override = getattr(args, key, None)
         if override is not None:
-            values[key] = override
-    kwargs: dict = {}
-    if "label_set" in values:
-        kwargs["label_set"] = values["label_set"].lower()
-    for key in ("lexicon", "rules", "loss"):
-        if key in values:
-            kwargs[key] = values[key]
-    if "thresholds" in values:
-        try:
-            kwargs["thresholds"] = tuple(
-                int(v) for v in str(values["thresholds"]).split(",") if v.strip()
-            )
-        except ValueError:
-            raise CxrLabelError(
-                f"bad thresholds {values['thresholds']!r}"
-            ) from None
-    for key, cast in (("r", float), ("seed", int)):
-        if key in values:
-            try:
-                kwargs[key] = cast(values[key])
-            except ValueError:
-                raise CxrLabelError(f"bad {key} {values[key]!r}") from None
-    return RunConfig(**kwargs)
+            values[key] = _config_value(key, override)
+    return RunConfig(**values)
 
 
 def _print_config(config: RunConfig):

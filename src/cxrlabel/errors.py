@@ -9,7 +9,7 @@ in-memory constructors do not. Loaders read their files only through
 (every line, as a list) or `read_rows` (the tab-separated rows of a TSV
 file); each turns a file that is not UTF-8 into a located error. Readers
 of numbers decode fixed-width decimal cells from the bytes with
-`decode_fixed_width`.
+`decode_fixed_width`, and read other plain rows with `loadtxt`.
 
 The module also holds the few defaults that every CLI start reads: the
 box thresholds (echoed as config), the loss names (checked in the config
@@ -18,6 +18,7 @@ Every layer imports this module, so a start reads them without running
 a numeric layer; `localization`, `pooling` and `metrics` re-export them.
 """
 
+import warnings
 from typing import Optional
 
 from cxrlabel.lazy import np
@@ -87,7 +88,7 @@ def decode_fixed_width(data: bytes, firsts, length: int, rows: int,
     newline it holds, every row it decodes is a whole line.
 
     It is the first of three tiers of the heatmap and scores readers:
-    what it declines is read with one `np.loadtxt`, and what that cannot
+    what it declines is read with one `loadtxt` call, and what that cannot
     read is parsed token by token with float(), which names the first bad
     line.
 
@@ -135,6 +136,24 @@ def decode_fixed_width(data: bytes, firsts, length: int, rows: int,
             number += digits[:, column]
         np.divide(number, scale, out=values[at:at + step].reshape(-1))
     return values
+
+
+def loadtxt(rows: list[str], delimiter=None) -> Optional["np.ndarray"]:
+    """`np.loadtxt` of the rows as a 2-d array, with no comment character,
+    tokens split at `delimiter` (at whitespace by default); or None when
+    it raises ValueError.
+
+    loadtxt reads a subset of the tokens float() reads, to the same
+    values; it skips blank rows, and warns when every row is blank.
+    Given the row count, it allocates the array once instead of growing it.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            return np.loadtxt(rows, delimiter=delimiter, ndmin=2, comments=None,
+                              max_rows=len(rows))
+    except ValueError:
+        return None
 
 
 def read_lines(path):

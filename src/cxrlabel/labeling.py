@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -21,6 +20,7 @@ from cxrlabel.errors import (
     MalformedRecord,
     MissingGraph,
     decode_fixed_width,
+    loadtxt,
     read_input,
 )
 from cxrlabel.lazy import lazy_property, np
@@ -530,15 +530,9 @@ def _read_scores_plain(text: str):
     if plain is None:
         return None
     classes, ids, rests = plain
-    try:
-        # loadtxt reads a subset of the tokens float() reads, to the same
-        # values; it skips blank rests, and warns when all are blank.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            values = np.loadtxt(rests, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if values.shape != (len(ids), len(classes)) or not np.isfinite(values).all():
+    values = loadtxt(rests, delimiter=",")
+    if (values is None or values.shape != (len(ids), len(classes))
+            or not np.isfinite(values).all()):
         return None
     return classes, ids, values
 

@@ -16,7 +16,8 @@ The numeric layers (`localization`, `metrics`, `pooling`, `stats`) follow
 the same rule one level up. `cli` registers each with `_lazy_module`, so
 it sits in `sys.modules` and on the package from the start but runs only
 when a command first reads one of its attributes; the cost of a layer
-moves from every start to the first call that uses it. So no module that
+moves from every start to the first call that uses it. `metrics` reaches
+`localization` the same way, so scoring labels never runs it. So no module that
 a CLI start runs (`cli` and the text layers) may import a numeric layer
 at its top level, by any import statement, for the same `__spec__`
 reason; `cli` reaches them through its handles and function-level

@@ -8,7 +8,6 @@ IoU and IoBB score detections against ground truth.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -18,6 +17,7 @@ from cxrlabel.errors import (
     MalformedRow,
     ZeroAreaDetection,
     decode_fixed_width,
+    loadtxt,
     read_input,
     read_rows,
 )
@@ -450,21 +450,24 @@ def pair_overlaps(gts: BoxTable, gt_rows: np.ndarray, dets: BoxTable,
 # --- file formats ---
 
 def load_heatmaps(path) -> list[Heatmap]:
-    """Read blocks of "image_id<TAB>class<TAB>S<TAB>image_dim" headers,
+    r"""Read blocks of "image_id<TAB>class<TAB>S<TAB>image_dim" headers,
     each followed by S rows of S space-separated scores. A file names
     each (image_id, class) at most once.
 
-    The file is first read header to header (see `_walk`), and the grid
-    rows of all maps of one size are decoded from the bytes in one pass
-    (see `_fixed_width_grids`). A file the walk or the decoder declines is
-    read line by line (see `_load_lines`), which gives the same maps or
+    The bytes are read once, with `\r\n` and a lone `\r` made `\n` and a
+    final newline added, so that lines break as text mode reads them. The
+    file is then scanned header to header jumping over the grid rows, and
+    the rows of all maps of one size are decoded from the bytes in one
+    pass (see `_load`); a file the jumping scan or the decoder declines is
+    scanned again stepping line by line, which gives the same maps or
     names the first bad line.
     """
     data = read_input(path)
-    heatmaps = _load_walked(data)
-    if heatmaps is None:
-        heatmaps = _load_lines(_Lines(data))
-    return heatmaps
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if data and not data.endswith(b"\n"):
+        data += b"\n"  # the last line reads the same without it
+    return _load(data, jump=True) or _load(data, jump=False)
 
 
 def _header(line: str, row_no: int):
@@ -486,149 +489,117 @@ def _header(line: str, row_no: int):
     return image_id, label, size, image_dim
 
 
-def _walk(data: bytes):
-    r"""The (image_id, class, S, image_dim, offset of the first grid row)
-    of each header in file order, and the byte length of a grid row of
-    each size; or None.
+def _scan(data: bytes, jump: bool):
+    """The (image_id, class, S, image_dim, offset of the first grid row,
+    offset past the last, line of the header) of each map in file order,
+    up to the first bad header, and that header's MalformedRow (None when
+    every header is good); or, with `jump`, None instead of an error.
 
-    Reads a header, takes the length of the grid row after it as the
-    length of all S of its rows, and jumps over them to the next header.
-    Returns None on a `\r`, a blank or "#" line where a header is due, a
-    header `_read_headers` would reject, a row length unlike that of the
-    first map of its size, or a jump past the end of the file. Nothing
-    here checks the rows: `_fixed_width_grids` does, and a row of the
-    wrong length fails it.
+    Skips blank and "#" lines where a header is due, and S grid rows after
+    each header: with `jump`, in one jump of S times the length of the
+    first row, which a non-UTF-8 landing or a bad header also declines;
+    otherwise newline by newline. Nothing here checks the rows, and
+    nothing sized by a header's S is allocated before the rows are found
+    within the file.
     """
-    if b"\r" in data:
-        return None
-    headers = []
-    lengths: dict[int, int] = {}
+    maps = []
     seen: set[tuple[str, str]] = set()
-    at, end = 0, len(data)
-    while at < end:
-        stop = data.find(b"\n", at)
-        row_end = data.find(b"\n", stop + 1)
-        if row_end < 0 or stop < 0:
-            return None
-        try:
+    at, line_no, end = 0, 1, len(data)
+    try:
+        while at < end:
+            stop = data.find(b"\n", at)
             line = data[at:stop].decode("utf-8")  # a jump may land mid-character
             if not line.strip() or line.startswith("#"):
-                return None
-            image_id, label, size, image_dim = _header(line, None)
-        except (UnicodeDecodeError, MalformedRow):
-            return None
-        length = row_end - stop
-        at = stop + 1 + size * length
-        if lengths.setdefault(size, length) != length or at > end:
-            return None
-        if (image_id, label) in seen:
-            return None
-        seen.add((image_id, label))
-        headers.append((image_id, label, size, image_dim, stop + 1))
-    return headers, lengths
+                at, line_no = stop + 1, line_no + 1
+                continue
+            image_id, label, size, image_dim = _header(line, line_no)
+            first = at = stop + 1
+            if jump:
+                at += size * (data.find(b"\n", first) + 1 - first)
+            else:
+                for _ in range(size):
+                    at = data.find(b"\n", at) + 1
+                    if not at:
+                        break
+            if not first < at <= end:
+                raise MalformedRow(f"expected {size} grid rows", line_no)
+            if (image_id, label) in seen:
+                raise MalformedRow(
+                    f"duplicate heatmap for image {image_id!r}, class {label!r}",
+                    line_no,
+                )
+            seen.add((image_id, label))
+            maps.append((image_id, label, size, image_dim, first, at, line_no))
+            line_no += 1 + size
+    except (UnicodeDecodeError, MalformedRow) as err:
+        return None if jump else (maps, err)
+    return maps, None
 
 
-def _load_walked(data: bytes) -> Optional[list[Heatmap]]:
-    """The maps of a file `_walk` reads and `_fixed_width_grids` decodes
-    size by size, or None when either declines.
+def _load(data: bytes, jump: bool) -> Optional[list[Heatmap]]:
+    """The maps of `_scan(data, jump)`, or None when it declines or, with
+    `jump`, when the byte decoder declines a size.
 
-    The decoder proves each row it reads is a whole line of the walked
-    length, so the walk's jumps landed on the headers that reading the
-    file line by line finds. Its grids hold finite values only, and the
-    walk has checked each dim, so each Heatmap is built without
-    re-running its checks.
-    """
-    walked = _walk(data)
-    if walked is None:
-        return None
-    headers, lengths = walked
-    by_size: dict[int, list[int]] = {}
-    for k, (_, _, size, _, _) in enumerate(headers):
-        by_size.setdefault(size, []).append(k)
-    grids: list = [None] * len(headers)
-    # The sizes with the fewest bytes of rows go first, so that a size the
-    # decoder declines wastes little decoding before the line reader runs.
-    for size, members in sorted(by_size.items(),
-                                key=lambda item: len(item[1]) * item[0] * lengths[item[0]]):
-        firsts = np.array([headers[k][4] for k in members])
-        values = _fixed_width_grids(data, firsts, lengths[size], size)
-        if values is None:
-            return None
-        for k, grid in zip(members, values):
-            grids[k] = grid
-    return [Heatmap._checked(image_id, label, grid, image_dim)
-            for (image_id, label, _, image_dim, _), grid in zip(headers, grids)]
-
-
-def _load_lines(lines: "_Lines") -> list[Heatmap]:
-    """The maps of a file read line by line.
-
-    The headers are checked in file order. The grid rows of all maps of
-    one size are decoded from the bytes when they are fixed-width (see
-    `_fixed_width_grids`), and parsed with one `loadtxt` otherwise. A size
-    whose rows do not all parse to finite values is parsed again block by
-    block with float(), so the error reported is the first in the file.
+    The grid rows of all maps of one size are decoded from the bytes
+    together (see `_fixed_width_grids`), the sizes with the fewest bytes
+    of rows first, so that a size the decoder declines wastes little
+    decoding. Each row the decoder reads is a whole line of the first
+    row's length, so the jumps landed on the headers that stepping finds.
+    Without `jump`, a declined size is parsed with one `loadtxt`, and a
+    size whose rows do not all parse to finite values is parsed again
+    block by block with float(), so the error reported is the first in the
+    file, a bad cell before a bad header included.
 
     Each size's grid stack is checked once: the byte decoder yields only
     finite values, the `loadtxt` stack passes a shape test and a finite
     min and max, and the per-row parser rejects a non-finite row; every
-    stack is (n, S, S) float64, and the header scan has checked each dim.
-    So each Heatmap is built without re-running its checks.
+    stack is (n, S, S) float64, and the scan has checked each dim. So each
+    Heatmap is built without re-running its checks.
     """
-    headers, header_error = _read_headers(lines)
+    scanned = _scan(data, jump)
+    if scanned is None:
+        return None
+    maps, header_error = scanned
     by_size: dict[int, list[int]] = {}
-    for _, _, size, _, i in headers:
-        by_size.setdefault(size, []).append(i)
-    grids: dict[int, np.ndarray] = {}
-    for size, starts in by_size.items():
-        firsts = lines.ends[starts] + 1
-        length = int(lines.ends[starts[0] + 1]) + 1 - int(firsts[0])
-        values = _fixed_width_grids(lines.data, firsts, length, size)
+    row_bytes: dict[int, int] = {}
+    for k, (_, _, size, _, first, stop, _) in enumerate(maps):
+        by_size.setdefault(size, []).append(k)
+        row_bytes[size] = row_bytes.get(size, 0) + stop - first
+    grids: list = [None] * len(maps)
+    for size in sorted(by_size, key=row_bytes.get):
+        members = by_size[size]
+        firsts = np.array([maps[k][4] for k in members])
+        first = int(firsts[0])
+        values = _fixed_width_grids(data, firsts, data.find(b"\n", first) + 1 - first,
+                                    size)
         if values is None:
-            rows = [row for i in starts for row in lines[i + 1:i + 1 + size]]
-            values = _loadtxt(rows)
+            if jump:
+                return None
+            rows = [row for k in members for row in _rows(data, maps[k])]
+            values = loadtxt(rows)
             # min and max are finite only when every score is, and need no
             # array of flags as large as the grids.
             if not (values is not None and values.shape == (len(rows), size)
                     and math.isfinite(values.min())
                     and math.isfinite(values.max())):
                 continue
-            values = values.reshape(len(starts), size, size)
-        for k, i in enumerate(starts):
-            grids[i] = values[k]
+            values = values.reshape(len(members), size, size)
+        for k, grid in zip(members, values):
+            grids[k] = grid
     heatmaps: list[Heatmap] = []
-    for image_id, label, size, image_dim, i in headers:
-        grid = grids.get(i)
+    for entry, grid in zip(maps, grids):
+        image_id, label, size, image_dim, _, _, line_no = entry
         if grid is None:
-            grid = _parse_grid_rows(lines[i + 1:i + 1 + size], size, i + 2)
+            grid = _parse_grid_rows(_rows(data, entry), size, line_no + 1)
         heatmaps.append(Heatmap._checked(image_id, label, grid, image_dim))
     if header_error is not None:
         raise header_error
     return heatmaps
 
 
-class _Lines:
-    r"""The lines of a file's bytes, read as text mode reads them: `\r\n`
-    and a lone `\r` end a line as `\n` does. Every newline is found once;
-    a line is decoded only when it is indexed, and a slice is a list."""
-
-    def __init__(self, data: bytes):
-        if b"\r" in data:
-            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        if data and not data.endswith(b"\n"):
-            data += b"\n"  # the last line reads the same without it
-        self.data = data
-        # The index of each line's newline.
-        self.ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
-
-    def __len__(self) -> int:
-        return len(self.ends)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        start = int(self.ends[i - 1]) + 1 if i else 0
-        return self.data[start:int(self.ends[i])].decode("utf-8")
+def _rows(data: bytes, entry) -> list[str]:
+    """The S grid rows of a map `_scan` found, as text."""
+    return data[entry[4]:entry[5] - 1].decode("utf-8").split("\n")
 
 
 def _fixed_width_grids(data: bytes, firsts: np.ndarray, length: int,
@@ -642,50 +613,6 @@ def _fixed_width_grids(data: bytes, firsts: np.ndarray, length: int,
     if grids is None or grids.shape[2] != size:
         return None
     return grids
-
-
-def _read_headers(lines: _Lines):
-    """The (image_id, class, S, image_dim, line index) of each header in
-    file order, up to the first bad one, and that header's error (None
-    when every header is good). Skips S grid rows after each header."""
-    headers = []
-    seen: set[tuple[str, str]] = set()
-    i = 0
-    try:
-        while i < len(lines):
-            line = lines[i]
-            if not line.strip() or line.startswith("#"):
-                i += 1
-                continue
-            image_id, label, size, image_dim = _header(line, i + 1)
-            if i + 1 + size > len(lines):
-                raise MalformedRow(f"expected {size} grid rows", i + 1)
-            if (image_id, label) in seen:
-                raise MalformedRow(
-                    f"duplicate heatmap for image {image_id!r}, class {label!r}",
-                    i + 1,
-                )
-            seen.add((image_id, label))
-            headers.append((image_id, label, size, image_dim, i))
-            i += 1 + size
-    except MalformedRow as err:
-        return headers, err
-    return headers, None
-
-
-def _loadtxt(rows: list[str]) -> Optional[np.ndarray]:
-    """`np.loadtxt` of the rows as a 2-d array, or None when it raises.
-
-    loadtxt reads a subset of the tokens float() reads, to the same
-    values; it skips blank rows, and warns when every row is blank.
-    Given the row count, it allocates the array once instead of growing it.
-    """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            return np.loadtxt(rows, ndmin=2, comments=None, max_rows=len(rows))
-    except ValueError:
-        return None
 
 
 def _parse_grid_rows(block: list[str], size: int, row_no: int) -> np.ndarray:

@@ -629,6 +629,22 @@ class TestConfigResolution:
         assert code == 2
         assert "error: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry,reason", [
+        ("thresholds=x", "bad thresholds 'x'"),
+        ("thresholds=300", "thresholds outside 0..255: (300,)"),
+        ("r=-1", "r must be > 0, got -1.0"),
+        ("loss=foo", "unknown loss 'foo'"),
+        ("seed=1.5", "bad seed '1.5'"),
+        ("label_set=x99", "unknown label set 'x99'"),
+    ])
+    def test_bad_config_value_names_its_file_and_line(self, tmp_path, capsys,
+                                                      entry, reason):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# run\nseed=1\n{entry}\n", encoding="utf-8")
+        argv = ["split", "--corpus", CORPUS, "--out", str(tmp_path / "split.tsv"),
+                "--config", str(cfg)]
+        assert last_error_line(capsys, argv) == f"error: {cfg}: line 3: {reason}"
+
 
 SHIPPED_RULES = Path(negation.__file__).parent / "data" / "rules.tsv"
 # Fields a rule line may be edited to: each other field's words, steps a

@@ -8,9 +8,8 @@ process on three inputs:
   sizes that the byte decoder declines, so `loadtxt` reads them;
 - "bad_cell": that file with one cell made "nan", so every step fails;
 - "generated_comment": the "generated" heatmaps with one "# x" line
-  between two maps and no final line break, a file the header-to-header
-  walk declines, so the line reader reads it; its outputs equal those of
-  "generated".
+  between two maps and no final line break, which the scan skips and
+  adds; its outputs equal those of "generated".
 
 `auc --roc-out`, `eval-nlp`, `stats` and `split` run in process on four
 inputs built from the benchmark's `make_evaluate` tables and corpus:
@@ -306,14 +305,13 @@ def test_cases_cover_both_grid_readers_and_an_error(tmp_path):
     # The sci grids are ones the byte decoder declines.
     from cxrlabel import localization
 
-    lines = localization._Lines(make_inputs("sci", tmp_path)["heatmaps"].read_bytes())
-    headers, error = localization._read_headers(lines)
-    assert error is None and {size for _, _, size, _, _ in headers} == {3, 4, 5}
+    data = make_inputs("sci", tmp_path)["heatmaps"].read_bytes()
+    maps, error = localization._scan(data, False)
+    assert error is None and {size for _, _, size, *_ in maps} == {3, 4, 5}
     for size in (3, 4, 5):
-        starts = [i for _, _, s, _, i in headers if s == size]
-        firsts = lines.ends[starts] + 1
-        length = int(lines.ends[starts[0] + 1]) + 1 - int(firsts[0])
-        assert localization._fixed_width_grids(lines.data, firsts, length, size) is None
+        firsts = [first for _, _, s, _, first, _, _ in maps if s == size]
+        length = data.index(b"\n", firsts[0]) + 1 - firsts[0]
+        assert localization._fixed_width_grids(data, firsts, length, size) is None
 
 
 def test_evaluate_cases_cover_both_readers_and_each_error(tmp_path):

@@ -10,8 +10,9 @@ of `LazyLoader`'s module type; loading it makes it a plain module.
 import ast
 import json
 import runpy
+from pathlib import Path
 
-from test_lazy_numpy import CORPUS, DEPS, ROOT, fresh, setup_code
+from test_lazy_numpy import CORPUS, DEPS, GOLD, ROOT, fresh, setup_code
 
 NUMERIC = {"cxrlabel.localization", "cxrlabel.metrics", "cxrlabel.pooling",
            "cxrlabel.stats"}
@@ -55,6 +56,26 @@ def test_split_runs_only_the_stats_layer(tmp_path):
         cwd=tmp_path,
     )
     assert modules & NUMERIC == {"cxrlabel.stats"}
+
+
+def test_label_scoring_runs_no_localization_layer(tmp_path):
+    # Scores from the gold cells: a positive scores above every negative.
+    rows = [line.split(",") for line in Path(GOLD).read_text(encoding="utf-8").split()]
+    scores = tmp_path / "scores.csv"
+    scores.write_text("\n".join(",".join(
+        row[:1] + [cell if k == 0 else f"0.{cell}5" for cell in row[1:-1]])
+        for k, row in enumerate(rows)) + "\n", encoding="utf-8")
+    modules = ran(
+        "from cxrlabel.cli import main\n"
+        f"assert main(['auc', '--scores', 'scores.csv', '--labels', {GOLD!r}, "
+        "'--out', 'auc.csv']) == 0\n"
+        f"assert main(['eval-nlp', '--pred', {GOLD!r}, '--gold', {GOLD!r}, "
+        "'--out', 'prf.csv']) == 0",
+        cwd=tmp_path,
+    )
+    assert "cxrlabel.metrics" in modules
+    assert "cxrlabel.localization" not in modules
+    assert (tmp_path / "auc.csv").stat().st_size > 0
 
 
 def test_bare_import_runs_no_layer():

@@ -315,9 +315,10 @@ BAD_HEADERS = [
 
 @st.composite
 def interleaved_heatmap_texts(draw):
-    """Blocks of several sizes, with blank and comment lines between
+    r"""Blocks of several sizes, with blank and comment lines between
     them; maybe a bad grid row in one block and a bad header in the same
-    or a later block (or after the last)."""
+    or a later block (or after the last). Lines end in "\n", "\r\n" or
+    "\r"."""
     sizes = draw(st.lists(st.sampled_from([1, 2, 3, 5]), min_size=1, max_size=6))
     bad_row = draw(st.none() | st.tuples(
         st.integers(0, len(sizes) - 1), st.integers(0, 4), st.sampled_from(BAD_ROWS)
@@ -355,7 +356,8 @@ def interleaved_heatmap_texts(draw):
                 else:
                     cells.append("0.5")
             lines.append(" ".join(cells))
-    return "\n".join(lines) + "\n"
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + end
 
 
 @st.composite
@@ -536,6 +538,16 @@ def edited_fixed_width_texts(draw):
 WALK_EDITS = ["wider", "longer", "joined", "past the end", "huge size", "\r\n",
               "no final newline", "comment", "commented header", "blank",
               "repeated key", "3 fields", "5 fields"]
+# The edits after which the jumping scan still reads the whole file.
+JUMPED_EDITS = {"\r\n", "no final newline", "comment", "blank"}
+
+
+def stepping_only():
+    """Declines every jumping scan, so that `load_heatmaps` steps."""
+    scan = localization._scan
+    return mock.patch.object(localization, "_scan",
+                             side_effect=lambda data, jump: None if jump
+                             else scan(data, jump))
 
 
 @st.composite
@@ -1197,7 +1209,7 @@ class TestFileFormats:
         self, tmp_path_factory, text
     ):
         path = tmp_path_factory.getbasetemp() / "interleaved_heatmaps.tsv"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text.encode("utf-8"))
         assert loaded_or_error(path) == loaded_or_error(path, load_heatmaps_by_block)
 
     def test_grids_of_one_size_are_read_in_one_call(self, tmp_path):
@@ -1231,8 +1243,11 @@ class TestFileFormats:
         path.write_bytes(text.encode("utf-8"))
         with mock.patch("numpy.loadtxt", wraps=np.loadtxt) as loadtxt, \
                 mock.patch.object(localization, "_fixed_width_grids",
-                                  wraps=localization._fixed_width_grids) as decode:
+                                  wraps=localization._fixed_width_grids) as decode, \
+                mock.patch.object(localization, "_scan",
+                                  wraps=localization._scan) as scan:
             maps = load_heatmaps(path)
+        assert [call.args[1] for call in scan.call_args_list] == [True]
         assert decode.call_count == 2
         assert loadtxt.call_count == 0
         assert [m.grid.tolist() for m in maps] == [
@@ -1280,29 +1295,30 @@ class TestFileFormats:
                    ["joined"]))
     @example(case=("i1\tC\t1\t64\n0.5\ni1\tC\t1\t64\n0.5\n", ["repeated key"]))
     def test_walk_equals_the_line_reader(self, tmp_path_factory, case):
+        # The jumping scan against a forced stepping scan of the same file.
         text, edits = case
         path = tmp_path_factory.getbasetemp() / "walked_heatmaps.tsv"
         path.write_bytes(text.encode("utf-8"))
         loaded_or_raised(path)  # first-use allocations are not the reader's
         tracemalloc.start()
         try:
-            with mock.patch.object(localization, "_Lines",
-                                   wraps=localization._Lines) as lines:
+            with mock.patch.object(localization, "_scan",
+                                   wraps=localization._scan) as scan:
                 walked = loaded_or_raised(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        with mock.patch.object(localization, "_walk", return_value=None):
+        with stepping_only():
             assert walked == loaded_or_raised(path)
-        # Nothing is sized by a header's S before the walk checks it
-        # against the bytes left.
+        # Nothing is sized by a header's S before the scan finds its rows
+        # within the file.
         assert peak < 1 << 20
-        if not edits:
-            assert lines.call_count == 0
+        if set(edits) <= JUMPED_EDITS:
+            assert [call.args[1] for call in scan.call_args_list] == [True]
 
     def test_walk_decodes_the_larger_sizes_after_a_declined_one(self, tmp_path):
         # The "%g" map of size 1 is declined before the fixed-width size 2
-        # is decoded, so the line reader decodes size 2 once in all.
+        # is decoded, so the stepping scan decodes size 2 once in all.
         path = tmp_path / "heatmaps.tsv"
         path.write_text("i1\tA\t2\t64\n0.5000 1.2500\n9.0000 0.0625\n"
                         "i2\tA\t2\t64\n0.1000 0.2000\n0.3000 0.4000\n"
@@ -1310,7 +1326,7 @@ class TestFileFormats:
         with mock.patch.object(localization, "_fixed_width_grids",
                                wraps=localization._fixed_width_grids) as decode:
             maps = load_heatmaps(path)
-        assert [call.args[3] for call in decode.call_args_list] == [1, 2, 1]
+        assert [call.args[3] for call in decode.call_args_list] == [1, 1, 2]
         assert [m.grid.tolist() for m in maps] == [
             [[0.5, 1.25], [9.0, 0.0625]], [[0.1, 0.2], [0.3, 0.4]], [[0.5]]
         ]
@@ -1318,8 +1334,10 @@ class TestFileFormats:
     def test_bench_heatmaps_are_read_without_the_line_index(self, tmp_path):
         generate = runpy.run_path(str(BENCH / "generate.py"))
         inputs = generate["make_localize"](tmp_path, 1)
-        with mock.patch.object(localization, "_Lines", side_effect=AssertionError):
+        with mock.patch.object(localization, "_scan",
+                               wraps=localization._scan) as scan:
             maps = load_heatmaps(inputs.files["heatmaps"])
+        assert [call.args[1] for call in scan.call_args_list] == [True]
         assert len(maps) == inputs.props["maps"]
 
     def test_bad_byte_in_a_grid_row_with_lone_cr_ends_names_its_line(
@@ -1349,7 +1367,7 @@ class TestFileFormats:
             tracemalloc.stop()
         grids = sum(m.grid.nbytes for m in maps)
         # The file's bytes are 7/8 of the grids'; what is left is the
-        # newline index, the headers and one chunk of rows.
+        # headers and one chunk of rows.
         assert peak < 2 * grids
 
     def test_duplicate_heatmap_named_at_its_second_header(self, tmp_path):

@@ -522,7 +522,7 @@ class TestLocalizationEval:
                 calls.append((gt_rows.tolist(), det_rows.tolist(), values))
                 return values
 
-            with mock.patch.object(metrics, "pair_overlaps", recorded):
+            with mock.patch.object(metrics.localization, "pair_overlaps", recorded):
                 sweep = localization_sweep(dets, gts, mode)
             assert len(sweep) == len(grid)
             ((gt_rows, det_rows, values),) = calls
