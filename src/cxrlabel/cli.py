@@ -27,7 +27,9 @@ from cxrlabel.errors import (
     DegenerateLabels,
     MalformedRecord,
     NotUtf8,
+    SpanOutOfRange,
     read_lines,
+    read_rows,
 )
 from cxrlabel.labeling import (
     get_config,
@@ -211,13 +213,27 @@ def cmd_label(args, config: RunConfig) -> int:
     if args.external_mentions:
         external = _read(load_external_mentions, args.external_mentions,
                          "external-mentions")
-    labels = label_all(corpus, lexicon, ruleset, label_config, external)
+    try:
+        labels = label_all(corpus, lexicon, ruleset, label_config, external)
+    except SpanOutOfRange as err:
+        raise _at_mention_row(err, args.external_mentions, external)
     labels = sorted(labels, key=lambda record: record.report_id)
     with open(args.out_tsv, "w", encoding="utf-8") as handle:
         write_labels_tsv(labels, label_config, handle)
     with open(args.out_csv, "w", encoding="utf-8") as handle:
         write_labels_wide_csv(labels, label_config, handle)
     return 0
+
+
+def _at_mention_row(err: SpanOutOfRange, path: str, mentions: list) -> SpanOutOfRange:
+    """`err`, raised for one of `mentions`, which were read from the rows
+    of `path` one per row and in order, named at that mention's line as
+    `_read` names an error. Spans are checked in that order, so the first
+    row that gives the same mention is the one that failed; the rows are
+    read again only here, on the error path."""
+    line = read_rows(path, 7, "mention row")[mentions.index(err.mention)][0]
+    err.args = (f"{path}: line {line}: {err}",)
+    return err
 
 
 def cmd_eval_nlp(args, config: RunConfig) -> int:

@@ -14,7 +14,7 @@ import io
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from cxrlabel.errors import (
     MalformedRecord,
@@ -104,33 +104,27 @@ def get_config(name: str) -> LabelConfig:
         raise MalformedRecord(f"unknown label set {name!r}") from None
 
 
-@dataclass(frozen=True)
-class ReportLabels:
+class _LabelsFields(NamedTuple):
     report_id: str
     y: tuple[int, ...]
     status: Status
 
-    def __post_init__(self):
-        if any(v not in (0, 1) for v in self.y):
-            raise MalformedRecord(f"non-binary label vector for {self.report_id}")
-        has_positive = any(self.y)
-        if has_positive != (self.status is Status.TARGET_FINDINGS):
-            raise MalformedRecord(
-                f"status {self.status.value} inconsistent with vector"
-                f" for {self.report_id}"
-            )
 
-    @classmethod
-    def _checked(cls, report_id: str, y: tuple[int, ...],
-                 status: Status) -> "ReportLabels":
-        """The labels of a 0/1 vector `y` and a status that agrees with it,
-        which the caller ensures: `__post_init__` is not run."""
-        labels = object.__new__(cls)
-        fields = labels.__dict__
-        fields["report_id"] = report_id
-        fields["y"] = y
-        fields["status"] = status
-        return labels
+class ReportLabels(_LabelsFields):
+    """A report's 0/1 vector and status: a named tuple of its fields.
+    `label_report`, whose vector and status hold by construction, builds
+    it with `tuple.__new__`."""
+
+    __slots__ = ()
+
+    def __new__(cls, report_id: str, y: tuple[int, ...], status: Status):
+        if any(v not in (0, 1) for v in y):
+            raise MalformedRecord(f"non-binary label vector for {report_id}")
+        if any(y) != (status is Status.TARGET_FINDINGS):
+            raise MalformedRecord(
+                f"status {status.value} inconsistent with vector for {report_id}"
+            )
+        return tuple.__new__(cls, (report_id, y, status))
 
     def positive_classes(self, config: LabelConfig) -> tuple[str, ...]:
         return tuple(c for c, v in zip(config.classes, self.y) if v)
@@ -221,7 +215,7 @@ def label_report(
         status = Status.OTHER_FINDINGS_ONLY
     else:
         status = Status.NORMAL
-    return ReportLabels._checked(report.report_id, tuple(y), status)
+    return tuple.__new__(ReportLabels, (report.report_id, tuple(y), status))
 
 
 def polarize_corpus(

@@ -24,12 +24,17 @@ reason; `cli` reaches them through its handles and function-level
 imports, and the defaults every start reads live in `errors`. The
 package's own exports load on first read too (`cxrlabel.__getattr__`).
 
-`lazy_property` computes an attribute on its first read and stores it in
-the instance `__dict__`, where every later read finds it without calling
-the descriptor. It is `functools.cached_property` without the lock that
-Python 3.11 takes on each first read (3.12 dropped it): two threads that
-race may both compute the value, and the last one stored wins, which is
-harmless for the pure, deterministic values it holds here.
+`lazy_property` computes an attribute on its first read and stores it
+with the instance. A class with an instance `__dict__` keeps the value
+there, where every later read finds it without calling the descriptor. A
+class with `__slots__` and no `__dict__` (the pipeline's reports and
+graphs) declares the slot `_<name>` for it; every read goes through the
+descriptor, which reads that slot and fills it on the first read. It is
+`functools.cached_property` without the lock that Python 3.11 takes on
+each first read (3.12 dropped it), and it also works without a
+`__dict__`: two threads that race may both compute the value, and the
+last one stored wins, which is harmless for the pure, deterministic
+values it holds here.
 """
 
 import importlib.util
@@ -57,23 +62,36 @@ def _lazy_module(name: str):
 
 
 class lazy_property:
-    """A read-only attribute computed once per instance by `func` and
-    stored in the instance `__dict__`; works on frozen dataclasses, which
-    block only `__setattr__`. Read on the class, it is the descriptor."""
+    """A read-only attribute computed once per instance by `func`. It is
+    stored in the instance `__dict__`, or in the slot `_<name>` when the
+    class declares one; either works on a frozen class, whose
+    `__setattr__` neither path calls. Read on the class, it is the
+    descriptor."""
 
     def __init__(self, func):
         self.func = func
         self.name = func.__name__
         self.__doc__ = func.__doc__
+        self.slot = None
 
     def __set_name__(self, owner, name):
         self.name = name
+        # The member descriptor of the slot `_<name>`, if the class has one.
+        self.slot = vars(owner).get("_" + name)
 
     def __get__(self, instance, owner=None):
         if instance is None:
             return self
-        value = instance.__dict__[self.name] = self.func(instance)
-        return value
+        slot = self.slot
+        if slot is None:
+            value = instance.__dict__[self.name] = self.func(instance)
+            return value
+        try:
+            return slot.__get__(instance, owner)
+        except AttributeError:  # not set yet
+            value = self.func(instance)
+            slot.__set__(instance, value)
+            return value
 
 
 np = _lazy_module("numpy")

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from cxrlabel.errors import (
     BadCui,
@@ -55,8 +55,7 @@ class LexiconEntry:
             raise MalformedRow(f"unknown semantic type {self.semantic_type!r}")
 
 
-@dataclass(frozen=True)
-class ConceptMention:
+class _MentionFields(NamedTuple):
     sentence_ref: SentenceRef
     start: int  # 1-based, inclusive
     end: int  # inclusive
@@ -64,24 +63,19 @@ class ConceptMention:
     category: str
     source: Source = Source.INTERNAL
 
-    def __post_init__(self):
-        if self.start < 1 or self.end < self.start:
-            raise MalformedRow(f"bad span [{self.start},{self.end}]")
 
-    @classmethod
-    def _checked(cls, sentence_ref: SentenceRef, start: int, end: int, cui: str,
-                 category: str, source: Source) -> "ConceptMention":
-        """The mention of a span with 1 <= start <= end, which the caller
-        ensures: `__post_init__` is not run."""
-        mention = object.__new__(cls)
-        fields = mention.__dict__
-        fields["sentence_ref"] = sentence_ref
-        fields["start"] = start
-        fields["end"] = end
-        fields["cui"] = cui
-        fields["category"] = category
-        fields["source"] = source
-        return mention
+class ConceptMention(_MentionFields):
+    """A concept's span in a sentence: a named tuple of its fields.
+    `match_concepts`, whose spans hold by construction, builds it with
+    `tuple.__new__`."""
+
+    __slots__ = ()
+
+    def __new__(cls, sentence_ref: SentenceRef, start: int, end: int, cui: str,
+                category: str, source: Source = Source.INTERNAL):
+        if start < 1 or end < start:
+            raise MalformedRow(f"bad span [{start},{end}]")
+        return tuple.__new__(cls, (sentence_ref, start, end, cui, category, source))
 
     @property
     def span(self) -> tuple[int, int]:
@@ -172,7 +166,7 @@ def match_concepts(sentence: Sentence, lexicon: Lexicon) -> list[ConceptMention]
     phrase is empty.
     """
     lowered, ref = sentence.lowered, sentence.ref
-    index = lexicon._index
+    index, new = lexicon._index, tuple.__new__
     mentions: list[ConceptMention] = []
     end = 0  # the first position past the last hit
     for i in [i for i, word in enumerate(lowered) if word in index]:
@@ -182,9 +176,9 @@ def match_concepts(sentence: Sentence, lexicon: Lexicon) -> list[ConceptMention]
         if entry is None:
             continue
         end = i + len(entry.phrase)
-        mentions.append(ConceptMention._checked(
+        mentions.append(new(ConceptMention, (
             ref, i + 1, end, entry.cui, entry.category, Source.INTERNAL
-        ))
+        )))
     return mentions
 
 

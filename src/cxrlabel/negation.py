@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from cxrlabel.errors import (
     MissingGraph,
@@ -99,30 +99,26 @@ class Rule:
             )
 
 
-@dataclass(frozen=True)
-class PolarizedMention:
+class _PolarizedFields(NamedTuple):
     mention: ConceptMention
     polarity: Polarity
     matched_rule: Optional[str] = None
 
-    def __post_init__(self):
-        if self.polarity is not Polarity.POSITIVE and self.matched_rule is None:
-            raise RuleParseError(
-                f"{self.polarity.value} mention must name the matched rule"
-            )
 
-    @classmethod
-    def _checked(cls, mention: ConceptMention, polarity: Polarity,
-                 matched_rule: Optional[str]) -> "PolarizedMention":
-        """The polarized mention of these fields, a polarity other than
-        positive naming its rule, which the caller ensures:
-        `__post_init__` is not run."""
-        polarized = object.__new__(cls)
-        fields = polarized.__dict__
-        fields["mention"] = mention
-        fields["polarity"] = polarity
-        fields["matched_rule"] = matched_rule
-        return polarized
+class PolarizedMention(_PolarizedFields):
+    """A mention with its polarity and the rule that set it: a named tuple
+    of its fields. `apply_rules`, whose results hold by construction,
+    builds it with `tuple.__new__`."""
+
+    __slots__ = ()
+
+    def __new__(cls, mention: ConceptMention, polarity: Polarity,
+                matched_rule: Optional[str] = None):
+        if polarity is not Polarity.POSITIVE and matched_rule is None:
+            raise RuleParseError(
+                f"{polarity.value} mention must name the matched rule"
+            )
+        return tuple.__new__(cls, (mention, polarity, matched_rule))
 
 
 class RuleSet:
@@ -353,9 +349,10 @@ def apply_rules(
     for mention in mentions:
         if mention.sentence_ref != graph.sentence_ref:
             raise MissingGraph(mention.sentence_ref)
-    polarized = PolarizedMention._checked
+    new = tuple.__new__
     if not mentions or not ruleset.reaches(graph):
-        return [polarized(mention, Polarity.POSITIVE, None) for mention in mentions]
+        return [new(PolarizedMention, (mention, Polarity.POSITIVE, None))
+                for mention in mentions]
 
     # Lemmatize the graph once and index its positions by lemma.
     lemmas = [lemma(word) for word in graph.lowered]
@@ -404,5 +401,5 @@ def apply_rules(
                     else Polarity.UNCERTAIN
                 )
                 break
-        result.append(polarized(mention, polarity, matched))
+        result.append(new(PolarizedMention, (mention, polarity, matched)))
     return result

@@ -66,32 +66,43 @@ class Edge(NamedTuple):
     label: str
 
 
-@dataclass(frozen=True)
+# The pipeline's records hold their fields without an instance `__dict__`:
+# a record that is its fields alone is a named tuple, and one with a lazy
+# attribute keeps its fields and that attribute in slots. Each public
+# constructor checks its fields; the loaders, whose fields hold by
+# construction, build the same record without the checks, a tuple with
+# `tuple.__new__` and a slotted record with its `_new`, which writes each
+# slot through the slot's own `__set__`, as the frozen class's
+# `__setattr__` refuses to.
+_new_object = object.__new__
+
+
+@dataclass(frozen=True, init=False)
 class RadiologyReport:
+    __slots__ = ("report_id", "patient_id", "sections", "_sentences")
     report_id: str
     patient_id: str
     sections: dict[str, str]
 
-    def __post_init__(self):
-        if not self.report_id:
+    def __new__(cls, report_id: str, patient_id: str, sections: dict[str, str]):
+        if not report_id:
             raise MalformedRecord("empty report_id")
-        if not self.sections:
-            raise MalformedRecord(f"report {self.report_id!r} has no sections")
-        for tag in self.sections:
+        if not sections:
+            raise MalformedRecord(f"report {report_id!r} has no sections")
+        for tag in sections:
             if tag not in SECTION_TAGS:
                 raise MalformedRecord(f"unknown section tag {tag!r}")
+        return cls._new(report_id, patient_id, sections)
 
     @classmethod
-    def _checked(cls, report_id: str, patient_id: str,
-                 sections: dict[str, str]) -> "RadiologyReport":
+    def _new(cls, report_id: str, patient_id: str,
+             sections: dict[str, str]) -> "RadiologyReport":
         """The report of a non-empty id and non-empty sections of known
-        tags, which the caller has already checked: `__post_init__` is not
-        run."""
-        report = object.__new__(cls)
-        fields = report.__dict__
-        fields["report_id"] = report_id
-        fields["patient_id"] = patient_id
-        fields["sections"] = sections
+        tags, which the caller has already checked."""
+        report = _new_object(cls)
+        _set_report_id(report, report_id)
+        _set_patient_id(report, patient_id)
+        _set_sections(report, sections)
         return report
 
     @lazy_property
@@ -100,30 +111,32 @@ class RadiologyReport:
         return tuple(split_sentences(self))
 
 
-@dataclass(frozen=True)
-class Sentence:
-    """A sentence as two string columns: the surface of each token and
-    its lowercase form, token k at index k - 1."""
+_set_report_id = RadiologyReport.report_id.__set__
+_set_patient_id = RadiologyReport.patient_id.__set__
+_set_sections = RadiologyReport.sections.__set__
 
+
+class _SentenceFields(NamedTuple):
     report_id: str
     section: str
     index: int
     surfaces: tuple[str, ...]
     lowered: tuple[str, ...]
+    ref: SentenceRef
 
-    @classmethod
-    def _checked(cls, report_id: str, section: str, index: int,
-                 surfaces: tuple[str, ...], lowered: tuple[str, ...]) -> "Sentence":
-        """The sentence of these fields, set without the frozen
-        dataclass's per-field `__setattr__` calls."""
-        sentence = object.__new__(cls)
-        fields = sentence.__dict__
-        fields["report_id"] = report_id
-        fields["section"] = section
-        fields["index"] = index
-        fields["surfaces"] = surfaces
-        fields["lowered"] = lowered
-        return sentence
+
+class Sentence(_SentenceFields):
+    """A sentence as two string columns: the surface of each token and
+    its lowercase form, token k at index k - 1. Its `ref` is a field of
+    its own, set from the first three. `len()` counts the tokens, not the
+    fields."""
+
+    __slots__ = ()
+
+    def __new__(cls, report_id: str, section: str, index: int,
+                surfaces: tuple[str, ...], lowered: tuple[str, ...]):
+        ref = SentenceRef(report_id, section, index)
+        return tuple.__new__(cls, (report_id, section, index, surfaces, lowered, ref))
 
     @property
     def tokens(self) -> tuple[Token, ...]:
@@ -131,57 +144,55 @@ class Sentence:
         return tuple(map(Token, range(1, len(self.surfaces) + 1),
                          self.surfaces, self.lowered))
 
-    @lazy_property
-    def ref(self) -> SentenceRef:
-        return SentenceRef(self.report_id, self.section, self.index)
-
     def __len__(self) -> int:
         return len(self.surfaces)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DependencyGraph:
+    """A sentence's parse: its token surfaces, their lowercase forms
+    (`lowered`, set with the fields) and its edges."""
+
+    __slots__ = ("sentence_ref", "n_tokens", "surfaces", "edges", "lowered",
+                 "_out_adjacency", "_in_adjacency")
     sentence_ref: SentenceRef
     n_tokens: int
     surfaces: tuple[str, ...]
     edges: tuple[Edge, ...]
 
-    def __post_init__(self):
-        if self.n_tokens < 1:
-            raise TokenCountMismatch("graph declares no tokens", self.sentence_ref)
-        if len(self.surfaces) != self.n_tokens:
+    def __new__(cls, sentence_ref: SentenceRef, n_tokens: int,
+                surfaces: tuple[str, ...], edges: tuple[Edge, ...]):
+        if n_tokens < 1:
+            raise TokenCountMismatch("graph declares no tokens", sentence_ref)
+        if len(surfaces) != n_tokens:
             raise TokenCountMismatch(
-                f"{len(self.surfaces)} surfaces for {self.n_tokens} tokens",
-                self.sentence_ref,
+                f"{len(surfaces)} surfaces for {n_tokens} tokens", sentence_ref
             )
-        for edge in self.edges:
-            if not (0 <= edge.head <= self.n_tokens):
-                raise BadHeadIndex(f"head {edge.head} outside 0..{self.n_tokens}")
-            if not (1 <= edge.dependent <= self.n_tokens):
+        for edge in edges:
+            if not (0 <= edge.head <= n_tokens):
+                raise BadHeadIndex(f"head {edge.head} outside 0..{n_tokens}")
+            if not (1 <= edge.dependent <= n_tokens):
                 raise BadHeadIndex(
-                    f"dependent {edge.dependent} outside 1..{self.n_tokens}"
+                    f"dependent {edge.dependent} outside 1..{n_tokens}"
                 )
             if edge.head == edge.dependent:
                 raise BadHeadIndex(f"self-loop at token {edge.head}")
+        return cls._new(sentence_ref, n_tokens, surfaces, edges)
 
     @classmethod
-    def _checked(cls, sentence_ref: SentenceRef, n_tokens: int,
-                 surfaces: tuple[str, ...], edges: tuple[Edge, ...]
-                 ) -> "DependencyGraph":
+    def _new(cls, sentence_ref: SentenceRef, n_tokens: int,
+             surfaces: tuple[str, ...], edges: tuple[Edge, ...]
+             ) -> "DependencyGraph":
         """The graph of `n_tokens` >= 1 tokens, `n_tokens` surfaces and
         edges between positions in range with no self-loop, which the
-        caller has already checked: `__post_init__` is not run."""
-        graph = object.__new__(cls)
-        fields = graph.__dict__
-        fields["sentence_ref"] = sentence_ref
-        fields["n_tokens"] = n_tokens
-        fields["surfaces"] = surfaces
-        fields["edges"] = edges
+        caller has already checked."""
+        graph = _new_object(cls)
+        _set_sentence_ref(graph, sentence_ref)
+        _set_n_tokens(graph, n_tokens)
+        _set_surfaces(graph, surfaces)
+        _set_edges(graph, edges)
+        _set_lowered(graph, tuple(map(str.lower, surfaces)))
         return graph
-
-    @lazy_property
-    def lowered(self) -> tuple[str, ...]:
-        return tuple(map(str.lower, self.surfaces))
 
     @lazy_property
     def out_adjacency(self) -> dict[int, list[Edge]]:
@@ -224,6 +235,13 @@ class DependencyGraph:
             surfaces=self.surfaces,
             edges=_canonical_edges(edges),
         )
+
+
+_set_sentence_ref = DependencyGraph.sentence_ref.__set__
+_set_n_tokens = DependencyGraph.n_tokens.__set__
+_set_surfaces = DependencyGraph.surfaces.__set__
+_set_edges = DependencyGraph.edges.__set__
+_set_lowered = DependencyGraph.lowered.__set__
 
 
 def _canonical_edges(edges: Iterable[Edge]) -> tuple[Edge, ...]:
@@ -327,14 +345,17 @@ def split_sentences(report: RadiologyReport) -> list[Sentence]:
     its section; a chunk with no token makes no sentence. No token holds
     whitespace, so a chunk's tokens are those of the chunk stripped."""
     sentences: list[Sentence] = []
-    report_id, checked, findall = report.report_id, Sentence._checked, _TOKEN_RE.findall
+    report_id, new, findall = report.report_id, tuple.__new__, _TOKEN_RE.findall
     for tag, text in report.sections.items():
         index = 0
         for chunk in _SENTENCE_END.split(text):
             surfaces = tuple(findall(chunk))
             if surfaces:
                 lowered = tuple(map(str.lower, surfaces))
-                sentences.append(checked(report_id, tag, index, surfaces, lowered))
+                ref = new(SentenceRef, (report_id, tag, index))
+                sentences.append(
+                    new(Sentence, (report_id, tag, index, surfaces, lowered, ref))
+                )
                 index += 1
     return sentences
 
@@ -354,7 +375,7 @@ def load_corpus(path) -> Corpus:
     """
     reports: list[RadiologyReport] = []
     seen: set[str] = set()
-    checked = RadiologyReport._checked
+    new = RadiologyReport._new
     for line_no, line in enumerate(read_all_lines(path), start=1):
         if not line or line[0] == "#":
             continue
@@ -383,7 +404,7 @@ def load_corpus(path) -> Corpus:
             if tag in sections:
                 raise MalformedRecord(f"duplicate section tag {tag!r}", line_no)
             sections[tag] = text
-        reports.append(checked(report_id, patient_id, sections))
+        reports.append(new(report_id, patient_id, sections))
     return Corpus._checked(tuple(reports), {})
 
 
@@ -420,7 +441,7 @@ def load_dependency_file(path) -> dict[SentenceRef, DependencyGraph]:
     text = read_all_text(path)
     graphs: dict[SentenceRef, DependencyGraph] = {}
     numerals: list[str] = []  # "1", "2", ..., as long as the longest block
-    checked = DependencyGraph._checked
+    new = DependencyGraph._new
     match = _PLAIN_BLOCK.match
     pos = counted = 0  # the text is tiled up to pos, its lines counted up to counted
     line_no = 1  # the line at counted
@@ -442,7 +463,7 @@ def load_dependency_file(path) -> dict[SentenceRef, DependencyGraph]:
                     for k, line in enumerate(body[:-1].split("\n"), start=1)]
             _add_graph(graphs, ref, int(count), line_no, rows)
         else:
-            graphs[ref] = checked(ref, n, tuple(cells[1::4]), edges)
+            graphs[ref] = new(ref, n, tuple(cells[1::4]), edges)
         pos = block.end()
     if pos < len(text):
         line_no += text.count("\n", counted, pos)
@@ -508,7 +529,7 @@ def _add_graph(graphs: dict[SentenceRef, DependencyGraph], ref: SentenceRef,
             ref,
             header_line,
         )
-    graphs[ref] = DependencyGraph._checked(
+    graphs[ref] = DependencyGraph._new(
         ref,
         n_tokens,
         tuple(surfaces[i] for i in range(1, n_tokens + 1)),

@@ -658,13 +658,13 @@ RULE_TOKENS = [
 
 
 @st.composite
-def mutated_rules(draw) -> bytes:
-    """The shipped rules file after one to five line edits (a field set to
-    a token or to any short text, dropped, added or swapped; a line
-    repeated, lowercased or uppercased; a blank, tab or comment line put
-    in), then up to two byte edits (a slice deleted or repeated, bytes
+def mutated_tsv(draw, text: str, tokens: list[str]) -> bytes:
+    """The TSV file `text` after one to five line edits (a field set to
+    one of `tokens` or to any short text, dropped, added or swapped; a
+    line repeated, lowercased or uppercased; a blank, tab or comment line
+    put in), then up to two byte edits (a slice deleted or repeated, bytes
     put in) and a stray `\\r`, `\\r\\n` or non-UTF-8 byte."""
-    rows = [line.split("\t") for line in SHIPPED_RULES.read_text().splitlines()]
+    rows = [line.split("\t") for line in text.splitlines()]
     for _ in range(draw(st.integers(1, 5))):
         k = draw(st.integers(0, len(rows) - 1))
         row = rows[k]
@@ -672,13 +672,13 @@ def mutated_rules(draw) -> bytes:
                                      "repeat", "lower", "upper", "insert"]))
         j = draw(st.integers(0, len(row) - 1)) if row else None
         if edit == "token" and row:
-            row[j] = draw(st.sampled_from(RULE_TOKENS))
+            row[j] = draw(st.sampled_from(tokens))
         elif edit == "text" and row:
             row[j] = draw(st.text(max_size=4))
         elif edit == "drop" and row:
             del row[j]
         elif edit == "add":
-            row.append(draw(st.sampled_from(RULE_TOKENS)))
+            row.append(draw(st.sampled_from(tokens)))
         elif edit == "swap" and row:
             i = draw(st.integers(0, len(row) - 1))
             row[i], row[j] = row[j], row[i]
@@ -702,19 +702,64 @@ def mutated_rules(draw) -> bytes:
     return data[:at] + stray + data[at:]
 
 
+def assert_reads_or_names_its_line(path: Path, out: Path, *flags: str):
+    """`label` on the fixtures with `flags` either succeeds or exits 2
+    naming a line of `path`, the mutated input, without a traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _, _ = run_label(out, *flags)
+    if code != 0:
+        assert code == 2
+        assert re.match(rf"error: {re.escape(str(path))}: line \d+: ",
+                        err.getvalue().splitlines()[-1])
+
+
 class TestRulesFuzz:
     @settings(max_examples=300, deadline=None)
-    @given(data=mutated_rules())
+    @given(data=mutated_tsv(SHIPPED_RULES.read_text(), RULE_TOKENS))
     def test_mutated_rules_parse_or_name_their_line(self, tmp_path_factory, data):
         out = tmp_path_factory.getbasetemp()
         rules = out / "mutant.rules"
         rules.write_bytes(data)
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code, _, _ = run_label(out, "--rules", str(rules))
-        if code != 0:
-            assert code == 2
-            assert re.match(r"error: .*line \d+: ", err.getvalue().splitlines()[-1])
+        assert_reads_or_names_its_line(rules, out, "--rules", str(rules))
+
+
+SHIPPED_LEXICON = Path(negation.__file__).parent / "data" / "lexicon.tsv"
+# Fields a lexicon row may be edited to: CUIs good and bad, the semantic
+# types, categories, phrases, and bytes str.split() treats apart.
+LEXICON_TOKENS = [
+    "", " ", "#", "C0032285", "C003228", "c0032285", "C00322850", "dsyn", "fndg",
+    "DSYN", "Pneumonia", "NORMAL_CONCEPT", "pleural effusion", "  effusion ",
+    "\x00", "\x85", "\xa0", "\ufeff",
+]
+# Two mention rows; findings sentence 0 of "r02" has 5 tokens, of "r17" 7.
+MENTIONS = ("r02\tfindings\t0\t1\t1\tC0032285\tPneumonia\n"
+            "r17\tfindings\t0\t2\t3\tC0013687\tEffusion\n")
+MENTION_TOKENS = [
+    "", " ", "#", "r02", "r17", "r99", "findings", "impression", "history",
+    "0", "1", "2", "3", "5", "7", "8", "99", "-1", "01", "1.0", "C0032285", "C003228",
+    "Pneumonia", "\x00", "\xa0", "\ufeff",
+]
+
+
+class TestLexiconAndMentionsFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=mutated_tsv(SHIPPED_LEXICON.read_text(), LEXICON_TOKENS))
+    def test_mutated_lexicon_loads_or_names_its_line(self, tmp_path_factory, data):
+        out = tmp_path_factory.getbasetemp()
+        lexicon = out / "mutant_lexicon.tsv"
+        lexicon.write_bytes(data)
+        assert_reads_or_names_its_line(lexicon, out, "--lexicon", str(lexicon))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=mutated_tsv(MENTIONS, MENTION_TOKENS))
+    def test_mutated_mentions_load_or_name_their_line(self, tmp_path_factory, data):
+        out = tmp_path_factory.getbasetemp()
+        mentions = out / "mutant_mentions.tsv"
+        mentions.write_bytes(data)
+        assert_reads_or_names_its_line(
+            mentions, out, "--external-mentions", str(mentions)
+        )
 
 
 class TestLabelCommand:
@@ -813,7 +858,24 @@ class TestLabelCommand:
         code, _, _ = run_label(tmp_path, "--external-mentions", str(mentions))
         assert code == 2
         last = capsys.readouterr().err.splitlines()[-1]
-        assert last == "error: mention r02/findings/0 [4,6]: span ends past 5 tokens"
+        assert last == (f"error: {mentions}: line 1: "
+                        "mention r02/findings/0 [4,6]: span ends past 5 tokens")
+
+    @pytest.mark.parametrize("bad, reason", [
+        ("r02\tfindings\t0\t4\t6", "mention r02/findings/0 [4,6]: span ends past 5 tokens"),
+        ("r1\tfindings\t0\t1\t2", "mention r1/findings/0 [1,2]: unknown sentence"),
+    ], ids=["past-end", "unknown-sentence"])
+    def test_external_mention_span_error_names_the_row_of_the_mention(
+            self, tmp_path, capsys, bad, reason):
+        # The same good row before and after it: the first bad row is named.
+        good = "r02\tfindings\t0\t1\t1\tC0032285\tPneumonia\n"
+        mentions = tmp_path / "mentions.tsv"
+        mentions.write_text(f"# spans\n{good}\n{bad}\tC0032285\tPneumonia\n{good}"
+                            f"{bad}\tC0032285\tPneumonia\n")
+        code, _, _ = run_label(tmp_path, "--external-mentions", str(mentions))
+        assert code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == f"error: {mentions}: line 4: {reason}"
 
     @pytest.mark.parametrize("row, error", [
         ("C0032326\tPneumothorax\tbogus\tpneumothorax",

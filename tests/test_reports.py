@@ -3,6 +3,7 @@
 import re
 import sys
 import tracemalloc
+from dataclasses import astuple
 from pathlib import Path
 from unittest import mock
 
@@ -374,12 +375,14 @@ class TestCorpusFile:
             return
         corpus = load_corpus(path)
         assert corpus.reports == expected.reports and corpus.graphs == {}
-        assert [vars(r) for r in corpus.reports] == [vars(r) for r in expected.reports]
+        assert [astuple(r) for r in corpus.reports] == [
+            astuple(r) for r in expected.reports]
 
     def test_loaded_reports_are_not_checked_again(self, tmp_path):
         path = tmp_path / "corpus.tsv"
         path.write_text("\n".join(CORPUS_LINES) + "\n", encoding="utf-8")
-        with mock.patch.object(RadiologyReport, "__post_init__") as report_check, \
+        with mock.patch.object(RadiologyReport, "__new__",
+                               wraps=RadiologyReport.__new__) as report_check, \
                 mock.patch.object(Corpus, "__post_init__") as corpus_check:
             corpus = load_corpus(path)
         report_check.assert_not_called()
@@ -530,7 +533,8 @@ class TestDependencyFile:
     def test_loaded_graphs_are_not_checked_again(self, tmp_path):
         path = tmp_path / "deps.tsv"
         path.write_text("\n".join(DEPS_LINES) + "\n", encoding="utf-8")
-        with mock.patch.object(DependencyGraph, "__post_init__") as graph_check:
+        with mock.patch.object(DependencyGraph, "__new__",
+                               wraps=DependencyGraph.__new__) as graph_check:
             graphs = load_dependency_file(path)
         graph_check.assert_not_called()
         assert graphs == load_dependency_file_by_lines(path)
