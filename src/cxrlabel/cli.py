@@ -10,12 +10,12 @@ codes: 0 success, 1 evaluation/assertion failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from cxrlabel.errors import (
@@ -39,7 +39,7 @@ from cxrlabel.labeling import (
     write_labels_tsv,
     write_labels_wide_csv,
 )
-from cxrlabel.lazy import _lazy_module, np
+from cxrlabel.lazy import _lazy_module, np, record
 from cxrlabel.lexicon import (
     Lexicon,
     default_lexicon,
@@ -96,7 +96,29 @@ def _read(load, path: Optional[str], name: str, *args, **kwargs):
         raise
 
 
-@dataclass(frozen=True)
+@contextlib.contextmanager
+def _output(path: str, binary: bool = False):
+    """A handle on a file beside `path` (or its symlink's target) that
+    replaces it once the block succeeds, so a failed run leaves it as it
+    was; a device, pipe or directory opens in place. Errors name `path`."""
+    target = os.path.realpath(path)
+    in_place = os.path.exists(target) and not os.path.isfile(target)
+    temp = target if in_place else f"{target}.{os.getpid()}.tmp"
+    try:
+        with (open(temp, "wb") if binary
+              else open(temp, "w", encoding="utf-8")) as handle:
+            yield handle
+        if not in_place:
+            os.replace(temp, target)
+    except BaseException as err:
+        if not in_place and os.path.exists(temp):
+            os.remove(temp)
+        if isinstance(err, OSError):
+            err.filename, err.filename2 = path, None
+        raise
+
+
+@record
 class RunConfig:
     label_set: str = "x8"
     lexicon: Optional[str] = None  # None = packaged default
@@ -218,9 +240,9 @@ def cmd_label(args, config: RunConfig) -> int:
     except SpanOutOfRange as err:
         raise _at_mention_row(err, args.external_mentions, external)
     labels = sorted(labels, key=lambda record: record.report_id)
-    with open(args.out_tsv, "w", encoding="utf-8") as handle:
+    with _output(args.out_tsv) as handle:
         write_labels_tsv(labels, label_config, handle)
-    with open(args.out_csv, "w", encoding="utf-8") as handle:
+    with _output(args.out_csv) as handle:
         write_labels_wide_csv(labels, label_config, handle)
     return 0
 
@@ -240,7 +262,7 @@ def cmd_eval_nlp(args, config: RunConfig) -> int:
     gold, label_config = _read(read_labels_wide_csv, args.gold, "gold")
     predicted, _ = _read(read_labels_wide_csv, args.pred, "pred", label_config)
     result = metrics.prf1(predicted, gold, label_config)
-    with open(args.out, "w", encoding="utf-8") as handle:
+    with _output(args.out) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         names = [name for name, _ in result.rows()]
         writer.writerow(["metric", *names])
@@ -322,12 +344,12 @@ def cmd_auc(args, config: RunConfig) -> int:
         cells.append(f"{metrics.roc_auc(score_vec, label_vec, counts):.6f}")
         if args.roc_out:
             curves.append((cls, counts))
-    with open(args.out, "w", encoding="utf-8") as handle:
+    with _output(args.out) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["metric", *label_config.classes])
         writer.writerow(["AUC", *cells])
     if args.roc_out:
-        with open(args.roc_out, "wb") as handle:
+        with _output(args.roc_out, binary=True) as handle:
             handle.write(b"class,fpr,tpr\n")
             for cls, (tp, fp) in curves:
                 handle.write(_roc_block(cls, tp, fp))
@@ -337,7 +359,7 @@ def cmd_auc(args, config: RunConfig) -> int:
 def cmd_localize(args, config: RunConfig) -> int:
     heatmaps = _read(localization.load_heatmaps, args.heatmaps, "heatmaps")
     boxes = localization.boxes_from_heatmaps(heatmaps, config.thresholds)
-    with open(args.out, "w", encoding="utf-8") as handle:
+    with _output(args.out) as handle:
         localization.write_boxes(boxes.take(_box_order(boxes)), handle,
                                  with_threshold=True)
     return 0
@@ -361,7 +383,7 @@ def cmd_eval_loc(args, config: RunConfig) -> int:
     results = metrics.localization_sweep(detections, gts, args.mode, grid,
                                          args.n_images)
     classes = sorted(set(detections.labels) | set(gts.labels))
-    with open(args.out, "w", encoding="utf-8") as handle:
+    with _output(args.out) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["mode", "T", "metric", *classes])
         for result in results:
@@ -383,9 +405,9 @@ def cmd_stats(args, config: RunConfig) -> int:
     labels, label_config = _read(read_labels_wide_csv, args.labels, "labels")
     counts = stats.label_counts(labels, label_config)
     matrix = stats.cooccurrence_matrix(labels, label_config)
-    with open(args.out_counts, "w", encoding="utf-8") as handle:
+    with _output(args.out_counts) as handle:
         stats.write_counts_csv(counts, label_config, handle)
-    with open(args.out_matrix, "w", encoding="utf-8") as handle:
+    with _output(args.out_matrix) as handle:
         stats.write_matrix_csv(matrix, label_config, handle)
     return 0
 
@@ -397,7 +419,7 @@ def cmd_split(args, config: RunConfig) -> int:
         by_patient.setdefault(report.patient_id, []).append(report.report_id)
     patients = sorted(by_patient.items())
     split = stats.patient_split(patients, seed=config.seed)
-    with open(args.out, "w", encoding="utf-8") as handle:
+    with _output(args.out) as handle:
         stats.write_split_tsv(split, handle)
     return 0
 

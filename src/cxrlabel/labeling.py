@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -23,7 +22,7 @@ from cxrlabel.errors import (
     loadtxt,
     read_input,
 )
-from cxrlabel.lazy import lazy_property, np
+from cxrlabel.lazy import lazy_property, np, record
 from cxrlabel.lexicon import (
     NORMAL_CONCEPT,
     ConceptMention,
@@ -66,7 +65,7 @@ STATUSES = tuple(Status)
 _STATUS_CODE = {status.value: code for code, status in enumerate(STATUSES)}
 
 
-@dataclass(frozen=True)
+@record
 class LabelConfig:
     name: str
     classes: tuple[str, ...]
@@ -130,7 +129,7 @@ class ReportLabels(_LabelsFields):
         return tuple(c for c, v in zip(config.classes, self.y) if v)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class LabelTable:
     """Label rows as arrays: the report ids (unique), an (N, C) int8 matrix
     of 0/1 labels and an (N,) int8 array of indexes into STATUSES."""

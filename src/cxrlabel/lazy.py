@@ -1,5 +1,5 @@
 """Things computed on first use: numpy, the numeric layers, and the
-lazy attributes of the package's records.
+lazy attributes of the package's records; and `record`, which makes them.
 
 Report mining (`label`) never touches an array, and importing numpy
 costs more than the rest of a CLI start. So when numpy is not loaded
@@ -35,10 +35,15 @@ each first read (3.12 dropped it), and it also works without a
 `__dict__`: two threads that race may both compute the value, and the
 last one stored wins, which is harmless for the pure, deterministic
 values it holds here.
+
+`record` builds a frozen record's methods as plain functions, where
+`dataclasses` imports `inspect`, `ast` and `dis` on every start and
+`exec`s each class's methods from generated source.
 """
 
 import importlib.util
 import sys
+from operator import attrgetter
 
 
 def _lazy_module(name: str):
@@ -92,6 +97,65 @@ class lazy_property:
             value = self.func(instance)
             slot.__set__(instance, value)
             return value
+
+
+def record(cls=None, /, *, eq=True):
+    """Make `cls` a frozen record of its annotated fields, with a frozen
+    dataclass's repr, refused assignment and, with `eq`, equality with
+    its own type and hash of its fields (else identity). Unless `cls`
+    defines `__new__` (a slotted one does) or `__init__`, its `__init__`
+    takes the fields by position or name, a class attribute being a
+    default, then calls any `__post_init__`, which `_checked` skips."""
+    if cls is None:
+        return lambda cls: record(cls, eq=eq)
+    names = tuple(cls.__dict__.get("__annotations__", {}))
+    assert len(names) > 1, "an attrgetter of one name returns no tuple"
+    values = attrgetter(*names)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={value!r}"
+                            for name, value in zip(names, values(self))])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    cls.__setattr__, cls.__delattr__, cls.__repr__ = __setattr__, __delattr__, __repr__
+    if eq:
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+    if "__new__" in cls.__dict__ or "__init__" in cls.__dict__:
+        return cls
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", lambda self: None)
+
+    def _checked(cls, *args):
+        self = object.__new__(cls)
+        vars(self).update(zip(names, args))
+        return self
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            passed = {**dict(zip(names, args)), **kwargs}
+            given = {**defaults, **passed}
+            if len(passed) != len(args) + len(kwargs) or given.keys() != set(names):
+                raise TypeError(f"{cls.__qualname__}() takes each of {names} once")
+            args = [given[name] for name in names]
+        vars(self).update(zip(names, args))
+        post_init(self)
+
+    cls._checked, cls.__init__ = classmethod(_checked), __init__
+    return cls
 
 
 np = _lazy_module("numpy")

@@ -8,7 +8,6 @@ tools can be imported from a standoff TSV and merged with internal hits.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from typing import Iterable, NamedTuple, Optional
@@ -20,6 +19,7 @@ from cxrlabel.errors import (
     SpanOutOfRange,
     read_rows,
 )
+from cxrlabel.lazy import record
 from cxrlabel.reports import Corpus, Sentence, SentenceRef
 
 # Categories that are not target-class labels.
@@ -39,7 +39,7 @@ class Source(Enum):
     EXTERNAL = "external"
 
 
-@dataclass(frozen=True)
+@record
 class LexiconEntry:
     cui: str
     category: str

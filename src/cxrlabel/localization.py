@@ -8,7 +8,6 @@ IoU and IoBB score detections against ground truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from cxrlabel.errors import (
@@ -21,10 +20,10 @@ from cxrlabel.errors import (
     read_input,
     read_rows,
 )
-from cxrlabel.lazy import np
+from cxrlabel.lazy import np, record
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Heatmap:
     image_id: str
     label: str
@@ -45,18 +44,8 @@ class Heatmap:
     def size(self) -> int:
         return self.grid.shape[0]
 
-    @classmethod
-    def _checked(cls, image_id: str, label: str, grid: np.ndarray,
-                 image_dim: float) -> "Heatmap":
-        """The Heatmap of a finite, square float64 grid and a dim > 0,
-        which the caller has already checked: `__post_init__` is not run."""
-        heatmap = object.__new__(cls)
-        vars(heatmap).update(image_id=image_id, label=label, grid=grid,
-                             image_dim=image_dim)
-        return heatmap
 
-
-@dataclass(frozen=True)
+@record
 class BBox:
     image_id: str
     label: str
@@ -75,12 +64,13 @@ class BBox:
         return self.w * self.h
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class BoxTable:
     """Box rows as arrays: the image id and class of each row, an (N, 4)
     float64 array of x, y, w, h, and an (N,) int array of thresholds
-    (None for ground-truth boxes). Iterating yields each row as a BBox:
-    the BBox itself for a table built from BBoxes."""
+    (None for ground-truth boxes). Iterating yields each row as a BBox,
+    the BBox itself for a table built from BBoxes, and else one built
+    without the extent check, which every function making a table has made."""
 
     image_ids: list[str]
     labels: list[str]
@@ -105,8 +95,8 @@ class BoxTable:
         if self.boxes is not None:
             return self.boxes[k]
         threshold = None if self.thresholds is None else self.thresholds.item(k)
-        return BBox(self.image_ids[k], self.labels[k], *self.xywh[k].tolist(),
-                    threshold)
+        return BBox._checked(self.image_ids[k], self.labels[k], *self.xywh[k].tolist(),
+                             threshold)
 
     def take(self, rows: np.ndarray) -> "BoxTable":
         """The table of rows `rows` (an int array), in that order."""
@@ -121,7 +111,7 @@ class BoxTable:
             return iter(self.boxes)
         thresholds = ([None] * len(self) if self.thresholds is None
                       else self.thresholds.tolist())
-        return (BBox(image_id, label, *geometry, threshold)
+        return (BBox._checked(image_id, label, *geometry, threshold)
                 for image_id, label, geometry, threshold in zip(
                     self.image_ids, self.labels, self.xywh.tolist(), thresholds))
 

@@ -9,7 +9,6 @@ evaluation image count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from cxrlabel.errors import (
@@ -26,7 +25,7 @@ from cxrlabel.labeling import (
     Status,
     label_table,
 )
-from cxrlabel.lazy import _lazy_module, np
+from cxrlabel.lazy import _lazy_module, np, record
 
 # Only the localization scores read boxes, so `auc` and `eval-nlp` never
 # run the layer.
@@ -45,7 +44,7 @@ NORMAL_ROW = "Normal"
 TOTAL_ROW = "Total"
 
 
-@dataclass(frozen=True)
+@record
 class ClassScore:
     tp: int
     fp: int
@@ -69,7 +68,7 @@ class ClassScore:
                           self.fn + other.fn)
 
 
-@dataclass(frozen=True)
+@record
 class PRF1Result:
     scores: dict[str, ClassScore]  # per class, plus the Normal pseudo-class
     total: ClassScore  # micro-average: summed counts
@@ -149,7 +148,7 @@ def roc_points(scores, labels, counts=None) -> list[tuple[float, float]]:
     return [(0.0, 0.0)] + list(zip((fp / fp[-1]).tolist(), (tp / tp[-1]).tolist()))
 
 
-@dataclass(frozen=True)
+@record
 class LocEvalResult:
     mode: str
     threshold: float

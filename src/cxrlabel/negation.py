@@ -9,7 +9,6 @@ reach every coordinated disease token.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from typing import Iterable, NamedTuple, Optional
@@ -20,6 +19,7 @@ from cxrlabel.errors import (
     UnknownDirection,
     read_rows,
 )
+from cxrlabel.lazy import record
 from cxrlabel.lexicon import ConceptMention
 from cxrlabel.reports import DependencyGraph, Edge
 
@@ -67,14 +67,14 @@ class Scope(Enum):
     SENTENCE = "sentence"
 
 
-@dataclass(frozen=True)
+@record
 class EdgeStep:
     direction: Direction
     labels: Optional[frozenset[str]]  # None = any label
     node_lemmas: Optional[frozenset[str]] = None  # constraint on landing token
 
 
-@dataclass(frozen=True)
+@record
 class Rule:
     rule_id: str
     polarity: RulePolarity

@@ -9,7 +9,6 @@ dependency-graph file formats used by the rest of the pipeline.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
 from cxrlabel.errors import (
@@ -21,7 +20,7 @@ from cxrlabel.errors import (
     read_all_lines,
     read_all_text,
 )
-from cxrlabel.lazy import lazy_property
+from cxrlabel.lazy import lazy_property, record
 
 SECTION_TAGS = ("comparison", "indication", "findings", "impression", "other")
 
@@ -77,7 +76,7 @@ class Edge(NamedTuple):
 _new_object = object.__new__
 
 
-@dataclass(frozen=True, init=False)
+@record
 class RadiologyReport:
     __slots__ = ("report_id", "patient_id", "sections", "_sentences")
     report_id: str
@@ -148,7 +147,7 @@ class Sentence(_SentenceFields):
         return len(self.surfaces)
 
 
-@dataclass(frozen=True, init=False)
+@record
 class DependencyGraph:
     """A sentence's parse: its token surfaces, their lowercase forms
     (`lowered`, set with the fields) and its edges."""
@@ -248,12 +247,14 @@ def _canonical_edges(edges: Iterable[Edge]) -> tuple[Edge, ...]:
     return tuple(sorted(set(edges)))
 
 
-@dataclass(frozen=True)
+@record
 class Corpus:
     reports: tuple[RadiologyReport, ...]
-    graphs: dict[SentenceRef, DependencyGraph] = field(default_factory=dict)
+    graphs: Optional[dict[SentenceRef, DependencyGraph]] = None  # None: {}
 
     def __post_init__(self):
+        if self.graphs is None:
+            object.__setattr__(self, "graphs", {})
         seen: set[str] = set()
         for report in self.reports:
             if report.report_id in seen:
@@ -277,16 +278,6 @@ class Corpus:
                 raise TokenCountMismatch(
                     f"graph has {graph.n_tokens} tokens, sentence has {n}", ref
                 )
-
-    @classmethod
-    def _checked(cls, reports: tuple[RadiologyReport, ...],
-                 graphs: dict[SentenceRef, DependencyGraph]) -> "Corpus":
-        """The corpus of `reports`, whose ids the caller has already found
-        unique, and of `graphs`, which the caller checks: `__post_init__`
-        is not run."""
-        corpus = object.__new__(cls)
-        vars(corpus).update(reports=reports, graphs=graphs)
-        return corpus
 
     def sentences(self) -> list[Sentence]:
         return [s for r in self.reports for s in r.sentences]

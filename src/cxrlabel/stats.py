@@ -7,7 +7,6 @@ same partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from cxrlabel.errors import EmptyCorpus, MalformedRecord
@@ -18,13 +17,13 @@ from cxrlabel.labeling import (
     Status,
     label_table,
 )
-from cxrlabel.lazy import np
+from cxrlabel.lazy import np, record
 
 PARTITIONS = ("train", "val", "test")
 DEFAULT_FRACTIONS = (0.7, 0.1, 0.2)
 
 
-@dataclass(frozen=True)
+@record
 class LabelCounts:
     totals: dict[str, int]  # reports with the class set
     overlaps: dict[str, int]  # of those, reports with >= 2 classes set
@@ -49,7 +48,7 @@ def cooccurrence_matrix(
     return y.T @ y
 
 
-@dataclass(frozen=True)
+@record
 class SplitAssignment:
     patients: dict[str, str]  # patient_id -> partition
     images: dict[str, str]  # image_id -> inherited partition

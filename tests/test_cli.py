@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import math
 import re
@@ -469,6 +470,47 @@ class TestExitCodes:
         assert code == 2
         last = capsys.readouterr().err.splitlines()[-1]
         assert last == f"error: {out}: No such file or directory"
+
+    def test_output_that_is_a_directory_exits_two(self, tmp_path, capsys):
+        last = last_error_line(capsys, ["split", "--corpus", CORPUS, "--out",
+                                        str(tmp_path)])
+        assert last == f"error: {tmp_path}: Is a directory"
+
+    @pytest.mark.parametrize("error, message", [
+        (CxrLabelError("bad row"), "bad row"),
+        (OSError(errno.ENOSPC, "No space left on device"),
+         "{out}: No space left on device"),
+    ])
+    def test_failed_write_leaves_the_earlier_output_unchanged(
+        self, tmp_path, capsys, error, message
+    ):
+        # `label` writes labels.tsv, then fails halfway through labels.csv.
+        tsv, out = tmp_path / "labels.tsv", tmp_path / "labels.csv"
+        argv = ["label", "--corpus", CORPUS, "--deps", DEPS,
+                "--out-tsv", str(tsv), "--out-csv", str(out)]
+        assert main(argv) == 0
+        earlier = out.read_bytes()
+        tsv.write_text("stale\n")
+
+        def write_half(labels, config, handle):
+            handle.write("report_id,")
+            raise error
+
+        with mock.patch.object(cli, "write_labels_wide_csv", write_half):
+            assert last_error_line(capsys, argv) == "error: " + message.format(out=out)
+        assert out.read_bytes() == earlier
+        assert tsv.read_text() != "stale\n"  # written in full before the failure
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "labels.csv", "labels.tsv"]
+
+    def test_output_through_a_symlink_replaces_its_target(self, tmp_path):
+        target, link = tmp_path / "split.tsv", tmp_path / "link.tsv"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert main(["split", "--corpus", CORPUS, "--out", str(link)]) == 0
+        assert link.is_symlink() and target.read_text() != "old\n"
+        assert main(["split", "--corpus", CORPUS, "--out", str(tmp_path / "b")]) == 0
+        assert target.read_bytes() == (tmp_path / "b").read_bytes()
 
     @pytest.mark.parametrize("reader", sorted(UTF8_READERS))
     def test_input_not_utf8_exits_two_with_path_and_line(

@@ -12,7 +12,17 @@ import json
 import runpy
 from pathlib import Path
 
-from test_lazy_numpy import CORPUS, DEPS, GOLD, ROOT, fresh, setup_code
+from test_lazy_numpy import (  # noqa: F401  (`inputs` is a fixture)
+    CORPUS,
+    DEPS,
+    GOLD,
+    NUMERIC_RUNS,
+    PACKAGE,
+    ROOT,
+    fresh,
+    inputs,
+    setup_code,
+)
 
 NUMERIC = {"cxrlabel.localization", "cxrlabel.metrics", "cxrlabel.pooling",
            "cxrlabel.stats"}
@@ -132,6 +142,66 @@ def test_layers_import_by_any_statement_before_and_after_the_cli():
         assert proc.stdout.decode().strip() == (
             "(60, 180) (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7) ['cel', 'wcel', 'el', 'hl']"
         )
+
+
+# --- a start loads no code generator ---
+
+# `dataclasses` imports `inspect`, `ast`, `dis` and `tokenize`; numpy's
+# own import loads `inspect`, so `inspect` is absent only until numpy runs.
+GENERATORS = ("dataclasses", "inspect")
+
+# Runs each CLI argv of the JSON list given, in one interpreter, and
+# prints after each run its exit code, which of GENERATORS are loaded,
+# and whether numpy has run.
+GENERATOR_PROBE = f"""
+import json, sys
+from cxrlabel.cli import main
+seen = []
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    seen.append([argv[0], code, [m for m in {GENERATORS!r} if m in sys.modules],
+                 any(m.startswith("numpy.") for m in sys.modules)])
+print(json.dumps(seen))
+"""
+
+
+def test_no_module_imports_dataclasses():
+    statements = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and any(
+            alias.name == "dataclasses" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    ]
+    assert statements == []
+
+
+def test_benchmark_setup_loads_no_code_generator():
+    proc = fresh(["-c", setup_code() + (
+        f"; import sys; print([m for m in {GENERATORS!r} if m in sys.modules])")])
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().splitlines()[-1] == "[]"
+
+
+def test_no_subcommand_loads_a_code_generator(inputs, tmp_path):
+    runs = [
+        ["label", "--corpus", CORPUS, "--deps", DEPS, "--propagate",
+         "--out-tsv", "labels.tsv", "--out-csv", "labels.csv"],
+        ["eval-nlp", "--pred", "labels.csv", "--gold", GOLD, "--out", "prf.csv"],
+        *(run(inputs) for _, run in sorted(NUMERIC_RUNS.items())),
+    ]
+    proc = fresh(["-c", GENERATOR_PROBE, json.dumps(runs)], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr.decode()
+    seen = json.loads(proc.stdout.decode().splitlines()[-1])
+    assert [command for command, *_ in seen] == [argv[0] for argv in runs]
+    assert {command for command, *_ in seen} >= {
+        "label", "eval-nlp", "auc", "localize", "eval-loc", "stats", "split",
+        "selftest"}
+    for command, code, loaded, numpy_ran in seen:
+        assert code == 0, command
+        assert loaded == (["inspect"] if numpy_ran else []), command
+    assert seen[0][3] is False  # `label` runs no numpy, so nothing loads `inspect`
 
 
 # --- the benchmark tracer finds every layer it wraps ---

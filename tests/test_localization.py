@@ -1504,6 +1504,32 @@ class TestBoxTable:
         assert list(gt) == [BBox("i1", "Mass", 1.0, 2.0, 3.0, 4.0)]
         assert len(BoxTable.from_boxes([])) == 0
 
+    @settings(max_examples=50, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.sampled_from(["i1", "i2"]), st.sampled_from(["Mass", "Nodule"]),
+        *[st.floats(0, 1e6) | st.integers(0, 9)] * 2,
+        *[st.floats(1e-3, 1e6) | st.integers(1, 9)] * 2,
+        st.integers(0, 255) | st.integers(2**63, 2**70)), max_size=6),
+        with_threshold=st.booleans())
+    def test_rows_equal_the_public_constructors_boxes(
+        self, tmp_path_factory, rows, with_threshold
+    ):
+        # A table's rows are built without the BBox check, which the
+        # loader has made, and are the boxes the checked constructor builds.
+        path = tmp_path_factory.getbasetemp() / "rows.tsv"
+        path.write_text("".join(
+            "\t".join(map(str, row if with_threshold else row[:-1])) + "\n"
+            for row in rows), encoding="utf-8")
+        table = load_boxes(path, with_threshold=with_threshold)
+        assert table.boxes is None
+        expected = [BBox(*row[:2], *map(float, row[2:6]),
+                         row[6] if with_threshold else None) for row in rows]
+        for built in (list(table), [table[k] for k in range(len(table))],
+                      list(table.take(np.arange(len(table))))):
+            assert built == expected
+            assert [(type(b), repr(b), hash(b), vars(b)) for b in built] == [
+                (type(b), repr(b), hash(b), vars(b)) for b in expected]
+
     def test_reader_returns_columns(self, tmp_path):
         path = tmp_path / "dets.tsv"
         path.write_text("i1\tMass\t1\t2\t3\t4\t60\n# c\ni2\tA\t0.5\t0\t1e1\t1\t180\n")

@@ -10,15 +10,28 @@ checked constructors still reject bad fields. Every record the loaders
 and `label_all` build, `RadiologyReport`, `Sentence` and
 `DependencyGraph` included, has no instance `__dict__`, and no record
 equals a record of another type.
+
+The classes that `lazy.record` makes frozen records are judged against a
+`dataclasses.dataclass(frozen=True)` built here from the same fields,
+defaults and methods: the same repr, equality, hash, refused assignment
+and constructor errors.
 """
 
+import ast
 import contextlib
+import dataclasses
+import functools
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import cxrlabel
+from cxrlabel.cli import RunConfig
 
 from cxrlabel.errors import (
     BadHeadIndex,
@@ -27,16 +40,38 @@ from cxrlabel.errors import (
     RuleParseError,
     TokenCountMismatch,
 )
-from cxrlabel.labeling import CONFIG_X8, ReportLabels, Status, label_all
-from cxrlabel.lexicon import ConceptMention, Source, default_lexicon, match_concepts
+from cxrlabel.labeling import (
+    CONFIG_X8,
+    LabelConfig,
+    LabelTable,
+    ReportLabels,
+    Status,
+    label_all,
+)
+from cxrlabel.lexicon import (
+    ConceptMention,
+    LexiconEntry,
+    Source,
+    default_lexicon,
+    match_concepts,
+)
+from cxrlabel.localization import BBox, BoxTable, Heatmap
+from cxrlabel.metrics import ClassScore, LocEvalResult, PRF1Result
 from cxrlabel.negation import (
+    Direction,
+    EdgeStep,
     Polarity,
     PolarizedMention,
+    Rule,
+    RulePolarity,
+    Scope,
     apply_rules,
     default_rules,
     propagate_conjuncts,
 )
 from cxrlabel.reports import (
+    SECTION_TAGS,
+    Corpus,
     DependencyGraph,
     Edge,
     RadiologyReport,
@@ -45,6 +80,7 @@ from cxrlabel.reports import (
     load_corpus,
     load_dependency_file,
 )
+from cxrlabel.stats import LabelCounts, SplitAssignment
 
 DATA = Path(__file__).parent / "data"
 
@@ -249,3 +285,178 @@ def test_public_constructors_keep_every_check(build, error, reason):
     with pytest.raises(error) as raised:
         build()
     assert type(raised.value) is error and str(raised.value) == reason
+
+
+# --- the frozen records against a dataclass reference ---
+
+texts = st.text(max_size=3)
+numbers = st.integers(-3, 3) | st.floats()
+counts = st.integers(0, 9)
+
+
+def grids(dtype, shape):
+    return hnp.arrays(dtype, shape, elements=st.integers(0, 1))
+
+
+def lists_of(values, size=2):
+    return st.lists(values, max_size=size)
+
+
+step_fields = st.tuples(st.sampled_from(Direction),
+                        st.none() | st.frozensets(texts, max_size=2),
+                        st.none() | st.frozensets(texts, max_size=2))
+reports = st.builds(RadiologyReport, st.sampled_from(["r1", "r2"]), texts,
+                    st.dictionaries(st.sampled_from(SECTION_TAGS), texts,
+                                    min_size=1, max_size=2))
+class_scores = st.builds(ClassScore, counts, counts, counts)
+
+
+@st.composite
+def graph_fields(draw):
+    n = draw(st.integers(1, 3))
+    edge = st.builds(Edge, st.integers(0, n), st.integers(1, n), texts).filter(
+        lambda edge: edge.head != edge.dependent)
+    return (draw(refs), n, tuple(draw(st.lists(texts, min_size=n, max_size=n))),
+            tuple(draw(lists_of(edge))))
+
+
+# The field values of each record class, valid and not: each class with
+# an instance `__dict__` runs its checks in both builds.
+FIELDS = {
+    RunConfig: st.tuples(
+        st.sampled_from(["x8", "X14", "x9"]), st.none() | texts, st.none() | texts,
+        lists_of(st.integers(-1, 256), 3).map(tuple), numbers,
+        st.sampled_from(["wcel", "cel", "hinge"]), st.integers()),
+    LabelConfig: st.tuples(texts, lists_of(st.sampled_from("ABC"), 4).map(tuple)),
+    LabelTable: st.tuples(lists_of(texts), grids(np.int8, (2, 2)), grids(np.int8, 2)),
+    LexiconEntry: st.tuples(
+        st.from_regex(r"C\d{7}", fullmatch=True) | texts, texts,
+        st.sampled_from(["dsyn", "fndg", "other"]), lists_of(texts).map(tuple)),
+    EdgeStep: step_fields,
+    Rule: st.tuples(
+        texts, st.sampled_from(RulePolarity),
+        lists_of(lists_of(texts).map(tuple)).map(tuple),
+        lists_of(step_fields.map(lambda fields: EdgeStep(*fields))).map(tuple),
+        st.sampled_from(["DISEASE", "ANY"]), st.sampled_from(Scope)),
+    RadiologyReport: st.tuples(st.text(min_size=1, max_size=3), texts,
+                               st.dictionaries(st.sampled_from(SECTION_TAGS), texts,
+                                               min_size=1, max_size=2)),
+    DependencyGraph: graph_fields(),
+    Corpus: st.tuples(lists_of(reports, 3).map(tuple), st.just({})),
+    Heatmap: st.tuples(texts, texts, st.integers(0, 2).flatmap(
+        lambda n: lists_of(lists_of(numbers, n), n)), numbers),
+    BBox: st.tuples(texts, texts, numbers, numbers, numbers, numbers,
+                    st.none() | st.integers(0, 255)),
+    BoxTable: st.tuples(lists_of(texts), lists_of(texts),
+                        hnp.arrays(float, (1, 4), elements=st.floats(0, 9)),
+                        st.none() | grids(np.int64, 1),
+                        st.none() | lists_of(st.builds(
+                            BBox, texts, texts, counts, counts, counts, counts))),
+    ClassScore: st.tuples(counts, counts, counts),
+    PRF1Result: st.tuples(st.dictionaries(texts, class_scores, max_size=2),
+                          class_scores),
+    LocEvalResult: st.tuples(
+        st.sampled_from(["iou", "iobb"]), numbers,
+        *[st.dictionaries(texts, numbers, max_size=2)] * 2,
+        *[st.dictionaries(texts, counts, max_size=2)] * 3, counts),
+    LabelCounts: st.tuples(*[st.dictionaries(texts, counts, max_size=2)] * 2, counts),
+    SplitAssignment: st.tuples(*[st.dictionaries(texts, texts, max_size=2)] * 2,
+                               st.integers(), st.tuples(numbers, numbers, numbers)),
+}
+
+
+def test_every_record_class_has_a_case():
+    decorated = {
+        node.name
+        for path in Path(cxrlabel.__file__).parent.glob("*.py")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef)
+        and any(ast.unparse(d).partition("(")[0] == "record"
+                for d in node.decorator_list)
+    }
+    assert decorated == {cls.__name__ for cls in FIELDS}
+    assert len(decorated) == 17
+
+
+@functools.cache
+def reference(cls):
+    """The frozen dataclass of `cls`'s fields: with its defaults and
+    methods, `__post_init__` included, when `cls` has an instance
+    `__dict__`, and built from the fields unchecked when `cls` has slots."""
+    namespace = {} if "__slots__" in vars(cls) else {
+        name: value for name, value in vars(cls).items()
+        if not name.startswith("__") or name == "__post_init__"}
+    return dataclasses.make_dataclass(
+        cls.__name__, list(cls.__annotations__.items()), namespace=namespace,
+        frozen=True, eq=cls.__eq__ is not object.__eq__)
+
+
+@st.composite
+def calls(draw, cls):
+    """Field values of `cls` as a call's arguments: the first few by
+    position, the others by name in any order, and a field that has a
+    default sometimes left out."""
+    fields = dataclasses.fields(reference(cls))
+    values = draw(FIELDS[cls])
+    k = draw(st.integers(0, len(fields)))
+    named = [(field.name, value) for field, value in zip(fields, values)]
+    kwargs = dict(draw(st.permutations(named[k:])))
+    for field in fields[k:]:
+        if field.default is not dataclasses.MISSING and draw(st.booleans()):
+            del kwargs[field.name]
+    return values[:k], kwargs
+
+
+def raised(action):
+    """The kind and text of what `action()` raises, None if it returns; a
+    dataclass's `FrozenInstanceError` counts as an `AttributeError`."""
+    try:
+        action()
+    except Exception as err:
+        kind = AttributeError if isinstance(err, AttributeError) else type(err)
+        return kind, str(err)
+    return None
+
+
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_record_behaves_as_its_dataclass_reference(cls, data):
+    ref = reference(cls)
+    pairs = []
+    for _ in range(2):
+        args, kwargs = data.draw(calls(cls))
+        built = []
+        error = raised(lambda: built.append(cls(*args, **kwargs)))
+        assert raised(lambda: built.append(ref(*args, **kwargs))) == error
+        if error is not None:
+            return
+        pairs.append(built)
+    (a, ra), (b, rb) = pairs
+    assert repr(a) == repr(ra)
+    assert (a == b, a != b, a == a) == (ra == rb, ra != rb, ra == ra)
+    assert a != ra and ra != a
+    if cls.__eq__ is object.__eq__:
+        assert cls.__hash__ is ref.__hash__ is object.__hash__
+    else:
+        assert raised(lambda: hash(a)) == raised(lambda: hash(ra))
+        if raised(lambda: hash(a)) is None:
+            assert hash(a) == hash(ra)
+    before = repr(a)
+    for name in [*cls.__annotations__, "other"]:
+        assert raised(lambda: setattr(a, name, 0)) == raised(
+            lambda: setattr(ra, name, 0))
+        assert raised(lambda: delattr(a, name)) == raised(lambda: delattr(ra, name))
+    assert repr(a) == before
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((), {}),
+    (("i", "c", 0, 0, 1, 1, None, 5), {}),
+    (("i", "c", 0, 0, 1, 1), {"x": 0}),
+    (("i", "c", 0, 0, 1, 1), {"z": 0}),
+])
+def test_record_init_refuses_a_bad_call_as_its_reference_does(args, kwargs):
+    for factory in (BBox, reference(BBox)):
+        with pytest.raises(TypeError):
+            factory(*args, **kwargs)
