@@ -32,67 +32,7 @@ _MODULE_OF = {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BBox",
-    "BoxTable",
-    "CONFIG_X14",
-    "CONFIG_X8",
-    "ConceptMention",
-    "Corpus",
-    "CxrLabelError",
-    "DependencyGraph",
-    "Heatmap",
-    "LabelConfig",
-    "LabelTable",
-    "Lexicon",
-    "Polarity",
-    "PolarizedMention",
-    "RadiologyReport",
-    "ReportLabels",
-    "Rule",
-    "RuleSet",
-    "Sentence",
-    "SentenceRef",
-    "Status",
-    "apply_rules",
-    "avg_pool",
-    "boxes_from_heatmap",
-    "boxes_from_heatmaps",
-    "cel",
-    "compose_heatmaps",
-    "connected_regions",
-    "cooccurrence_matrix",
-    "default_lexicon",
-    "default_rules",
-    "el",
-    "get_config",
-    "hl",
-    "iobb",
-    "iou",
-    "label_corpus",
-    "label_counts",
-    "label_report",
-    "load_corpus",
-    "load_dependency_file",
-    "load_lexicon",
-    "load_rules",
-    "localization_eval",
-    "lse_pool",
-    "match_concepts",
-    "max_pool",
-    "mention_head",
-    "merge_mention_sets",
-    "normalize_heatmap",
-    "parse_report_text",
-    "patient_split",
-    "prf1",
-    "propagate_conjuncts",
-    "roc_auc",
-    "split_sentences",
-    "wcel",
-    "wcel_gradient",
-    "__version__",
-]
+__all__ = [*sorted(_MODULE_OF), "__version__"]
 
 
 def __getattr__(name: str):

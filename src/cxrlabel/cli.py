@@ -98,17 +98,19 @@ def _read(load, path: Optional[str], name: str, *args, **kwargs):
 
 @contextlib.contextmanager
 def _output(path: str, binary: bool = False):
-    """A handle on a file beside `path` (or its symlink's target) that
-    replaces it once the block succeeds, so a failed run leaves it as it
-    was; a device, pipe or directory opens in place. Errors name `path`."""
-    target = os.path.realpath(path)
-    in_place = os.path.exists(target) and not os.path.isfile(target)
+    """A handle on a file beside `path` (or its symlink's target) that takes
+    its mode and replaces it once the block succeeds; an existing non-file
+    (`/dev/null`, a pipe) opens in place. Errors name `path`."""
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    target = path if in_place else os.path.realpath(path)
     temp = target if in_place else f"{target}.{os.getpid()}.tmp"
     try:
         with (open(temp, "wb") if binary
               else open(temp, "w", encoding="utf-8")) as handle:
             yield handle
         if not in_place:
+            if os.path.exists(target):
+                os.chmod(temp, os.stat(target).st_mode & 0o7777)
             os.replace(temp, target)
     except BaseException as err:
         if not in_place and os.path.exists(temp):

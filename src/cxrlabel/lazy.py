@@ -35,10 +35,6 @@ each first read (3.12 dropped it), and it also works without a
 `__dict__`: two threads that race may both compute the value, and the
 last one stored wins, which is harmless for the pure, deterministic
 values it holds here.
-
-`record` builds a frozen record's methods as plain functions, where
-`dataclasses` imports `inspect`, `ast` and `dis` on every start and
-`exec`s each class's methods from generated source.
 """
 
 import importlib.util
@@ -100,12 +96,11 @@ class lazy_property:
 
 
 def record(cls=None, /, *, eq=True):
-    """Make `cls` a frozen record of its annotated fields, with a frozen
-    dataclass's repr, refused assignment and, with `eq`, equality with
-    its own type and hash of its fields (else identity). Unless `cls`
-    defines `__new__` (a slotted one does) or `__init__`, its `__init__`
-    takes the fields by position or name, a class attribute being a
-    default, then calls any `__post_init__`, which `_checked` skips."""
+    """Make `cls` a frozen record of its annotated fields: a dataclass's
+    repr, refused assignment and, with `eq`, equality with its own type and
+    a hash of its fields, as plain functions. Without its own `__new__` or
+    `__init__` it gets an `__init__` (fields, then class-attribute defaults,
+    then `__post_init__`) and a `_checked` that skips `__post_init__`."""
     if cls is None:
         return lambda cls: record(cls, eq=eq)
     names = tuple(cls.__dict__.get("__annotations__", {}))
@@ -119,8 +114,7 @@ def record(cls=None, /, *, eq=True):
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self):
-        fields = ", ".join([f"{name}={value!r}"
-                            for name, value in zip(names, values(self))])
+        fields = ", ".join(map("{}={!r}".format, names, values(self)))
         return f"{type(self).__qualname__}({fields})"
 
     def __eq__(self, other):

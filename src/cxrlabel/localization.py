@@ -68,15 +68,18 @@ class BBox:
 class BoxTable:
     """Box rows as arrays: the image id and class of each row, an (N, 4)
     float64 array of x, y, w, h, and an (N,) int array of thresholds
-    (None for ground-truth boxes). Iterating yields each row as a BBox,
-    the BBox itself for a table built from BBoxes, and else one built
-    without the extent check, which every function making a table has made."""
+    (None for ground-truth boxes). Iterating yields each row as a BBox:
+    the BBox itself for a table built from BBoxes."""
 
     image_ids: list[str]
     labels: list[str]
     xywh: np.ndarray
     thresholds: Optional[np.ndarray] = None
     boxes: Optional[list[BBox]] = None
+
+    def __post_init__(self):
+        if (self.xywh[:, 2:] < 0).any():  # BBox raises the first such row's error
+            list(map(BBox, self.image_ids, self.labels, *self.xywh.T.tolist()))
 
     @classmethod
     def from_boxes(cls, boxes: Iterable[BBox]) -> "BoxTable":

@@ -6,6 +6,7 @@ import csv
 import errno
 import io
 import math
+import os
 import re
 import warnings
 from pathlib import Path
@@ -511,6 +512,33 @@ class TestExitCodes:
         assert link.is_symlink() and target.read_text() != "old\n"
         assert main(["split", "--corpus", CORPUS, "--out", str(tmp_path / "b")]) == 0
         assert target.read_bytes() == (tmp_path / "b").read_bytes()
+
+    def test_output_to_a_pipe_or_dev_null_is_written_in_place(self, tmp_path):
+        # /dev/fd/N of a pipe resolves to no path ("pipe:[N]"), as does
+        # /dev/stdout when the caller's stdout is a pipe.
+        assert main(["split", "--corpus", CORPUS, "--out", str(tmp_path / "f")]) == 0
+        expected = (tmp_path / "f").read_bytes()
+        assert main(["split", "--corpus", CORPUS, "--out", os.devnull]) == 0
+        read_end, write_end = os.pipe()
+        try:
+            assert main(["split", "--corpus", CORPUS,
+                         "--out", f"/dev/fd/{write_end}"]) == 0
+            os.close(write_end)
+            with open(read_end, "rb", closefd=False) as pipe:
+                assert pipe.read() == expected
+        finally:
+            os.close(read_end)
+            with contextlib.suppress(OSError):
+                os.close(write_end)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["f"]
+
+    def test_replaced_output_keeps_its_mode(self, tmp_path):
+        out = tmp_path / "split.tsv"
+        out.write_text("old\n")
+        out.chmod(0o640)
+        assert main(["split", "--corpus", CORPUS, "--out", str(out)]) == 0
+        assert out.read_text() != "old\n"
+        assert out.stat().st_mode & 0o7777 == 0o640
 
     @pytest.mark.parametrize("reader", sorted(UTF8_READERS))
     def test_input_not_utf8_exits_two_with_path_and_line(

@@ -1504,6 +1504,13 @@ class TestBoxTable:
         assert list(gt) == [BBox("i1", "Mass", 1.0, 2.0, 3.0, 4.0)]
         assert len(BoxTable.from_boxes([])) == 0
 
+    def test_negative_extent_is_refused_at_construction(self):
+        xywh = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 2.0, -1.5],
+                         [0.0, 0.0, -3.0, 1.0]])
+        with pytest.raises(MalformedRow, match=r"^negative extent 2\.0x-1\.5$"):
+            BoxTable(["i1", "i2", "i3"], ["Mass"] * 3, xywh)
+        assert len(BoxTable(["i1"], ["Mass"], xywh[:1])) == 1
+
     @settings(max_examples=50, deadline=None)
     @given(rows=st.lists(st.tuples(
         st.sampled_from(["i1", "i2"]), st.sampled_from(["Mass", "Nodule"]),
