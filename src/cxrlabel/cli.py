@@ -28,42 +28,40 @@ from cxrlabel.errors import (
     MalformedRecord,
     NotUtf8,
     SpanOutOfRange,
+    label_set,
     read_lines,
     read_rows,
 )
-from cxrlabel.labeling import (
-    get_config,
-    label_all,
-    read_labels_wide_csv,
-    read_scores_csv,
-    write_labels_tsv,
-    write_labels_wide_csv,
-)
 from cxrlabel.lazy import _lazy_module, np, record
-from cxrlabel.lexicon import (
-    Lexicon,
-    default_lexicon,
-    load_external_mentions,
-    load_lexicon,
-)
-from cxrlabel.negation import (
-    RuleSet,
-    default_rules,
-    load_rules,
-    propagate_conjuncts,
-)
-from cxrlabel.reports import load_corpus, load_dependency_file
 
-# The numeric layers run on the first read of one of their attributes,
-# in the command that uses them, so a start that mines reports never
-# runs them (see `cxrlabel.lazy`). Each is registered even where no
-# command reads it through its handle (`pooling`), so that a tracer such
-# as `bench/tracing.py` finds every layer in `sys.modules` after
-# `import cxrlabel.cli`.
+# Every layer runs on the first read of one of its attributes, in the
+# command that uses it, so a start runs none of them and each command
+# only the layers it reads (see `cxrlabel.lazy`). Each is registered even
+# where no command reads it through its handle (`pooling`), so that a
+# tracer such as `bench/tracing.py` finds every layer in `sys.modules`
+# after `import cxrlabel.cli`. `lexicon` is the name of a lexicon here,
+# so its layer's handle is `lex`.
+labeling = _lazy_module("cxrlabel.labeling")
+lex = _lazy_module("cxrlabel.lexicon")
 localization = _lazy_module("cxrlabel.localization")
 metrics = _lazy_module("cxrlabel.metrics")
+negation = _lazy_module("cxrlabel.negation")
 pooling = _lazy_module("cxrlabel.pooling")
+reports = _lazy_module("cxrlabel.reports")
 stats = _lazy_module("cxrlabel.stats")
+
+# The layer of each loader that programs read on this module (PEP 562):
+# the benchmark's set-up launch calls the loaders of the packaged lexicon
+# and rules, and its tracer checks that it wraps `load_corpus` here.
+_LOADERS = {"default_lexicon": lex, "default_rules": negation, "load_corpus": reports}
+
+
+def __getattr__(name: str):
+    layer = _LOADERS.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(layer, name)
+
 
 ENV_CONFIG = "CXRLABEL_CONFIG"
 
@@ -131,7 +129,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        get_config(self.label_set)
+        label_set(self.label_set)
         if any(not 0 <= t <= 255 for t in self.thresholds):
             raise CxrLabelError(f"thresholds outside 0..255: {self.thresholds}")
         if not self.thresholds:
@@ -201,29 +199,29 @@ def _print_config(config: RunConfig):
         print(f"config: {key}={shown[key]}", file=sys.stderr)
 
 
-def _lexicon_for(config: RunConfig) -> Lexicon:
+def _lexicon_for(config: RunConfig) -> lex.Lexicon:
     if config.lexicon is None:
-        return default_lexicon()
-    return _read(load_lexicon, config.lexicon, "lexicon")
+        return lex.default_lexicon()
+    return _read(lex.load_lexicon, config.lexicon, "lexicon")
 
 
-def _rules_for(config: RunConfig) -> RuleSet:
+def _rules_for(config: RunConfig) -> negation.RuleSet:
     if config.rules is None:
-        return default_rules()
-    return _read(load_rules, config.rules, "rules")
+        return negation.default_rules()
+    return _read(negation.load_rules, config.rules, "rules")
 
 
 # --- subcommands ---
 
 def cmd_label(args, config: RunConfig) -> int:
-    corpus = _read(load_corpus, args.corpus, "corpus")
-    graphs = _read(load_dependency_file, args.deps, "deps")
+    corpus = _read(reports.load_corpus, args.corpus, "corpus")
+    graphs = _read(reports.load_dependency_file, args.deps, "deps")
     if args.propagate:
-        graphs = {ref: propagate_conjuncts(g) for ref, g in graphs.items()}
+        graphs = {ref: negation.propagate_conjuncts(g) for ref, g in graphs.items()}
     corpus = corpus.with_graphs(graphs)
     lexicon = _lexicon_for(config)
     ruleset = _rules_for(config)
-    label_config = get_config(config.label_set)
+    label_config = labeling.get_config(config.label_set)
 
     categories = lexicon.categories()
     uncovered = [c for c in label_config.classes if c not in categories]
@@ -235,17 +233,17 @@ def cmd_label(args, config: RunConfig) -> int:
 
     external = []
     if args.external_mentions:
-        external = _read(load_external_mentions, args.external_mentions,
+        external = _read(lex.load_external_mentions, args.external_mentions,
                          "external-mentions")
     try:
-        labels = label_all(corpus, lexicon, ruleset, label_config, external)
+        labels = labeling.label_all(corpus, lexicon, ruleset, label_config, external)
     except SpanOutOfRange as err:
         raise _at_mention_row(err, args.external_mentions, external)
     labels = sorted(labels, key=lambda record: record.report_id)
     with _output(args.out_tsv) as handle:
-        write_labels_tsv(labels, label_config, handle)
+        labeling.write_labels_tsv(labels, label_config, handle)
     with _output(args.out_csv) as handle:
-        write_labels_wide_csv(labels, label_config, handle)
+        labeling.write_labels_wide_csv(labels, label_config, handle)
     return 0
 
 
@@ -261,8 +259,8 @@ def _at_mention_row(err: SpanOutOfRange, path: str, mentions: list) -> SpanOutOf
 
 
 def cmd_eval_nlp(args, config: RunConfig) -> int:
-    gold, label_config = _read(read_labels_wide_csv, args.gold, "gold")
-    predicted, _ = _read(read_labels_wide_csv, args.pred, "pred", label_config)
+    gold, label_config = _read(labeling.read_labels_wide_csv, args.gold, "gold")
+    predicted, _ = _read(labeling.read_labels_wide_csv, args.pred, "pred", label_config)
     result = metrics.prf1(predicted, gold, label_config)
     with _output(args.out) as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -323,8 +321,8 @@ def _roc_block(name: str, tp: np.ndarray, fp: np.ndarray) -> bytes:
 
 
 def cmd_auc(args, config: RunConfig) -> int:
-    classes, report_ids, scores = _read(read_scores_csv, args.scores, "scores")
-    gold, label_config = _read(read_labels_wide_csv, args.labels, "labels")
+    classes, report_ids, scores = _read(labeling.read_scores_csv, args.scores, "scores")
+    gold, label_config = _read(labeling.read_labels_wide_csv, args.labels, "labels")
     rows = gold.rows_of(report_ids)
     if rows is None:
         raise CxrLabelError("scores and labels cover different report ids")
@@ -404,7 +402,7 @@ def cmd_eval_loc(args, config: RunConfig) -> int:
 
 
 def cmd_stats(args, config: RunConfig) -> int:
-    labels, label_config = _read(read_labels_wide_csv, args.labels, "labels")
+    labels, label_config = _read(labeling.read_labels_wide_csv, args.labels, "labels")
     counts = stats.label_counts(labels, label_config)
     matrix = stats.cooccurrence_matrix(labels, label_config)
     with _output(args.out_counts) as handle:
@@ -415,7 +413,7 @@ def cmd_stats(args, config: RunConfig) -> int:
 
 
 def cmd_split(args, config: RunConfig) -> int:
-    corpus = _read(load_corpus, args.corpus, "corpus")
+    corpus = _read(reports.load_corpus, args.corpus, "corpus")
     by_patient: dict[str, list[str]] = {}
     for report in corpus.reports:
         by_patient.setdefault(report.patient_id, []).append(report.report_id)

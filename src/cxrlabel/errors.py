@@ -12,10 +12,11 @@ of numbers decode fixed-width decimal cells from the bytes with
 `decode_fixed_width`, and read other plain rows with `loadtxt`.
 
 The module also holds the few defaults that every CLI start reads: the
-box thresholds (echoed as config), the loss names (checked in the config
-and offered by --loss) and the overlap grids (named in the --t help).
-Every layer imports this module, so a start reads them without running
-a numeric layer; `localization`, `pooling` and `metrics` re-export them.
+label sets (checked in the config), the box thresholds (echoed as
+config), the loss names (checked in the config and offered by --loss)
+and the overlap grids (named in the --t help). Every layer imports this
+module, so a start reads them without running any other layer;
+`labeling`, `localization`, `pooling` and `metrics` re-export them.
 """
 
 import warnings
@@ -23,6 +24,27 @@ from typing import Optional
 
 from cxrlabel.lazy import np
 
+# The class names of each label set: ChestX-ray8's eight diseases, and the
+# fourteen of its later ChestX-ray14 release.
+X8_CLASSES = (
+    "Atelectasis",
+    "Cardiomegaly",
+    "Effusion",
+    "Infiltration",
+    "Mass",
+    "Nodule",
+    "Pneumonia",
+    "Pneumothorax",
+)
+X14_CLASSES = X8_CLASSES + (
+    "Consolidation",
+    "Edema",
+    "Emphysema",
+    "Fibrosis",
+    "Pleural_Thickening",
+    "Hernia",
+)
+LABEL_SETS = {"x8": X8_CLASSES, "x14": X14_CLASSES}
 # The paper's two heatmap thresholds on the [0, 255] scale.
 DEFAULT_THRESHOLDS = (60, 180)
 # The names of `pooling.LOSSES`, in its order.
@@ -308,6 +330,14 @@ class DegenerateLabels(CxrLabelError):
 
 class EmptyCorpus(CxrLabelError):
     """Operation needs at least one patient/report."""
+
+
+def label_set(name: str) -> str:
+    """The key of `LABEL_SETS` that names `name` in any case."""
+    key = name.lower()
+    if key not in LABEL_SETS:
+        raise MalformedRecord(f"unknown label set {name!r}")
+    return key
 
 
 # --- TSV rows; after the error classes, as MalformedRow is the default ---

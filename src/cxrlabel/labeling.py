@@ -16,42 +16,24 @@ from enum import Enum
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from cxrlabel.errors import (
+    LABEL_SETS,
+    X8_CLASSES,
+    X14_CLASSES,
     MalformedRecord,
     MissingGraph,
     decode_fixed_width,
+    label_set,
     loadtxt,
     read_input,
 )
-from cxrlabel.lazy import lazy_property, np, record
-from cxrlabel.lexicon import (
-    NORMAL_CONCEPT,
-    ConceptMention,
-    attach_mentions,
-    match_concepts,
-    merge_mention_sets,
-)
-from cxrlabel.negation import Polarity, PolarizedMention, RuleSet, apply_rules
-from cxrlabel.reports import Corpus, DependencyGraph, RadiologyReport, SentenceRef
+from cxrlabel.lazy import _lazy_module, lazy_property, np, record
 
-X8_CLASSES = (
-    "Atelectasis",
-    "Cardiomegaly",
-    "Effusion",
-    "Infiltration",
-    "Mass",
-    "Nodule",
-    "Pneumonia",
-    "Pneumothorax",
-)
-
-X14_CLASSES = X8_CLASSES + (
-    "Consolidation",
-    "Edema",
-    "Emphysema",
-    "Fibrosis",
-    "Pleural_Thickening",
-    "Hernia",
-)
+# The text layers run on their first attribute read (see `cxrlabel.lazy`),
+# so reading and scoring label tables never runs them. `lexicon` is the
+# name of a lexicon here, so its layer's handle is `lex`.
+lex = _lazy_module("cxrlabel.lexicon")
+negation = _lazy_module("cxrlabel.negation")
+reports = _lazy_module("cxrlabel.reports")
 
 
 class Status(Enum):
@@ -90,17 +72,13 @@ def check_class_names(classes: Sequence[str], line_no=None):
         raise MalformedRecord(f"repeated class name {repeated!r}", line_no)
 
 
-CONFIG_X8 = LabelConfig("x8", X8_CLASSES)
-CONFIG_X14 = LabelConfig("x14", X14_CLASSES)
-
-_CONFIGS = {"x8": CONFIG_X8, "x14": CONFIG_X14}
+_CONFIGS = {name: LabelConfig(name, classes) for name, classes in LABEL_SETS.items()}
+CONFIG_X8 = _CONFIGS["x8"]
+CONFIG_X14 = _CONFIGS["x14"]
 
 
 def get_config(name: str) -> LabelConfig:
-    try:
-        return _CONFIGS[name.lower()]
-    except KeyError:
-        raise MalformedRecord(f"unknown label set {name!r}") from None
+    return _CONFIGS[label_set(name)]
 
 
 class _LabelsFields(NamedTuple):
@@ -178,22 +156,23 @@ def label_table(labels, config: LabelConfig) -> LabelTable:
     return LabelTable.from_records(labels, config)
 
 
-def _scoped_sections(report: RadiologyReport) -> set[str]:
+def _scoped_sections(report: reports.RadiologyReport) -> set[str]:
     if "findings" in report.sections or "impression" in report.sections:
         return {"findings", "impression"}
     return set(report.sections)
 
 
 def label_report(
-    report: RadiologyReport,
-    graphs: dict[SentenceRef, DependencyGraph],
-    polarized_mentions: Iterable[PolarizedMention],
+    report: reports.RadiologyReport,
+    graphs: dict[reports.SentenceRef, reports.DependencyGraph],
+    polarized_mentions: Iterable[negation.PolarizedMention],
     config: LabelConfig,
 ) -> ReportLabels:
     """Label one report from its own polarized mentions: target classes
     are scored over the scoped sections, normal status is decided from
     positive disease mentions anywhere."""
     scoped = _scoped_sections(report)
+    positive, normal = negation.Polarity.POSITIVE, lex.NORMAL_CONCEPT
     column = config.column
     y = [0] * config.C
     disease_asserted = False
@@ -201,7 +180,7 @@ def label_report(
         mention = pm.mention
         if mention.sentence_ref not in graphs:
             raise MissingGraph(mention.sentence_ref)
-        if pm.polarity is not Polarity.POSITIVE or mention.category == NORMAL_CONCEPT:
+        if pm.polarity is not positive or mention.category == normal:
             continue
         disease_asserted = True
         k = column.get(mention.category)
@@ -218,29 +197,30 @@ def label_report(
 
 
 def polarize_corpus(
-    corpus: Corpus,
-    mentions: Iterable[ConceptMention],
-    ruleset: RuleSet,
-) -> list[PolarizedMention]:
+    corpus: reports.Corpus,
+    mentions: Iterable[lex.ConceptMention],
+    ruleset: negation.RuleSet,
+) -> list[negation.PolarizedMention]:
     """Run the rule engine over every mention, grouped by sentence."""
-    by_sentence: dict[SentenceRef, list[ConceptMention]] = {}
+    by_sentence: dict[reports.SentenceRef, list[lex.ConceptMention]] = {}
     for mention in mentions:
         by_sentence.setdefault(mention.sentence_ref, []).append(mention)
-    polarized: list[PolarizedMention] = []
+    polarized: list[negation.PolarizedMention] = []
     for ref in sorted(by_sentence):
         graph = corpus.graphs.get(ref)
         if graph is None:
             raise MissingGraph(ref)
-        polarized.extend(apply_rules(graph, by_sentence[ref], ruleset))
+        polarized.extend(negation.apply_rules(graph, by_sentence[ref], ruleset))
     return polarized
 
 
 def _label_reports(
-    work: Iterable[tuple[RadiologyReport, Iterable[tuple[SentenceRef, list]]]],
-    graphs: dict[SentenceRef, DependencyGraph],
-    ruleset: RuleSet,
+    work: Iterable[tuple[reports.RadiologyReport,
+                         Iterable[tuple[reports.SentenceRef, list]]]],
+    graphs: dict[reports.SentenceRef, reports.DependencyGraph],
+    ruleset: negation.RuleSet,
     config: LabelConfig,
-    missing: list[SentenceRef],
+    missing: list[reports.SentenceRef],
 ) -> list[ReportLabels]:
     """Label each report of `work` from the mentions of each of its
     sentences, one report at a time.
@@ -251,13 +231,13 @@ def _label_reports(
     """
     labels: list[ReportLabels] = []
     for report, sentences in work:
-        polarized: list[PolarizedMention] = []
+        polarized: list[negation.PolarizedMention] = []
         for ref, mentions in sentences:
             graph = graphs.get(ref)
             if graph is None:
                 missing.append(ref)
             elif not missing:
-                polarized += apply_rules(graph, mentions, ruleset)
+                polarized += negation.apply_rules(graph, mentions, ruleset)
         if not missing:
             labels.append(label_report(report, graphs, polarized, config))
     if missing:
@@ -266,16 +246,16 @@ def _label_reports(
 
 
 def label_corpus(
-    corpus: Corpus,
-    mentions: Iterable[ConceptMention],
-    ruleset: RuleSet,
+    corpus: reports.Corpus,
+    mentions: Iterable[lex.ConceptMention],
+    ruleset: negation.RuleSet,
     config: LabelConfig,
 ) -> list[ReportLabels]:
     """One ReportLabels per report, in corpus order."""
-    by_report: dict[str, dict[SentenceRef, list[ConceptMention]]] = {
+    by_report: dict[str, dict[reports.SentenceRef, list[lex.ConceptMention]]] = {
         report.report_id: {} for report in corpus.reports
     }
-    strays: list[SentenceRef] = []  # sentences of no report, so of no graph
+    strays: list[reports.SentenceRef] = []  # sentences of no report, so of no graph
     for mention in mentions:
         ref = mention.sentence_ref
         sentences = by_report.get(ref.report_id)
@@ -287,29 +267,29 @@ def label_corpus(
     return _label_reports(work, corpus.graphs, ruleset, config, strays)
 
 
-def _sentence_mentions(report: RadiologyReport, lexicon, external):
+def _sentence_mentions(report: reports.RadiologyReport, lexicon, external):
     """(ref, mentions) of each sentence of `report` that has mentions: the
     lexicon matches, merged with the sentence's external mentions if any."""
     for sentence in report.sentences:
-        mentions = match_concepts(sentence, lexicon)
+        mentions = lex.match_concepts(sentence, lexicon)
         extra = external.get(sentence.ref)
         if extra:
-            mentions = merge_mention_sets(mentions, extra)
+            mentions = lex.merge_mention_sets(mentions, extra)
         if mentions:
             yield sentence.ref, mentions
 
 
 def label_all(
-    corpus: Corpus,
+    corpus: reports.Corpus,
     lexicon,
-    ruleset: RuleSet,
+    ruleset: negation.RuleSet,
     config: LabelConfig,
-    extra_mentions: Iterable[ConceptMention] = (),
+    extra_mentions: Iterable[lex.ConceptMention] = (),
 ) -> list[ReportLabels]:
     """Full pipeline, one report at a time: match concepts, merge external
     mentions into the sentences they name, polarize, label."""
-    external: dict[SentenceRef, list[ConceptMention]] = {}
-    for mention in attach_mentions(corpus, extra_mentions):
+    external: dict[reports.SentenceRef, list[lex.ConceptMention]] = {}
+    for mention in lex.attach_mentions(corpus, extra_mentions):
         external.setdefault(mention.sentence_ref, []).append(mention)
     work = ((r, _sentence_mentions(r, lexicon, external)) for r in corpus.reports)
     return _label_reports(work, corpus.graphs, ruleset, config, [])
@@ -318,16 +298,18 @@ def label_all(
 # --- label table I/O ---
 
 def write_labels_tsv(labels: Iterable[ReportLabels], config: LabelConfig, handle):
-    for record in labels:
-        names = "|".join(record.positive_classes(config))
-        handle.write(f"{record.report_id}\t{record.status.value}\t{names}\n")
+    handle.write("".join([
+        f"{record.report_id}\t{record.status.value}\t"
+        f"{'|'.join(record.positive_classes(config))}\n"
+        for record in labels
+    ]))
 
 
 def write_labels_wide_csv(labels: Iterable[ReportLabels], config: LabelConfig, handle):
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(["report_id", *config.classes, "status"])
-    for record in labels:
-        writer.writerow([record.report_id, *record.y, record.status.value])
+    writer.writerows([record.report_id, *record.y, record.status.value]
+                     for record in labels)
 
 
 def read_labels_wide_csv(

@@ -1,4 +1,4 @@
-"""Things computed on first use: numpy, the numeric layers, and the
+"""Things computed on first use: numpy, the package's layers, and the
 lazy attributes of the package's records; and `record`, which makes them.
 
 Report mining (`label`) never touches an array, and importing numpy
@@ -12,17 +12,31 @@ import ...`: the import statement reads `__spec__`, which loads a lazy
 module at once. Before Python 3.13 `LazyLoader` is not thread-safe, so
 the first numeric call must not race another thread's.
 
-The numeric layers (`localization`, `metrics`, `pooling`, `stats`) follow
-the same rule one level up. `cli` registers each with `_lazy_module`, so
-it sits in `sys.modules` and on the package from the start but runs only
-when a command first reads one of its attributes; the cost of a layer
-moves from every start to the first call that uses it. `metrics` reaches
-`localization` the same way, so scoring labels never runs it. So no module that
-a CLI start runs (`cli` and the text layers) may import a numeric layer
-at its top level, by any import statement, for the same `__spec__`
-reason; `cli` reaches them through its handles and function-level
-imports, and the defaults every start reads live in `errors`. The
-package's own exports load on first read too (`cxrlabel.__getattr__`).
+The layers follow the same rule one level up. No module of the package
+imports another at its top level, by any import statement, except
+`errors` and `lazy`: each reaches a layer through a handle that
+`_lazy_module` registers, which sits in `sys.modules` and on the package
+from the start but runs the layer only when its first attribute is read.
+The handles are:
+
+- `cli`: every layer (`labeling`, `lexicon` as `lex`, `localization`,
+  `metrics`, `negation`, `pooling`, `reports`, `stats`), so that a
+  tracer finds each in `sys.modules` after `import cxrlabel.cli`;
+- `labeling`: `lexicon` (as `lex`), `negation` and `reports`, which only
+  report mining reads, so that reading and scoring label tables runs none;
+- `lexicon`: `reports`; `negation`: `lexicon` (as `lex`) and `reports`,
+  so that loading the packaged lexicon and rules runs neither;
+- `metrics`: `labeling` and `localization`; `stats`: `labeling`, so that
+  `eval-loc` and `split` never run `labeling`;
+- `errors`, `localization`, `pooling` and `reports`: none but `np`.
+
+A CLI start so runs only `cli`, `errors` and `lazy`, and the cost of a
+layer moves from every start to the first call that reads it; as with
+numpy, that first read must not race another thread's. The
+defaults every start reads (label sets, thresholds, loss names, overlap
+grids) live in `errors`. Functions may import a layer where they run
+(`cli`'s selftest does). The package's own exports load on first read
+too (`cxrlabel.__getattr__`).
 
 `lazy_property` computes an attribute on its first read and stores it
 with the instance. A class with an instance `__dict__` keeps the value

@@ -19,8 +19,11 @@ from cxrlabel.errors import (
     SpanOutOfRange,
     read_rows,
 )
-from cxrlabel.lazy import record
-from cxrlabel.reports import Corpus, Sentence, SentenceRef
+from cxrlabel.lazy import _lazy_module, record
+
+# Runs on its first attribute read (see `cxrlabel.lazy`), so that loading
+# the lexicon does not run the report layer.
+reports = _lazy_module("cxrlabel.reports")
 
 # Categories that are not target-class labels.
 NORMAL_CONCEPT = "NORMAL_CONCEPT"
@@ -56,7 +59,7 @@ class LexiconEntry:
 
 
 class _MentionFields(NamedTuple):
-    sentence_ref: SentenceRef
+    sentence_ref: reports.SentenceRef
     start: int  # 1-based, inclusive
     end: int  # inclusive
     cui: str
@@ -71,8 +74,8 @@ class ConceptMention(_MentionFields):
 
     __slots__ = ()
 
-    def __new__(cls, sentence_ref: SentenceRef, start: int, end: int, cui: str,
-                category: str, source: Source = Source.INTERNAL):
+    def __new__(cls, sentence_ref: reports.SentenceRef, start: int, end: int,
+                cui: str, category: str, source: Source = Source.INTERNAL):
         if start < 1 or end < start:
             raise MalformedRow(f"bad span [{start},{end}]")
         return tuple.__new__(cls, (sentence_ref, start, end, cui, category, source))
@@ -157,7 +160,9 @@ def default_lexicon() -> Lexicon:
         return load_lexicon(path)
 
 
-def match_concepts(sentence: Sentence, lexicon: Lexicon) -> list[ConceptMention]:
+def match_concepts(
+    sentence: reports.Sentence, lexicon: Lexicon
+) -> list[ConceptMention]:
     """Greedy left-to-right, longest-phrase-first, case-insensitive matching.
 
     Matched spans never overlap; every hit carries source=internal. Only
@@ -186,7 +191,7 @@ def _resolve_overlaps(mentions: set[ConceptMention]) -> list[ConceptMention]:
     # Longer spans win within a category; ties prefer earlier start, then
     # lower CUI so the outcome never depends on input order.
     kept: list[ConceptMention] = []
-    by_group: dict[tuple[SentenceRef, str], list[ConceptMention]] = {}
+    by_group: dict[tuple[reports.SentenceRef, str], list[ConceptMention]] = {}
     for mention in mentions:
         by_group.setdefault((mention.sentence_ref, mention.category), []).append(
             mention
@@ -238,7 +243,7 @@ def load_external_mentions(path) -> list[ConceptMention]:
             raise MalformedRow(f"bad CUI {cui!r}", row_no)
         mentions.append(
             ConceptMention(
-                sentence_ref=SentenceRef(report_id, section, index_i),
+                sentence_ref=reports.SentenceRef(report_id, section, index_i),
                 start=start_i,
                 end=end_i,
                 cui=cui,
@@ -250,19 +255,19 @@ def load_external_mentions(path) -> list[ConceptMention]:
 
 
 def attach_mentions(
-    corpus: Corpus, mentions: Iterable[ConceptMention]
+    corpus: reports.Corpus, mentions: Iterable[ConceptMention]
 ) -> list[ConceptMention]:
     """Validate mention spans against corpus sentences. Only the reports
     the mentions name are looked at."""
-    reports = None
-    lengths: dict[SentenceRef, int] = {}
+    by_id = None
+    lengths: dict[reports.SentenceRef, int] = {}
     attached: list[ConceptMention] = []
     for mention in mentions:
         ref = mention.sentence_ref
         if ref not in lengths:
-            if reports is None:
-                reports = {report.report_id: report for report in corpus.reports}
-            report = reports.get(ref.report_id)
+            if by_id is None:
+                by_id = {report.report_id: report for report in corpus.reports}
+            report = by_id.get(ref.report_id)
             if report is not None:
                 lengths.update((s.ref, len(s)) for s in report.sentences)
         n = lengths.get(ref)

@@ -18,17 +18,13 @@ from cxrlabel.errors import (
     IdSetMismatch,
     MalformedRow,
 )
-from cxrlabel.labeling import (
-    LabelConfig,
-    LabelTable,
-    ReportLabels,
-    Status,
-    label_table,
-)
 from cxrlabel.lazy import _lazy_module, np, record
 
-# Only the localization scores read boxes, so `auc` and `eval-nlp` never
-# run the layer.
+# Each runs on its first attribute read (see `cxrlabel.lazy`): only the
+# label scores read label tables, so `eval-loc` never runs `labeling`, and
+# only the localization scores read boxes, so `auc` and `eval-nlp` never
+# run `localization`.
+labeling = _lazy_module("cxrlabel.labeling")
 localization = _lazy_module("cxrlabel.localization")
 
 
@@ -78,17 +74,17 @@ class PRF1Result:
 
 
 def prf1(
-    predicted: LabelTable | Iterable[ReportLabels],
-    gold: LabelTable | Iterable[ReportLabels],
-    config: LabelConfig,
+    predicted: labeling.LabelTable | Iterable[labeling.ReportLabels],
+    gold: labeling.LabelTable | Iterable[labeling.ReportLabels],
+    config: labeling.LabelConfig,
 ) -> PRF1Result:
     """Per-class precision/recall/F1 against gold labels.
 
     The report status contributes a Normal pseudo-class; the Total row
     micro-averages all rows by summing their counts.
     """
-    predicted = label_table(predicted, config)
-    gold = label_table(gold, config)
+    predicted = labeling.label_table(predicted, config)
+    gold = labeling.label_table(gold, config)
     rows = gold.rows_of(predicted.ids)
     if rows is None:
         missing = set(gold.ids) ^ set(predicted.ids)
@@ -96,8 +92,8 @@ def prf1(
 
     # One column per class, then the Normal pseudo-class; gold rows in
     # the order of the predicted ones.
-    p = np.column_stack([predicted.y, predicted.has_status(Status.NORMAL)])
-    g = np.column_stack([gold.y, gold.has_status(Status.NORMAL)])[rows]
+    p = np.column_stack([predicted.y, predicted.has_status(labeling.Status.NORMAL)])
+    g = np.column_stack([gold.y, gold.has_status(labeling.Status.NORMAL)])[rows]
     p, g = p.astype(bool), g.astype(bool)
     tp = (p & g).sum(axis=0).tolist()
     fp = (p & ~g).sum(axis=0).tolist()

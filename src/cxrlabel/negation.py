@@ -19,9 +19,12 @@ from cxrlabel.errors import (
     UnknownDirection,
     read_rows,
 )
-from cxrlabel.lazy import record
-from cxrlabel.lexicon import ConceptMention
-from cxrlabel.reports import DependencyGraph, Edge
+from cxrlabel.lazy import _lazy_module, record
+
+# Each runs on its first attribute read (see `cxrlabel.lazy`), so that
+# loading the rules runs neither.
+lex = _lazy_module("cxrlabel.lexicon")
+reports = _lazy_module("cxrlabel.reports")
 
 # Small built-in inflection map standing in for a lemmatizer.
 _INFLECTIONS = {
@@ -100,7 +103,7 @@ class Rule:
 
 
 class _PolarizedFields(NamedTuple):
-    mention: ConceptMention
+    mention: lex.ConceptMention
     polarity: Polarity
     matched_rule: Optional[str] = None
 
@@ -112,7 +115,7 @@ class PolarizedMention(_PolarizedFields):
 
     __slots__ = ()
 
-    def __new__(cls, mention: ConceptMention, polarity: Polarity,
+    def __new__(cls, mention: lex.ConceptMention, polarity: Polarity,
                 matched_rule: Optional[str] = None):
         if polarity is not Polarity.POSITIVE and matched_rule is None:
             raise RuleParseError(
@@ -161,7 +164,7 @@ class RuleSet:
             None if None in first_labels else frozenset().union(*first_labels)
         )
 
-    def reaches(self, graph: DependencyGraph) -> bool:
+    def reaches(self, graph: reports.DependencyGraph) -> bool:
         """False when no rule can fire on `graph`. A rule that triggers on
         any token and has `sentence` scope fires on every graph."""
         if self.fires_anywhere or not self.trigger_words.isdisjoint(graph.lowered):
@@ -244,7 +247,7 @@ def default_rules() -> RuleSet:
         return load_rules(path)
 
 
-def propagate_conjuncts(graph: DependencyGraph) -> DependencyGraph:
+def propagate_conjuncts(graph: reports.DependencyGraph) -> reports.DependencyGraph:
     """Fixpoint closure over coordination: (h -L-> a) and (a -conj_*-> b)
     imply (h -L-> b) for non-conj L. Original edges are retained.
     A graph the closure adds nothing to, with its edges in canonical
@@ -255,7 +258,7 @@ def propagate_conjuncts(graph: DependencyGraph) -> DependencyGraph:
     changed = True
     while changed:
         changed = False
-        conj_by_head: dict[int, list[Edge]] = {}
+        conj_by_head: dict[int, list[reports.Edge]] = {}
         for edge in edges:
             if edge.label.startswith("conj"):
                 conj_by_head.setdefault(edge.head, []).append(edge)
@@ -263,7 +266,7 @@ def propagate_conjuncts(graph: DependencyGraph) -> DependencyGraph:
             if edge.label.startswith("conj"):
                 continue
             for conj in conj_by_head.get(edge.dependent, ()):
-                new = Edge(edge.head, conj.dependent, edge.label)
+                new = reports.Edge(edge.head, conj.dependent, edge.label)
                 if new.head != new.dependent and new not in edges:
                     edges.add(new)
                     changed = True
@@ -273,7 +276,9 @@ def propagate_conjuncts(graph: DependencyGraph) -> DependencyGraph:
     return graph.with_edges(canonical)
 
 
-def mention_head(graph: DependencyGraph, mention: ConceptMention) -> int:
+def mention_head(
+    graph: reports.DependencyGraph, mention: lex.ConceptMention
+) -> int:
     """The span token governing every other span token, else the last one."""
     span = list(range(mention.start, mention.end + 1))
     if len(span) == 1:
@@ -304,7 +309,7 @@ def _trigger_positions(
 
 
 def _walk(
-    graph: DependencyGraph,
+    graph: reports.DependencyGraph,
     lemmas: list[str],
     frontier: Optional[Iterable[int]],
     path: tuple[EdgeStep, ...],
@@ -340,8 +345,8 @@ def _walk(
 
 
 def apply_rules(
-    graph: DependencyGraph,
-    mentions: Iterable[ConceptMention],
+    graph: reports.DependencyGraph,
+    mentions: Iterable[lex.ConceptMention],
     ruleset: RuleSet,
 ) -> list[PolarizedMention]:
     """Polarize mentions; negation beats uncertainty beats positive."""
@@ -367,8 +372,17 @@ def apply_rules(
     # the rules that can fire here, in precedence order, with the heads
     # they cover; None covers every head (a triggered sentence rule).
     live: list[tuple[Rule, Optional[set[int]]]] = []
+    steppable = None  # the labels of the edges a step can take, on first use
     for rank, (rule, phrases) in enumerate(ruleset.ranked):
         if not phrases:
+            # A walk from every token lands nowhere when no edge a step can
+            # take (none leaves the root) has a label its first step names.
+            first = rule.path[0].labels
+            if rule.scope is not Scope.SENTENCE and first is not None:
+                if steppable is None:
+                    steppable = {edge.label for edge in graph.edges if edge.head}
+                if first.isdisjoint(steppable):
+                    continue
             starts = None
         elif rank not in startable:
             continue

@@ -10,14 +10,11 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from cxrlabel.errors import EmptyCorpus, MalformedRecord
-from cxrlabel.labeling import (
-    LabelConfig,
-    LabelTable,
-    ReportLabels,
-    Status,
-    label_table,
-)
-from cxrlabel.lazy import np, record
+from cxrlabel.lazy import _lazy_module, np, record
+
+# Runs on its first attribute read (see `cxrlabel.lazy`), so that `split`,
+# which reads no label table, never runs it.
+labeling = _lazy_module("cxrlabel.labeling")
 
 PARTITIONS = ("train", "val", "test")
 DEFAULT_FRACTIONS = (0.7, 0.1, 0.2)
@@ -31,20 +28,23 @@ class LabelCounts:
 
 
 def label_counts(
-    labels: LabelTable | Iterable[ReportLabels], config: LabelConfig
+    labels: labeling.LabelTable | Iterable[labeling.ReportLabels],
+    config: labeling.LabelConfig,
 ) -> LabelCounts:
-    table = label_table(labels, config)
+    table = labeling.label_table(labels, config)
     overlapping = table.y.sum(axis=1) >= 2
     totals = dict(zip(config.classes, table.y.sum(axis=0).tolist()))
     overlaps = dict(zip(config.classes, table.y[overlapping].sum(axis=0).tolist()))
-    return LabelCounts(totals, overlaps, int(table.has_status(Status.NORMAL).sum()))
+    normal = int(table.has_status(labeling.Status.NORMAL).sum())
+    return LabelCounts(totals, overlaps, normal)
 
 
 def cooccurrence_matrix(
-    labels: LabelTable | Iterable[ReportLabels], config: LabelConfig
+    labels: labeling.LabelTable | Iterable[labeling.ReportLabels],
+    config: labeling.LabelConfig,
 ) -> np.ndarray:
     """Symmetric C x C counts; diagonal holds per-class totals."""
-    y = label_table(labels, config).y.astype(int)
+    y = labeling.label_table(labels, config).y.astype(int)
     return y.T @ y
 
 
@@ -101,7 +101,7 @@ def patient_split(
 
 # --- CSV/TSV exports ---
 
-def write_counts_csv(counts: LabelCounts, config: LabelConfig, handle):
+def write_counts_csv(counts: LabelCounts, config: labeling.LabelConfig, handle):
     columns = list(config.classes) + ["Normal"]
     handle.write("metric," + ",".join(columns) + "\n")
     totals = [str(counts.totals[c]) for c in config.classes] + [str(counts.normal)]
@@ -110,7 +110,7 @@ def write_counts_csv(counts: LabelCounts, config: LabelConfig, handle):
     handle.write("overlap," + ",".join(overlaps) + "\n")
 
 
-def write_matrix_csv(matrix: np.ndarray, config: LabelConfig, handle):
+def write_matrix_csv(matrix: np.ndarray, config: labeling.LabelConfig, handle):
     handle.write("class," + ",".join(config.classes) + "\n")
     for i, cls in enumerate(config.classes):
         handle.write(cls + "," + ",".join(str(int(v)) for v in matrix[i]) + "\n")

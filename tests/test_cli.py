@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cxrlabel import cli, localization, negation, reports
+from cxrlabel import cli, labeling, localization, negation, reports
 from cxrlabel.cli import _box_order, _roc_block, main
 from cxrlabel.errors import CxrLabelError
 from cxrlabel.labeling import (
@@ -497,7 +497,7 @@ class TestExitCodes:
             handle.write("report_id,")
             raise error
 
-        with mock.patch.object(cli, "write_labels_wide_csv", write_half):
+        with mock.patch.object(labeling, "write_labels_wide_csv", write_half):
             assert last_error_line(capsys, argv) == "error: " + message.format(out=out)
         assert out.read_bytes() == earlier
         assert tsv.read_text() != "stale\n"  # written in full before the failure

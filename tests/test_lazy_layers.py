@@ -1,9 +1,9 @@
 """A CLI start runs only the layers it uses.
 
-`cxrlabel.cli` registers the numeric layers to run on their first
-attribute read, and `import cxrlabel` resolves each exported name on its
-first read. This test process has run every layer already, so each check
-runs a fresh interpreter. A registered layer that has not run is still
+Every module reaches the package's layers through handles that run a
+layer on its first attribute read, and `import cxrlabel` resolves each
+exported name on its first read. This test process has run every layer
+already, so each check runs a fresh interpreter. A registered layer that has not run is still
 of `LazyLoader`'s module type; loading it makes it a plain module.
 """
 
@@ -11,6 +11,8 @@ import ast
 import json
 import runpy
 from pathlib import Path
+
+import pytest
 
 from test_lazy_numpy import (  # noqa: F401  (`inputs` is a fixture)
     CORPUS,
@@ -26,6 +28,9 @@ from test_lazy_numpy import (  # noqa: F401  (`inputs` is a fixture)
 
 NUMERIC = {"cxrlabel.localization", "cxrlabel.metrics", "cxrlabel.pooling",
            "cxrlabel.stats"}
+TEXT = {"cxrlabel.labeling", "cxrlabel.lexicon", "cxrlabel.negation",
+        "cxrlabel.reports"}
+LAYERS = NUMERIC | TEXT
 
 # Prints the package modules that have run.
 RAN = (
@@ -43,49 +48,76 @@ def ran(code: str, cwd=None) -> set[str]:
 
 
 def test_benchmark_setup_runs_no_numeric_layer():
+    # The config check reads the label sets from `errors`, and loading the
+    # packaged lexicon and rules runs neither `reports` nor `labeling`.
     modules = ran(setup_code())
-    assert not modules & NUMERIC
-    assert {"cxrlabel.cli", "cxrlabel.labeling", "cxrlabel.negation"} <= modules
+    assert "cxrlabel.cli" in modules
+    assert modules & LAYERS == {"cxrlabel.lexicon", "cxrlabel.negation"}
 
 
-def test_label_runs_no_numeric_layer(tmp_path):
+def test_cli_start_runs_no_layer():
+    assert ran("import cxrlabel.cli") == {
+        "cxrlabel", "cxrlabel.cli", "cxrlabel.errors", "cxrlabel.lazy"}
+
+
+# The layers each subcommand runs, by its NUMERIC_RUNS or TEXT_RUNS name.
+COMMAND_LAYERS = {
+    "label": TEXT,
+    "eval-nlp": {"cxrlabel.labeling", "cxrlabel.metrics"},
+    "auc": {"cxrlabel.labeling", "cxrlabel.metrics"},
+    "stats": {"cxrlabel.labeling", "cxrlabel.stats"},
+    "split": {"cxrlabel.reports", "cxrlabel.stats"},
+    "localize": {"cxrlabel.localization"},
+    "eval-loc-iobb": {"cxrlabel.localization", "cxrlabel.metrics"},
+    "selftest": {"cxrlabel.localization", "cxrlabel.metrics", "cxrlabel.pooling",
+                 "cxrlabel.stats"},
+}
+TEXT_RUNS = {
+    "label": lambda d: [
+        "label", "--corpus", CORPUS, "--deps", DEPS, "--propagate",
+        "--out-tsv", "labels.tsv", "--out-csv", "labels.csv"],
+    "eval-nlp": lambda d: ["eval-nlp", "--pred", GOLD, "--gold", GOLD, "--out", "prf.csv"],
+}
+
+
+@pytest.mark.parametrize("run", sorted(COMMAND_LAYERS))
+def test_each_subcommand_runs_only_the_layers_it_reads(run, inputs, tmp_path):
+    argv = {**NUMERIC_RUNS, **TEXT_RUNS}[run](inputs)
     modules = ran(
         "from cxrlabel.cli import main\n"
-        f"assert main(['label', '--corpus', {CORPUS!r}, '--deps', {DEPS!r}, "
-        "'--propagate', '--out-tsv', 'labels.tsv', '--out-csv', 'labels.csv']) == 0",
-        cwd=tmp_path,
-    )
-    assert not modules & NUMERIC
-    assert (tmp_path / "labels.csv").stat().st_size > 0
+        f"assert main({argv!r}) == 0", cwd=tmp_path)
+    assert modules & LAYERS == COMMAND_LAYERS[run]
 
 
-def test_split_runs_only_the_stats_layer(tmp_path):
-    modules = ran(
-        "from cxrlabel.cli import main\n"
-        f"assert main(['split', '--corpus', {CORPUS!r}, '--out', 'split.tsv']) == 0",
-        cwd=tmp_path,
-    )
-    assert modules & NUMERIC == {"cxrlabel.stats"}
-
-
-def test_label_scoring_runs_no_localization_layer(tmp_path):
-    # Scores from the gold cells: a positive scores above every negative.
-    rows = [line.split(",") for line in Path(GOLD).read_text(encoding="utf-8").split()]
-    scores = tmp_path / "scores.csv"
-    scores.write_text("\n".join(",".join(
-        row[:1] + [cell if k == 0 else f"0.{cell}5" for cell in row[1:-1]])
-        for k, row in enumerate(rows)) + "\n", encoding="utf-8")
-    modules = ran(
-        "from cxrlabel.cli import main\n"
-        f"assert main(['auc', '--scores', 'scores.csv', '--labels', {GOLD!r}, "
-        "'--out', 'auc.csv']) == 0\n"
-        f"assert main(['eval-nlp', '--pred', {GOLD!r}, '--gold', {GOLD!r}, "
-        "'--out', 'prf.csv']) == 0",
-        cwd=tmp_path,
-    )
-    assert "cxrlabel.metrics" in modules
-    assert "cxrlabel.localization" not in modules
-    assert (tmp_path / "auc.csv").stat().st_size > 0
+def test_no_module_imports_a_layer_at_its_top_level():
+    # Only imports in a function body run after the module's own import.
+    allowed = {"cxrlabel.errors", "cxrlabel.lazy"}
+    statements = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        in_functions = {
+            id(inner)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if id(node) in in_functions:
+                continue
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                if node.level:  # relative to the package
+                    module = "cxrlabel" + (f".{module}" if module else "")
+                names = ([f"{module}.{alias.name}" for alias in node.names]
+                         if module == "cxrlabel" else [module])
+            else:
+                continue
+            if any(name.startswith("cxrlabel.") and name not in allowed
+                   for name in names):
+                statements.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert statements == []
 
 
 def test_bare_import_runs_no_layer():

@@ -185,7 +185,8 @@ CASES = [str.lower, str.capitalize, str.upper]
 # a capitalized and an inflected trigger word, a wildcard that steps up,
 # a pathless rule that never fires, a step that keeps an inflected
 # surface, a subtree under any governor, a wildcard sentence rule with a
-# path, and a wildcard whose first step takes any label.
+# path, a wildcard whose first step takes any label, and a wildcard
+# sentence rule whose path names a label, which fires on graphs without it.
 EXTRA_RULES = RuleSet([
     Rule("x1", RulePolarity.NEGATION, (("no", "evidence"), ("no",), ("May",)),
          (EdgeStep(Direction.DOWN, None), EdgeStep(Direction.DOWN, frozenset({"amod"}))),
@@ -206,6 +207,8 @@ EXTRA_RULES = RuleSet([
     Rule("x8", RulePolarity.NEGATION, (),
          (EdgeStep(Direction.DOWN, None), EdgeStep(Direction.DOWN, frozenset({"amod"}))),
          "ANY", Scope.ENDPOINT),
+    Rule("x9", RulePolarity.UNCERTAINTY, (),
+         (EdgeStep(Direction.DOWN, frozenset({"prep_without"})),), "ANY", Scope.SENTENCE),
 ])
 
 # The shipped set, the shipped set less each rule, each extra rule alone,
@@ -363,7 +366,7 @@ def test_first_word_table_of_the_joined_set_shares_keys_across_ranks():
     assert table["concern"] == {rank["u2"], rank["x3"]}
     assert table["concerns"] == {rank["x3"]}
     # A rule that triggers on any token is under no key.
-    assert not {rank[r] for r in ("n2", "n4", "x2", "x7", "x8")} & set().union(
+    assert not {rank[r] for r in ("n2", "n4", "x2", "x7", "x8", "x9")} & set().union(
         *table.values())
 
 
@@ -412,3 +415,45 @@ def test_wildcard_sentence_rule_fires_on_a_graph_without_edges():
     assert [(p.polarity, p.matched_rule) for p in polarized] == [
         (Polarity.UNCERTAIN, "w")
     ]
+
+
+def walked_rules(graph, mentions, ruleset) -> list[str]:
+    """The rules whose paths `apply_rules` walks on `graph`, in order,
+    after checking its result against the reference."""
+    paths = {rule.path: rule.rule_id for rule in ruleset.rules}
+    with mock.patch("cxrlabel.negation._walk", wraps=negation._walk) as walk:
+        polarized = apply_rules(graph, mentions, ruleset)
+    assert [(p.polarity.value, p.matched_rule) for p in polarized] == (
+        reference_apply_rules(graph, mentions, ruleset))
+    return [paths[call.args[3]] for call in walk.call_args_list]
+
+
+def test_wildcard_walk_is_skipped_where_no_edge_has_its_first_label():
+    # n2 and n4 step first along prep_without from every token; only the
+    # root carries that label here, and no step leaves the root.
+    graph = DependencyGraph(
+        REF, 3, ("No", "left", "effusion"),
+        (Edge(3, 1, "neg"), Edge(3, 2, "amod"), Edge(0, 3, "prep_without")),
+    )
+    mention = ConceptMention(REF, 3, 3, "C0013687", "Effusion")
+    assert walked_rules(graph, [mention], RULES) == ["n1", "n5"]
+
+
+def test_wildcard_walk_runs_where_an_edge_has_its_first_label():
+    graph = DependencyGraph(
+        REF, 5, ("lungs", "without", "evidence", "of", "effusion"),
+        (Edge(1, 3, "prep_without"), Edge(3, 5, "prep_of")),
+    )
+    mention = ConceptMention(REF, 5, 5, "C0013687", "Effusion")
+    assert walked_rules(graph, [mention], RULES) == ["n2", "n4"]
+    assert [p.matched_rule for p in apply_rules(graph, [mention], RULES)] == ["n4"]
+
+
+def test_wildcard_sentence_rule_with_a_labelled_path_fires_without_the_label():
+    ruleset = RuleSet([EXTRA_RULES.rules[-1]] + list(RULES.rules))
+    graph = DependencyGraph(REF, 2, ("left", "effusion"), (Edge(2, 1, "amod"),))
+    mention = ConceptMention(REF, 2, 2, "C0013687", "Effusion")
+    assert walked_rules(graph, [mention], ruleset) == []
+    assert [(p.polarity, p.matched_rule)
+            for p in apply_rules(graph, [mention], ruleset)] == [
+        (Polarity.UNCERTAIN, "x9")]
