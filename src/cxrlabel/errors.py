@@ -9,7 +9,7 @@ in-memory constructors do not. Loaders read their files only through
 (every line, as a list) or `read_rows` (the tab-separated rows of a TSV
 file); each turns a file that is not UTF-8 into a located error. Readers
 of numbers decode fixed-width decimal cells from the bytes with
-`decode_fixed_width`, and read other plain rows with `loadtxt`.
+`decode_fixed_width`, and parse what it declines row by row.
 
 The module also holds the few defaults that every CLI start reads: the
 label sets (checked in the config), the box thresholds (echoed as
@@ -19,7 +19,6 @@ module, so a start reads them without running any other layer;
 `labeling`, `localization`, `pooling` and `metrics` re-export them.
 """
 
-import warnings
 from typing import Optional
 
 from cxrlabel.lazy import np
@@ -109,10 +108,9 @@ def decode_fixed_width(data: bytes, firsts, length: int, rows: int,
     is what "%.4f" writes for values in [0, 10). As each row ends in the one
     newline it holds, every row it decodes is a whole line.
 
-    It is the first of three tiers of the heatmap and scores readers:
-    what it declines is read with one `loadtxt` call, and what that cannot
-    read is parsed token by token with float(), which names the first bad
-    line.
+    It is the first of two tiers of the heatmap and scores readers: what
+    it declines is parsed token by token with float(), which names the
+    first bad line.
 
     A token's digits form an integer below 2**53, built exactly in int32
     (at most 9 digits) or int64, column by column; one division by the
@@ -158,24 +156,6 @@ def decode_fixed_width(data: bytes, firsts, length: int, rows: int,
             number += digits[:, column]
         np.divide(number, scale, out=values[at:at + step].reshape(-1))
     return values
-
-
-def loadtxt(rows: list[str], delimiter=None) -> Optional["np.ndarray"]:
-    """`np.loadtxt` of the rows as a 2-d array, with no comment character,
-    tokens split at `delimiter` (at whitespace by default); or None when
-    it raises ValueError.
-
-    loadtxt reads a subset of the tokens float() reads, to the same
-    values; it skips blank rows, and warns when every row is blank.
-    Given the row count, it allocates the array once instead of growing it.
-    """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            return np.loadtxt(rows, delimiter=delimiter, ndmin=2, comments=None,
-                              max_rows=len(rows))
-    except ValueError:
-        return None
 
 
 def read_lines(path):

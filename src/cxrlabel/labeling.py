@@ -23,10 +23,9 @@ from cxrlabel.errors import (
     MissingGraph,
     decode_fixed_width,
     label_set,
-    loadtxt,
     read_input,
 )
-from cxrlabel.lazy import _lazy_module, lazy_property, np, record
+from cxrlabel.lazy import _lazy_module, np, record
 
 # The text layers run on their first attribute read (see `cxrlabel.lazy`),
 # so reading and scoring label tables never runs them. `lexicon` is the
@@ -54,15 +53,13 @@ class LabelConfig:
 
     def __post_init__(self):
         check_class_names(self.classes)
+        # The column of each class.
+        object.__setattr__(self, "column",
+                           {name: k for k, name in enumerate(self.classes)})
 
     @property
     def C(self) -> int:
         return len(self.classes)
-
-    @lazy_property
-    def column(self) -> dict[str, int]:
-        """The column of each class."""
-        return {name: k for k, name in enumerate(self.classes)}
 
 
 def check_class_names(classes: Sequence[str], line_no=None):
@@ -328,18 +325,13 @@ def read_labels_wide_csv(
 def read_scores_csv(path) -> tuple[list[str], list[str], np.ndarray]:
     """Classes, report ids and the (N, K) score matrix of a scores CSV.
 
-    The file is read by the first of three tiers that takes it, each to
-    the same values: a file of fixed-width cells ("%.6f" of scores in
-    [0, 10)) is decoded from its bytes (`_read_scores_fixed`); any other
-    file of plain cells is read with one `np.loadtxt`; any other goes
-    through the per-row csv parser, which names the bad line.
+    A file of fixed-width cells ("%.6f" of scores in [0, 10)) is decoded
+    from its bytes (`_read_scores_fixed`); any other goes through the
+    per-row csv parser, which reads it to the same values or names the
+    bad line.
     """
     data = read_input(path)
-    scores = _read_scores_fixed(data)
-    if scores is None:
-        text = data.decode("utf-8")
-        scores = _read_scores_plain(text) or _read_scores_by_row(text)
-    return scores
+    return _read_scores_fixed(data) or _read_scores_by_row(data.decode("utf-8"))
 
 
 _SCORES_HEADER = "scores CSV needs a report_id header column"
@@ -367,26 +359,6 @@ def _labels_config(header: Optional[list[str]], config: Optional[LabelConfig]):
             f"CSV classes {classes} do not match config {config.classes}", 1
         )
     return config
-
-
-def _plain_rows(text: str, check_header):
-    """`check_header(header)`, the ids and the rests (each row after its id)
-    of `text` when it is not empty, has no id twice and no quote or carriage
-    return (so that each line's cells are its comma-separated parts); else None."""
-    if not text or '"' in text or "\r" in text:
-        return None
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    checked = check_header(lines[0].split(","))
-    ids, rests = [], []
-    for line in lines[1:]:
-        report_id, _, rest = line.partition(",")
-        ids.append(report_id)
-        rests.append(rest)
-    if len(set(ids)) != len(ids):
-        return None
-    return checked, ids, rests
 
 
 def _read_labels_plain(data: bytes, config: Optional[LabelConfig]):
@@ -496,20 +468,6 @@ def _read_scores_fixed(data: bytes):
     if ids is None:
         return None
     return classes, ids, values.reshape(len(ids), len(classes))
-
-
-def _read_scores_plain(text: str):
-    """The scores of `text` when it has plain lines, unique ids and as
-    many finite numbers in each row as there are classes; None otherwise."""
-    plain = _plain_rows(text, _header_classes)
-    if plain is None:
-        return None
-    classes, ids, rests = plain
-    values = loadtxt(rests, delimiter=",")
-    if (values is None or values.shape != (len(ids), len(classes))
-            or not np.isfinite(values).all()):
-        return None
-    return classes, ids, values
 
 
 def _parse_rows(text: str, check_header, parse_row):

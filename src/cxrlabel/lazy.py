@@ -39,20 +39,20 @@ grids) live in `errors`. Functions may import a layer where they run
 too (`cxrlabel.__getattr__`).
 
 `lazy_property` computes an attribute on its first read and stores it
-with the instance. A class with an instance `__dict__` keeps the value
-there, where every later read finds it without calling the descriptor. A
-class with `__slots__` and no `__dict__` (the pipeline's reports and
-graphs) declares the slot `_<name>` for it; every read goes through the
-descriptor, which reads that slot and fills it on the first read. It is
-`functools.cached_property` without the lock that Python 3.11 takes on
-each first read (3.12 dropped it), and it also works without a
-`__dict__`: two threads that race may both compute the value, and the
-last one stored wins, which is harmless for the pure, deterministic
-values it holds here.
+in the slot `_<name>`, which its class declares (the pipeline's reports
+and graphs have `__slots__` and no `__dict__`); every read goes through
+the descriptor, which reads that slot and fills it on the first read. It
+is `functools.cached_property` without the lock that Python 3.11 takes
+on each first read (3.12 dropped it), and it works without a `__dict__`:
+two threads that race may both compute the value, and the last one
+stored wins, which is harmless for the pure, deterministic values it
+holds here. A record with a `__dict__` computes such a value in its
+`__post_init__` instead (`labeling.LabelConfig.column`).
 """
 
 import importlib.util
 import sys
+import types
 from operator import attrgetter
 
 
@@ -77,30 +77,27 @@ def _lazy_module(name: str):
 
 
 class lazy_property:
-    """A read-only attribute computed once per instance by `func`. It is
-    stored in the instance `__dict__`, or in the slot `_<name>` when the
-    class declares one; either works on a frozen class, whose
-    `__setattr__` neither path calls. Read on the class, it is the
-    descriptor."""
+    """A read-only attribute computed once per instance by `func` and
+    stored in the slot `_<name>`, which the class must declare; this works
+    on a frozen class, whose `__setattr__` it never calls. Read on the
+    class, it is the descriptor."""
 
     def __init__(self, func):
         self.func = func
-        self.name = func.__name__
         self.__doc__ = func.__doc__
-        self.slot = None
 
     def __set_name__(self, owner, name):
         self.name = name
-        # The member descriptor of the slot `_<name>`, if the class has one.
+        # The member descriptor of the slot `_<name>`.
         self.slot = vars(owner).get("_" + name)
+        if not isinstance(self.slot, types.MemberDescriptorType):
+            raise TypeError(f"{owner.__qualname__} declares no slot '_{name}' "
+                            f"for its lazy_property {name!r}")
 
     def __get__(self, instance, owner=None):
         if instance is None:
             return self
         slot = self.slot
-        if slot is None:
-            value = instance.__dict__[self.name] = self.func(instance)
-            return value
         try:
             return slot.__get__(instance, owner)
         except AttributeError:  # not set yet

@@ -16,7 +16,6 @@ from cxrlabel.errors import (
     MalformedRow,
     ZeroAreaDetection,
     decode_fixed_width,
-    loadtxt,
     read_input,
     read_rows,
 )
@@ -452,8 +451,9 @@ def load_heatmaps(path) -> list[Heatmap]:
     file is then scanned header to header jumping over the grid rows, and
     the rows of all maps of one size are decoded from the bytes in one
     pass (see `_load`); a file the jumping scan or the decoder declines is
-    scanned again stepping line by line, which gives the same maps or
-    names the first bad line.
+    scanned again stepping line by line, and each size the decoder
+    declines is parsed row by row with float(), which gives the same maps
+    or names the first bad line.
     """
     data = read_input(path)
     if b"\r" in data:
@@ -538,16 +538,14 @@ def _load(data: bytes, jump: bool) -> Optional[list[Heatmap]]:
     of rows first, so that a size the decoder declines wastes little
     decoding. Each row the decoder reads is a whole line of the first
     row's length, so the jumps landed on the headers that stepping finds.
-    Without `jump`, a declined size is parsed with one `loadtxt`, and a
-    size whose rows do not all parse to finite values is parsed again
-    block by block with float(), so the error reported is the first in the
-    file, a bad cell before a bad header included.
+    Without `jump`, each map of a declined size is parsed block by block
+    with float(), in file order, so the error reported is the first in
+    the file, a bad cell before a bad header included.
 
-    Each size's grid stack is checked once: the byte decoder yields only
-    finite values, the `loadtxt` stack passes a shape test and a finite
-    min and max, and the per-row parser rejects a non-finite row; every
-    stack is (n, S, S) float64, and the scan has checked each dim. So each
-    Heatmap is built without re-running its checks.
+    Each grid is checked once: the byte decoder yields only finite
+    values and the per-row parser rejects a non-finite row; every grid is
+    (S, S) float64, and the scan has checked each dim. So each Heatmap is
+    built without re-running its checks.
     """
     scanned = _scan(data, jump)
     if scanned is None:
@@ -565,34 +563,21 @@ def _load(data: bytes, jump: bool) -> Optional[list[Heatmap]]:
         first = int(firsts[0])
         values = _fixed_width_grids(data, firsts, data.find(b"\n", first) + 1 - first,
                                     size)
-        if values is None:
-            if jump:
-                return None
-            rows = [row for k in members for row in _rows(data, maps[k])]
-            values = loadtxt(rows)
-            # min and max are finite only when every score is, and need no
-            # array of flags as large as the grids.
-            if not (values is not None and values.shape == (len(rows), size)
-                    and math.isfinite(values.min())
-                    and math.isfinite(values.max())):
-                continue
-            values = values.reshape(len(members), size, size)
-        for k, grid in zip(members, values):
-            grids[k] = grid
+        if values is not None:
+            for k, grid in zip(members, values):
+                grids[k] = grid
+        elif jump:
+            return None
     heatmaps: list[Heatmap] = []
     for entry, grid in zip(maps, grids):
-        image_id, label, size, image_dim, _, _, line_no = entry
+        image_id, label, size, image_dim, first, stop, line_no = entry
         if grid is None:
-            grid = _parse_grid_rows(_rows(data, entry), size, line_no + 1)
+            rows = data[first:stop - 1].decode("utf-8").split("\n")
+            grid = _parse_grid_rows(rows, size, line_no + 1)
         heatmaps.append(Heatmap._checked(image_id, label, grid, image_dim))
     if header_error is not None:
         raise header_error
     return heatmaps
-
-
-def _rows(data: bytes, entry) -> list[str]:
-    """The S grid rows of a map `_scan` found, as text."""
-    return data[entry[4]:entry[5] - 1].decode("utf-8").split("\n")
 
 
 def _fixed_width_grids(data: bytes, firsts: np.ndarray, length: int,

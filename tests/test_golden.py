@@ -5,7 +5,7 @@ process on three inputs:
 - "generated": the benchmark's `make_localize` inputs at one seed, whose
   "%.4f" grids the byte decoder reads;
 - "sci": `data/heatmaps_sci.tsv`, hand-written "%.3e" grids of three
-  sizes that the byte decoder declines, so `loadtxt` reads them;
+  sizes that the byte decoder declines, so the per-row parser reads them;
 - "bad_cell": that file with one cell made "nan", so every step fails;
 - "generated_comment": the "generated" heatmaps with one "# x" line
   between two maps and no final line break, which the scan skips and

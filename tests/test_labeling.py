@@ -116,6 +116,14 @@ class TestConfigs:
         with pytest.raises(MalformedRecord):
             get_config("x99")
 
+    def test_column_map_is_built_with_the_config(self):
+        config = LabelConfig("three", ("B", "A", "C"))
+        assert config.column == {"B": 0, "A": 1, "C": 2}
+        # It is no field: equality, hash and repr read the fields only.
+        assert config == LabelConfig("three", ("B", "A", "C"))
+        assert repr(config) == "LabelConfig(name='three', classes=('B', 'A', 'C'))"
+        assert CONFIG_X8.column["Pneumothorax"] == 7
+
     def test_report_labels_validation(self):
         with pytest.raises(MalformedRecord):
             ReportLabels("r", (0, 2), Status.TARGET_FINDINGS)

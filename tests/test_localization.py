@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
-from cxrlabel import localization
+from cxrlabel import labeling, localization
 from cxrlabel.errors import (
     CxrLabelError,
     MalformedRow,
@@ -45,6 +45,7 @@ from cxrlabel.localization import (
 from conftest import write_heatmaps
 
 BENCH = Path(__file__).parent.parent / "bench"
+DATA = Path(__file__).parent / "data"
 
 EIGHT = np.ones((3, 3), dtype=bool)
 
@@ -338,8 +339,8 @@ def interleaved_heatmap_texts(draw):
         else:
             dim = draw(st.sampled_from(["64", "100", "7.5"]))
             lines.append(f"i{k}\tC{k % 2}\t{size}\t{dim}")
-        # Most blocks are fixed-width; a "%g" block sends its whole size
-        # through loadtxt.
+        # Most blocks are fixed-width; a "%g" block sends every map of its
+        # size through the per-row parser.
         style = draw(st.sampled_from(["{:.3f}"] * 3 + ["{:g}"]))
         for r in range(size):
             cells = [style.format(v) for v in draw(
@@ -1157,8 +1158,8 @@ class TestFileFormats:
         assert heatmap.grid.tolist() == [[10.0, 12.0], [0.0, 1.0]]
 
     def test_loaded_maps_are_not_checked_again_one_by_one(self, tmp_path):
-        # One size per grid reader: the byte decoder, loadtxt and the
-        # per-row parser.
+        # Sizes the byte decoder reads (2) and declines (1 and 3, which go
+        # through the per-row parser).
         path = tmp_path / "heatmaps.tsv"
         path.write_text(
             "i1\tA\t2\t64\n0.5000 1.2500\n9.0000 0.0625\n"
@@ -1195,8 +1196,8 @@ class TestFileFormats:
         path = tmp_path_factory.getbasetemp() / "mutated_heatmaps.tsv"
         path.write_text(text, encoding="utf-8")
         fast = loaded_or_error(path)
-        # With the byte decoder declining and loadtxt failing, every block
-        # goes through the per-row parser.
+        # With the byte decoder declining, every block goes through the
+        # per-row parser; loadtxt, which no reader calls, fails too.
         with mock.patch.object(localization, "_fixed_width_grids",
                                return_value=None), \
                 mock.patch("numpy.loadtxt", side_effect=ValueError):
@@ -1211,20 +1212,6 @@ class TestFileFormats:
         path = tmp_path_factory.getbasetemp() / "interleaved_heatmaps.tsv"
         path.write_bytes(text.encode("utf-8"))
         assert loaded_or_error(path) == loaded_or_error(path, load_heatmaps_by_block)
-
-    def test_grids_of_one_size_are_read_in_one_call(self, tmp_path):
-        path = tmp_path / "heatmaps.tsv"
-        path.write_text(
-            "i1\tA\t2\t64\n1 2\n3 4\n\n# x\ni1\tB\t1\t8\n5\n"
-            "i2\tA\t2\t64\n6 7\n8 9\n",
-            encoding="utf-8",
-        )
-        with mock.patch("numpy.loadtxt", wraps=np.loadtxt) as loadtxt:
-            maps = load_heatmaps(path)
-        assert loadtxt.call_count == 2
-        assert [m.grid.tolist() for m in maps] == [
-            [[1, 2], [3, 4]], [[5]], [[6, 7], [8, 9]]
-        ]
 
     @pytest.mark.parametrize("edit", [
         "none", "\r\n", "\r", "no final newline", "between", "image id"
@@ -1332,13 +1319,29 @@ class TestFileFormats:
         ]
 
     def test_bench_heatmaps_are_read_without_the_line_index(self, tmp_path):
+        # The jumping scan succeeds only when the byte decoder reads every
+        # grid, so no bench heatmap goes through the per-row parser.
         generate = runpy.run_path(str(BENCH / "generate.py"))
-        inputs = generate["make_localize"](tmp_path, 1)
-        with mock.patch.object(localization, "_scan",
-                               wraps=localization._scan) as scan:
-            maps = load_heatmaps(inputs.files["heatmaps"])
-        assert [call.args[1] for call in scan.call_args_list] == [True]
-        assert len(maps) == inputs.props["maps"]
+        for seed in (1, 13):
+            inputs = generate["make_localize"](tmp_path / str(seed), seed)
+            with mock.patch.object(localization, "_scan",
+                                   wraps=localization._scan) as scan:
+                maps = load_heatmaps(inputs.files["heatmaps"])
+            assert [call.args[1] for call in scan.call_args_list] == [True]
+            assert len(maps) == inputs.props["maps"]
+
+    def test_bench_scores_are_read_by_the_byte_decoder_alone(self, tmp_path):
+        generate = runpy.run_path(str(BENCH / "generate.py"))
+        for seed in (1, 13):
+            inputs = generate["make_evaluate"](DATA, tmp_path / str(seed), seed)
+            path = inputs.files["scores"]
+            with mock.patch.object(labeling, "_read_scores_by_row",
+                                   side_effect=AssertionError):
+                classes, ids, scores = labeling.read_scores_csv(path)
+            expected = labeling._read_scores_by_row(path.read_text(encoding="utf-8"))
+            assert (classes, ids) == expected[:2]
+            assert scores.tobytes() == expected[2].tobytes()
+            assert len(ids) == inputs.props["rows"]
 
     def test_bad_byte_in_a_grid_row_with_lone_cr_ends_names_its_line(
         self, tmp_path
