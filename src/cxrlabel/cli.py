@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import gc
 import io
 import os
 import sys
@@ -329,7 +330,7 @@ def cmd_auc(args, config: RunConfig) -> int:
     column = {cls: k for k, cls in enumerate(classes)}
     for cls in label_config.classes:
         if cls not in column:
-            raise CxrLabelError(f"scores CSV lacks class {cls!r}")
+            raise CxrLabelError(f"{args.scores}: line 1: scores CSV lacks class {cls!r}")
     labels = gold.y[rows]
     cells: list[str] = []
     curves: list[tuple[str, tuple]] = []  # (class, roc_counts) for --roc-out
@@ -655,7 +656,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command with the cyclic garbage collector off, then restore
+    the caller's setting. A command's heap is acyclic (a collection after
+    each warm command finds 0 unreachable objects), so the collector would
+    only re-walk every live report: 30% of `label` at 10^5 reports."""
     args = build_parser().parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         config = resolve_config(args)
         _print_config(config)
@@ -669,6 +676,9 @@ def main(argv=None) -> int:
     except CxrLabelError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -1081,7 +1081,9 @@ class TestAucCommand:
             "--out", str(tmp_path / "auc.csv"),
         ])
         assert code == 2
-        assert "lacks class" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {scores}: line 1: scores CSV lacks class 'B'"
+        )
 
     def test_id_mismatch_exits_two(self, tmp_path, capsys):
         scores, labels = self.write_inputs(tmp_path)
